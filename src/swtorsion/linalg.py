@@ -37,13 +37,6 @@ def mat_vec(a: tuple, v: Sequence) -> tuple:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
 
 
-def mat_pow(a: tuple, k: int) -> tuple:
-    out = identity_matrix(len(a))
-    for _ in range(k):
-        out = mat_mul(out, a)
-    return out
-
-
 def submatrix(a: tuple, rows: Sequence[int], cols: Sequence[int]) -> tuple:
     return tuple(tuple(a[i][j] for j in cols) for i in rows)
 
@@ -80,23 +73,31 @@ def _pivot_order(n: int, rng) -> list:
     return order
 
 
-def rank_rational(a: tuple) -> int:
-    """Rank over the rationals."""
+def rank_int(a: tuple) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) row echelon.
+
+    After each pivot every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact and no fraction is formed.
+    """
     if not a or not a[0]:
         return 0
-    m = [[Fraction(x) for x in row] for row in a]
+    m = [list(row) for row in a]
     rows, cols = len(m), len(m[0])
     r = 0
+    prev = 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
+        p = m[r][c]
         for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            row = m[i]
+            for j in range(c + 1, cols):
+                row[j] = (p * row[j] - f * m[r][j]) // prev
+            row[c] = 0
+        prev = p
         r += 1
         if r == rows:
             break

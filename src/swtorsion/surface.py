@@ -201,13 +201,6 @@ class MappingClass:
         mJ = tuple(tuple(-x for x in row) for row in J)
         return MappingClass(self.surface, mat_mul(mJ, mat_mul(transpose(self.mat), J)))
 
-    def power(self, k: int) -> "MappingClass":
-        base = self if k >= 0 else self.inverse()
-        out = MappingClass.identity(self.surface)
-        for _ in range(abs(k)):
-            out = out.compose(base)
-        return out
-
     def trace(self) -> int:
         return sum(self.mat[i][i] for i in range(len(self.mat)))
 

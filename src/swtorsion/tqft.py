@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .linalg import rank_rational
+from .linalg import det_int, rank_int
 from .series import TruncSeries, geometric_inverse_square
 from .surface import (MappingClass, SurfaceModel, char_series,
                       exterior_power_trace, is_symplectic)
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
-                       contract_class, enumerate_basis, graded_trace,
-                       wedge_class)
+                       contract_class, graded_trace, wedge_class)
 from .torsion import torsion_representative
 
 
@@ -67,10 +66,9 @@ def validate_presentation(genus, handles, rows) -> List[str]:
     violations instead of raising so callers can report all of them.
     """
     problems: List[str] = []
-    if not isinstance(genus, int) or genus < 0:
-        problems.append("genus: must be a nonnegative integer")
-    if not isinstance(handles, int) or handles < 0:
-        problems.append("handles: must be a nonnegative integer")
+    for field, value in (("genus", genus), ("handles", handles)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            problems.append(f"{field}: must be a nonnegative integer")
     if problems:
         return problems
     size = 2 * (genus + handles)
@@ -145,29 +143,76 @@ def kappa_matrix(P: Presentation, n: int) -> SymEndo:
     return SymEndo.from_function(big, column)
 
 
-def trace_kappa_coefficient(P: Presentation, n: int) -> int:
-    """Graded trace of kappa_n by direct coefficient extraction.
+def _interpolate(values: List[int]) -> Tuple[int, ...]:
+    """Coefficients of the polynomial of degree < len(values) that takes
+    values[k] at s = k, by forward differences in the falling-factorial basis.
 
-    For each monomial beta of the middle surface, reads the coefficient of
-    d_0 ^ .. ^ d_{N-1} ^ beta in the monodromy image of
-    c_0 ^ .. ^ c_{N-1} ^ beta, weighted by (-1)^{|beta| + N}.
+    The coefficients are asserted to be integers.
     """
-    if n < 0:
+    coeffs = [Fraction(0)] * len(values)
+    falling = [1]  # coefficients of s (s - 1) .. (s - k + 1)
+    diffs = list(values)
+    factorial = 1
+    for k in range(len(values)):
+        if k:
+            factorial *= k
+        for i, c in enumerate(falling):
+            coeffs[i] += Fraction(diffs[0] * c, factorial)
+        shifted = [0] + falling
+        for i, c in enumerate(falling):
+            shifted[i] -= k * c
+        falling = shifted
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("trace polynomial is not integral")
+    return tuple(int(c) for c in coeffs)
+
+
+def _trace_polynomial(P: Presentation) -> Tuple[int, ...]:
+    """Coefficients of p(s) = sum over I of s^|I| det A[D u I, C u I].
+
+    I runs over the subsets of the core classes X.  With Q the block of A
+    on rows D u X and columns C u X, p(s) is the determinant of
+    [[Q_DC, Q_DX], [s Q_XC, 1 + s Q_XX]] (expand det(B + E_X) into the
+    minors complementary to the unit diagonal), so 2g + 1 integer
+    determinants and an interpolation give all of it.
+    """
+    N, g = P.handles, P.genus
+    A = P.monodromy.mat
+    rows = tuple(range(N, 2 * N + 2 * g))
+    cols = tuple(range(N)) + tuple(range(2 * N, 2 * N + 2 * g))
+    values = []
+    for s in range(2 * g + 1):
+        values.append(det_int(tuple(
+            tuple(A[r][c] if a < N else
+                  s * A[r][c] + (1 if a == b else 0)
+                  for b, c in enumerate(cols))
+            for a, r in enumerate(rows))))
+    return _interpolate(values)
+
+
+def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
+    """Graded traces Tr kappa_n for n = 0..nmax, from one determinant.
+
+    Tr kappa_n sums (-1)^{|I| + N} det A[D u I, C u I] over the monomials
+    x_I y^q of Sym^n of the core surface; q takes n - |I| + 1 values, so
+    sum_n Tr kappa_n t^n = (-1)^N p(-t) / (1 - t)^2 with p as in
+    ``_trace_polynomial``.  At N = 0 this is det(1 - tA) / (1 - t)^2, the
+    zeta function.
+    """
+    if nmax < 0:
         raise ValueError("n must be nonnegative")
     N = P.handles
-    A = P.monodromy
-    big = SymSpace(P.surface, n + N)
-    total = 0
-    for beta in enumerate_basis(SymSpace(P.small_surface, n)):
-        src = tuple(range(N)) + tuple(i + 2 * N for i in beta.indices)
-        dst = Monomial(tuple(range(N, 2 * N)) + tuple(i + 2 * N for i in beta.indices),
-                       beta.q)
-        image = apply_induced(A, SymClass.monomial(big, Monomial(src, beta.q)))
-        coeff = image.coefficient(dst)
-        if coeff:
-            sign = -1 if (beta.odd_part + N) & 1 else 1
-            total += sign * coeff
-    return total
+    signed = [-c if (k + N) & 1 else c
+              for k, c in enumerate(_trace_polynomial(P))]
+    return tuple(sum((n - k + 1) * signed[k]
+                     for k in range(min(n + 1, len(signed))))
+                 for n in range(nmax + 1))
+
+
+def trace_kappa_coefficient(P: Presentation, n: int) -> int:
+    """Graded trace of kappa_n; see ``trace_kappa_series``."""
+    return trace_kappa_series(P, n)[n]
 
 
 def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
@@ -258,12 +303,12 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     rhs = rhs_series(P, nmax)
+    direct = trace_kappa_series(P, nmax)
     rows = []
     for n in range(nmax + 1):
-        direct = trace_kappa_coefficient(P, n)
         via_matrix = graded_trace(kappa_matrix(P, n))
         coeff = rhs[n]
-        rows.append(VerificationRow(n, direct, via_matrix,
+        rows.append(VerificationRow(n, direct[n], via_matrix,
                                     int(coeff) if coeff.denominator == 1 else coeff))
     return VerificationReport(P, tuple(rows))
 
@@ -272,7 +317,7 @@ def compute_b1(P: Presentation) -> int:
     """First Betti number of M(g, N, h).
 
     Mayer-Vietoris for the two compression bodies gives
-    b_1 = 1 + (2G - N) - rank_Q(Q (1 - A^{-1})) where Q deletes the c rows
+    b_1 = 1 + (2G - N) - rank(Q (1 - A^{-1})) where Q deletes the c rows
     and A^{-1} is the homology pushforward of the stored pullback.
     """
     G = P.genus + P.handles
@@ -283,7 +328,7 @@ def compute_b1(P: Presentation) -> int:
     M = tuple(tuple((1 if i == j else 0) - Ainv[i][j] for j in range(2 * G))
               for i in range(2 * G))
     dropped = tuple(M[i] for i in range(N, 2 * G))
-    return 1 + (2 * G - N) - rank_rational(dropped)
+    return 1 + (2 * G - N) - rank_int(dropped)
 
 
 @dataclass(frozen=True)
@@ -316,9 +361,9 @@ def sw_table(P: Presentation, nmax: int) -> SWTable:
         raise ValueError("nmax must be nonnegative")
     b1 = compute_b1(P)
     gS = P.genus + P.handles
+    values = trace_kappa_series(P, nmax)
     rows = []
-    for n in range(nmax + 1):
-        value = trace_kappa_coefficient(P, n)
+    for n, value in enumerate(values):
         if b1 == 1:
             m = 2 * (n - gS + 1)
         else:

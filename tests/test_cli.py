@@ -63,6 +63,17 @@ def test_validate_rejects_reflection(tmp_path, capsys):
     assert "symplectic" in err
 
 
+def test_bool_genus_and_handles_are_input_errors(tmp_path, capsys):
+    # JSON true/false are ints to isinstance; they must not pass as g, N
+    path = tmp_path / "bools.json"
+    doc = {"genus": True, "handles": False, "monodromy": [[1, 0], [0, 1]]}
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "b1"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "genus:" in err and "handles:" in err
+
+
 def test_validate_accepts_good_file(tmp_path, capsys):
     path = tmp_path / "ok.json"
     run_cli(["gen", "--g", "0", "--handles", "1", "--words", "3", "--seed", "5",

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,9 @@ from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 lefschetz_number)
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
                             kappa_matrix, rhs_series, sw_table,
-                            trace_kappa_coefficient, validate_presentation,
-                            verify_main_identity, zeta_series)
+                            trace_kappa_coefficient, trace_kappa_series,
+                            validate_presentation, verify_main_identity,
+                            zeta_series)
 from conftest import make_presentation, presentation_sample
 
 ROT = [[0, -1], [1, 0]]  # c -> d, d -> -c on the one-handle sphere
@@ -109,9 +111,36 @@ def test_kappa_trace_zero_for_identity_monodromy():
 
 
 def test_trace_paths_agree():
-    for P in presentation_sample(12, seed=5150):
-        for n in range(3):
-            assert graded_trace(kappa_matrix(P, n)) == trace_kappa_coefficient(P, n)
+    cases = [(presentation_sample(12, seed=5150), 2),
+             ([make_presentation(g, N, 16, 100 * g + N)
+               for g in range(4) for N in range(3)], 4)]
+    for sample, nmax in cases:
+        for P in sample:
+            series = trace_kappa_series(P, nmax)
+            for n in range(nmax + 1):
+                assert (graded_trace(kappa_matrix(P, n))
+                        == trace_kappa_coefficient(P, n) == series[n])
+
+
+def test_trace_series_is_zeta_at_large_genus():
+    # N = 0: the trace series is the zeta function, here by its route (a),
+    # exp of sum (2 - tr A^k) t^k / k, which never forms a minor
+    P = make_presentation(12, 0, 120, 12)
+    nmax = 30
+    A = P.monodromy.mat
+    power = A
+    log_terms = [0]
+    for k in range(1, nmax + 1):
+        trace = sum(power[i][i] for i in range(len(A)))
+        log_terms.append(Fraction(2 - trace, k))
+        power = mat_mul(power, A)
+    zeta = TruncSeries(nmax, log_terms).exp()
+    assert trace_kappa_series(P, nmax) == zeta.coeffs
+
+
+def test_trace_series_matches_torsion_times_zeta():
+    P = make_presentation(5, 1, 20, 51)
+    assert trace_kappa_series(P, 5) == rhs_series(P, 5).coeffs
 
 
 def test_trace_reduces_to_lefschetz_without_handles():
