@@ -161,28 +161,11 @@ def _dispatch(args, out) -> int:
         out.write(f"wrote {args.out}\n")
         return 0
 
+    P = load_presentation(args.file)
+
     if args.command == "validate":
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise InputError(f"{args.file}: {e.strerror or e}")
-        except json.JSONDecodeError as e:
-            raise InputError(
-                f"{args.file}: line {e.lineno}, column {e.colno}: {e.msg}")
-        if not isinstance(doc, dict):
-            raise InputError(f"{args.file}: top level must be a JSON object")
-        missing = [k for k in ("genus", "handles", "monodromy") if k not in doc]
-        if missing:
-            raise InputError(f"{args.file}: missing field '{missing[0]}'")
-        problems = validate_presentation(doc["genus"], doc["handles"],
-                                         doc["monodromy"])
-        if problems:
-            raise InputError(f"{args.file}: " + "; ".join(problems))
         out.write("valid\n")
         return 0
-
-    P = load_presentation(args.file)
 
     if args.command == "b1":
         out.write(f"{compute_b1(P)}\n")

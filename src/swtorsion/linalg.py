@@ -6,8 +6,9 @@ integers (Bareiss elimination for determinants); rational routines use
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Sequence
+from typing import Sequence, Tuple
 
 
 def as_matrix(rows) -> tuple:
@@ -25,12 +26,9 @@ def transpose(a: tuple) -> tuple:
 def mat_mul(a: tuple, b: tuple) -> tuple:
     if not a or not b:
         return ()
-    k = len(b)
-    cols = len(b[0])
-    return tuple(
-        tuple(sum(row[t] * b[t][j] for t in range(k)) for j in range(cols))
-        for row in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols)
+                 for row in a)
 
 
 def mat_vec(a: tuple, v: Sequence) -> tuple:
@@ -64,6 +62,31 @@ def det_int(a: tuple) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def interpolate(values: Sequence[int]) -> Tuple[int, ...]:
+    """Coefficients of the polynomial of degree < len(values) that takes
+    values[k] at s = k, by forward differences in the falling-factorial basis.
+
+    The coefficients are asserted to be integers.
+    """
+    coeffs = [Fraction(0)] * len(values)
+    falling = [1]  # coefficients of s (s - 1) .. (s - k + 1)
+    diffs = list(values)
+    factorial = 1
+    for k in range(len(values)):
+        if k:
+            factorial *= k
+        for i, c in enumerate(falling):
+            coeffs[i] += Fraction(diffs[0] * c, factorial)
+        shifted = [0] + falling
+        for i, c in enumerate(falling):
+            shifted[i] -= k * c
+        falling = shifted
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("interpolated polynomial is not integral")
+    return tuple(int(c) for c in coeffs)
 
 
 def _pivot_order(n: int, rng) -> list:

@@ -158,19 +158,67 @@ def geometric_inverse_square(order: int) -> TruncSeries:
 
 
 def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSeries:
-    """Determinant of a small matrix of truncated series (Leibniz expansion)."""
-    from itertools import permutations
+    """Determinant of a square matrix of truncated series.
 
+    Berkowitz's division-free algorithm: with the trailing block of the
+    matrix written [[a, R], [C, B]], the characteristic polynomial of the
+    block is a lower triangular Toeplitz matrix with first column
+    (1, -a, -RC, -RBC, -RB^2C, ..) times that of B.  An n x n matrix costs
+    about n^4 / 4 truncated series products and no division, so the
+    constant terms may vanish.  The work runs on plain coefficient lists;
+    ``torsion.torsion_coefficient_direct`` is the independent reference.
+    """
     n = len(entries)
-    out = TruncSeries.zero(order)
-    if n == 0:
-        return TruncSeries.one(order)
-    from .linalg import perm_parity
+    m = []
+    for row in entries:
+        if len(row) != n:
+            raise ValueError("series determinant needs a square matrix")
+        m.append([_coeff_list(e, order) for e in row])
+    zero = [0] * (order + 1)
+    # poly: coefficients of det(x - B) for the current trailing block B,
+    # highest power of x first; each coefficient is a truncated series.
+    poly = [[1] + zero[1:]]
+    for r in range(n - 1, -1, -1):
+        size = n - r
+        R = m[r][r + 1:]
+        B = [row[r + 1:] for row in m[r + 1:]]
+        column = [_neg(m[r][r])]
+        v = [row[r] for row in m[r + 1:]]
+        for k in range(size - 1):
+            column.append(_neg(_dot(R, v, order)))
+            if k < size - 2:
+                v = [_dot(row, v, order) for row in B]
+        # The last step needs only the constant coefficient, det(-M).
+        rows = range(size + 1) if r else (size,)
+        poly = [_add(poly[i] if i < size else zero,
+                     _dot(column[:i][::-1], poly[:i], order))
+                for i in rows]
+    det = poly[-1] if n % 2 == 0 else _neg(poly[-1])
+    return TruncSeries(order, det)
 
-    for perm in permutations(range(n)):
-        sign = -1 if perm_parity(perm) else 1
-        prod = TruncSeries.one(order)
-        for i in range(n):
-            prod = prod * entries[i][perm[i]]
-        out = out + (prod if sign == 1 else -prod)
+
+def _coeff_list(e: TruncSeries, order: int) -> list:
+    """Coefficients with integral ones as ints, so integer matrices stay in
+    integer arithmetic."""
+    if e.order != order:
+        raise ValueError(f"order mismatch: {e.order} vs {order}")
+    return [c.numerator if c.denominator == 1 else c for c in e.coeffs]
+
+
+def _neg(a: list) -> list:
+    return [-x for x in a]
+
+
+def _add(a: list, b: list) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def _dot(us: Sequence[list], vs: Sequence[list], order: int) -> list:
+    """sum_i us[i] * vs[i], truncated products of coefficient lists."""
+    out = [0] * (order + 1)
+    for u, v in zip(us, vs):
+        for i, x in enumerate(u):
+            if x:
+                for j in range(order + 1 - i):
+                    out[i + j] += x * v[j]
     return out

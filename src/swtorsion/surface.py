@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .linalg import (as_matrix, det_int, identity_matrix, mat_mul, mat_vec,
-                     submatrix, transpose)
+from .linalg import (as_matrix, det_int, identity_matrix, interpolate, mat_mul,
+                     mat_vec, submatrix, transpose)
 from .series import TruncSeries
 
 
@@ -208,7 +208,9 @@ class MappingClass:
 def exterior_power_trace(A: MappingClass, j: int) -> int:
     """Trace of the induced map on the j-th exterior power of H^1.
 
-    Computed as the sum of the j x j principal minors; fine at desk scale.
+    Computed as the sum of the C(2G, j) principal j x j minors.  This is
+    the brute-force reference for ``char_series``, which production code
+    uses instead.
     """
     n = A.surface.rank
     if not 0 <= j <= n:
@@ -222,14 +224,21 @@ def exterior_power_trace(A: MappingClass, j: int) -> int:
 
 
 def char_series(A: MappingClass, order: int) -> TruncSeries:
-    """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A."""
+    """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A.
+
+    det(1 + sA) = sum_j s^j tr Lambda^j A has degree 2G, so its values at
+    s = 0..2G, 2G + 1 Bareiss determinants, give every exterior trace by
+    exact interpolation.
+    """
     if order < 0:
         raise ValueError("order must be nonnegative")
     n = A.surface.rank
-    coeffs = []
-    for j in range(min(n, order) + 1):
-        coeffs.append((-1) ** j * exterior_power_trace(A, j))
-    return TruncSeries(order, coeffs)
+    values = [det_int(tuple(tuple(s * x + (i == j) for j, x in enumerate(row))
+                            for i, row in enumerate(A.mat)))
+              for s in range(n + 1)]
+    ext = interpolate(values)
+    return TruncSeries(order, [-ext[j] if j & 1 else ext[j]
+                               for j in range(min(n, order) + 1)])
 
 
 def _transvection(surface: SurfaceModel, v: tuple, direction: int) -> tuple:

@@ -266,12 +266,6 @@ class SymEndo:
             out = out + self.columns[index[m]].scale(c)
         return out
 
-    def compose(self, other: "SymEndo") -> "SymEndo":
-        """self after other."""
-        if self.space != other.space:
-            raise ValueError("endomorphisms of different spaces")
-        return SymEndo(self.space, tuple(self.apply(col) for col in other.columns))
-
     def matrix(self) -> tuple:
         """Dense integer matrix in the enumerate_basis ordering (rows first)."""
         basis = enumerate_basis(self.space)

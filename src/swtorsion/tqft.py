@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .linalg import det_int, rank_int
+from .linalg import det_int, interpolate, rank_int
 from .series import TruncSeries, geometric_inverse_square
-from .surface import (MappingClass, SurfaceModel, char_series,
-                      exterior_power_trace, is_symplectic)
+from .surface import MappingClass, SurfaceModel, char_series, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
                        contract_class, graded_trace, wedge_class)
 from .torsion import torsion_representative
@@ -143,31 +142,6 @@ def kappa_matrix(P: Presentation, n: int) -> SymEndo:
     return SymEndo.from_function(big, column)
 
 
-def _interpolate(values: List[int]) -> Tuple[int, ...]:
-    """Coefficients of the polynomial of degree < len(values) that takes
-    values[k] at s = k, by forward differences in the falling-factorial basis.
-
-    The coefficients are asserted to be integers.
-    """
-    coeffs = [Fraction(0)] * len(values)
-    falling = [1]  # coefficients of s (s - 1) .. (s - k + 1)
-    diffs = list(values)
-    factorial = 1
-    for k in range(len(values)):
-        if k:
-            factorial *= k
-        for i, c in enumerate(falling):
-            coeffs[i] += Fraction(diffs[0] * c, factorial)
-        shifted = [0] + falling
-        for i, c in enumerate(falling):
-            shifted[i] -= k * c
-        falling = shifted
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("trace polynomial is not integral")
-    return tuple(int(c) for c in coeffs)
-
-
 def _trace_polynomial(P: Presentation) -> Tuple[int, ...]:
     """Coefficients of p(s) = sum over I of s^|I| det A[D u I, C u I].
 
@@ -188,7 +162,7 @@ def _trace_polynomial(P: Presentation) -> Tuple[int, ...]:
                   s * A[r][c] + (1 if a == b else 0)
                   for b, c in enumerate(cols))
             for a, r in enumerate(rows))))
-    return _interpolate(values)
+    return interpolate(values)
 
 
 def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
@@ -222,7 +196,9 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
         the iterates;
     (b) the Lefschetz sum over exterior powers with multiplicity k - j + 1;
     (c) det(1 - tA) / (1 - t)^2.
-    All three must agree with integer coefficients.
+    (b) and (c) read the exterior traces from one interpolated polynomial,
+    ``char_series``; (a) shares nothing with them.  All three must agree
+    with integer coefficients.
     """
     n = A.surface.rank
     # (a)
@@ -235,12 +211,13 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
                                         for k in range(1, kmax + 1)])
     via_exp = log_term.exp()
     # (b)
-    ext = [exterior_power_trace(A, j) for j in range(n + 1)]
+    char = char_series(A, kmax)
+    signed = [int(c) for c in char.coeffs]  # (-1)^j tr Lambda^j A
     via_lefschetz = TruncSeries(kmax, [
-        sum((-1) ** j * (k - j + 1) * ext[j] for j in range(min(k, n) + 1))
+        sum((k - j + 1) * signed[j] for j in range(min(k, n) + 1))
         for k in range(kmax + 1)])
     # (c)
-    via_det = char_series(A, kmax) * geometric_inverse_square(kmax)
+    via_det = char * geometric_inverse_square(kmax)
     if not (via_exp == via_lefschetz == via_det and via_det.is_integral()):
         raise RuntimeError("zeta cross-check failed: the three expansions "
                            "of the fixed point series disagree")

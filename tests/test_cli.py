@@ -74,6 +74,17 @@ def test_bool_genus_and_handles_are_input_errors(tmp_path, capsys):
         assert "genus:" in err and "handles:" in err
 
 
+def test_validate_rejects_non_string_name(tmp_path, capsys):
+    # validate reads the file the way every other command does
+    path = tmp_path / "named.json"
+    doc = {"name": 5, "genus": 1, "handles": 0, "monodromy": [[1, 0], [0, 1]]}
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "b1"):
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "name" in err
+
+
 def test_validate_accepts_good_file(tmp_path, capsys):
     path = tmp_path / "ok.json"
     run_cli(["gen", "--g", "0", "--handles", "1", "--words", "3", "--seed", "5",

@@ -1,10 +1,12 @@
 """Property tests: the fast routes against independent references on
 inputs drawn by hypothesis (derandomized, so every run draws the same)."""
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
-from swtorsion.linalg import det_int, rank_int, submatrix
+from swtorsion.linalg import det_int, perm_parity, rank_int, submatrix
+from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import graded_trace
 from swtorsion.tqft import Presentation, kappa_matrix, trace_kappa_series
@@ -62,3 +64,35 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_rank_int_equals_largest_nonzero_minor(a):
     assert rank_int(a) == brute_force_rank(a)
+
+
+def leibniz_det(entries, order):
+    """Sum over all permutations of the signed products of entries."""
+    total = TruncSeries.zero(order)
+    for perm in permutations(range(len(entries))):
+        prod = TruncSeries.one(order)
+        for i, j in enumerate(perm):
+            prod = prod * entries[i][j]
+        total = total - prod if perm_parity(perm) else total + prod
+    return total
+
+
+@st.composite
+def fraction_series_matrices(draw):
+    """n x n matrices, n <= 5, of series with Fraction coefficients; every
+    constant term is an odd multiple of 1/(2b), so nonzero and not an
+    integer."""
+    n, order = draw(st.integers(0, 5)), draw(st.integers(0, 3))
+    coeff = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    const = st.builds(lambda a, b: Fraction(2 * a + 1, 2 * b),
+                      st.integers(-4, 3), st.integers(1, 3))
+    return order, [[TruncSeries(order, [draw(const)] + [
+        draw(coeff) for _ in range(order)]) for _ in range(n)]
+        for _ in range(n)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(fraction_series_matrices())
+def test_series_det_equals_leibniz(case):
+    order, entries = case
+    assert series_det(entries, order) == leibniz_det(entries, order)

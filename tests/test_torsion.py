@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from swtorsion.linalg import det_rational, invert_rational, perm_parity
+from swtorsion.linalg import (det_int, det_rational, invert_rational,
+                              perm_parity)
 from swtorsion.series import TruncSeries
+from swtorsion.surface import pairing
 from swtorsion.torsion import (RelPerm, VolumedComplex,
                                collapse_perm, complex_torsion,
                                enumerate_relative_perms,
@@ -154,6 +156,25 @@ def test_torsion_cross_path():
         rep = torsion_representative(P, 6)
         for k in range(7):
             assert torsion_coefficient_direct(P, k) == rep[k]
+    for g, N, seed in ((0, 4, 11), (1, 4, 12), (0, 5, 13)):
+        P = make_presentation(g, N, 40, seed)
+        rep = torsion_representative(P, N + 3)
+        assert any(rep.coeffs)
+        for k in range(N + 4):
+            assert torsion_coefficient_direct(P, k) == rep[k]
+
+
+def test_torsion_leading_coefficient_at_nine_handles():
+    # entry (i, j) of the Morse matrix starts <A c_i, c_j> t, so the
+    # determinant starts at t^N with the determinant of those pairings
+    N = 9
+    P = make_presentation(1, N, 60, 7)
+    rep = torsion_representative(P, 12)
+    assert all(rep[k] == 0 for k in range(N))
+    A, cs = P.monodromy, [P.surface.c_class(i) for i in range(N)]
+    lead = det_int(tuple(tuple(pairing(A.apply(ci), cj) for cj in cs)
+                         for ci in cs))
+    assert lead != 0 and rep[N] == lead
 
 
 def test_enumerate_relative_perms_counts():
