@@ -23,9 +23,9 @@ for n in range(4):
     print(f"  n={n}: trace={tr}  lefschetz={lef}")
 
 # A random genus-2 monodromy, built deterministically from a transvection
-# word.  The three internal routes to the zeta series (exponential formula,
-# weighted exterior traces, the rational function) are cross-checked on
-# every call.
+# word.  Every call expands the zeta series two ways, by the exponential
+# formula and by the rational function det(1 - tA)/(1 - t)^2, and raises if
+# they disagree.  The Lefschetz numbers printed above are a third route.
 from swtorsion import random_symplectic
 
 A = random_symplectic(SurfaceModel(2), 6, seed=11)

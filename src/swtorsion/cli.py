@@ -34,6 +34,8 @@ def load_presentation(path: str) -> Presentation:
             raw = fh.read()
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}")
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not valid UTF-8: {e.reason} at byte {e.start}")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
@@ -65,8 +67,11 @@ def presentation_document(P: Presentation) -> dict:
 
 def write_presentation(P: Presentation, path: str) -> None:
     text = json.dumps(presentation_document(P), indent=2) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise InputError(f"{path}: {e.strerror or e}")
 
 
 def generate_fixture(g: int, handles: int, words: int, seed: int,

@@ -89,6 +89,19 @@ def interpolate(values: Sequence[int]) -> Tuple[int, ...]:
     return tuple(int(c) for c in coeffs)
 
 
+def det_pencil(m0: tuple, m1: tuple) -> Tuple[int, ...]:
+    """Coefficients of det(m0 + s m1) in s, lowest degree first.
+
+    Each nonzero row of m1 raises the degree by at most one, so with deg
+    nonzero rows the Bareiss determinants at s = 0..deg and ``interpolate``
+    give the polynomial exactly.
+    """
+    deg = sum(1 for row in m1 if any(row))
+    return interpolate([det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
+                                      for r0, r1 in zip(m0, m1)))
+                        for s in range(deg + 1)])
+
+
 def _pivot_order(n: int, rng) -> list:
     order = list(range(n))
     if rng is not None:

@@ -79,10 +79,6 @@ class TruncSeries:
     def __neg__(self) -> "TruncSeries":
         return TruncSeries(self.order, [-a for a in self.coeffs])
 
-    def scale(self, c) -> "TruncSeries":
-        c = _frac(c)
-        return TruncSeries(self.order, [c * a for a in self.coeffs])
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy product truncated at the common order."""
         self._check_order(other)

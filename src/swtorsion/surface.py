@@ -2,11 +2,14 @@
 
 Basis conventions (0-indexed throughout the code):
 
-* unsplit surface of genus G: classes ``x_0 .. x_{2G-1}`` with
-  ``<x_j, x_{G+j}> = +1``;
 * split surface with N handle curves and core genus g (G = N + g):
   classes ``c_0 .. c_{N-1}, d_0 .. d_{N-1}, x_0 .. x_{2g-1}`` with
-  ``<c_i, d_i> = +1`` and ``<x_j, x_{g+j}> = +1``.
+  ``<c_i, d_i> = +1`` and ``<x_j, x_{g+j}> = +1``;
+* unsplit surface of genus G: the split (0, G), classes
+  ``x_0 .. x_{2G-1}`` with ``<x_j, x_{G+j}> = +1``.
+
+``SurfaceModel.partner`` is the single definition of the form; the matrix J
+and the products J v are read off it.
 
 A mapping class is stored as the pullback action on H^1: column j of the
 matrix is the image of basis class j.  The pushforward on homology, where
@@ -14,37 +17,25 @@ needed, is the inverse matrix under the Poincare duality identification.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Union
 
-from .linalg import (as_matrix, det_int, identity_matrix, interpolate, mat_mul,
+from .linalg import (as_matrix, det_int, det_pencil, identity_matrix, mat_mul,
                      mat_vec, submatrix, transpose)
 from .series import TruncSeries
 
 
-@lru_cache(maxsize=None)
-def _intersection_matrix(G: int, split: Optional[tuple]) -> tuple:
-    J = [[0] * (2 * G) for _ in range(2 * G)]
-    if split is None:
-        for j in range(G):
-            J[j][G + j] = 1
-            J[G + j][j] = -1
-    else:
-        N, g = split
-        for i in range(N):
-            J[i][N + i] = 1
-            J[N + i][i] = -1
-        for j in range(g):
-            J[2 * N + j][2 * N + g + j] = 1
-            J[2 * N + g + j][2 * N + j] = -1
-    return as_matrix(J)
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
-    """Genus-G surface with a fixed symplectic basis of H^1."""
+    """Genus-G surface with a fixed symplectic basis of H^1.
+
+    ``split`` is (N, g) with N + g = G; no split means (0, G), the same
+    basis as the unsplit convention, so SurfaceModel(G) equals
+    SurfaceModel(G, (0, G)).
+    """
 
     G: int
     split: Optional[tuple] = None
@@ -52,11 +43,10 @@ class SurfaceModel:
     def __post_init__(self):
         if self.G < 0:
             raise ValueError("genus must be nonnegative")
-        if self.split is not None:
-            N, g = self.split
-            if N < 0 or g < 0 or N + g != self.G:
-                raise ValueError("split (N, g) must satisfy N + g = G")
-            object.__setattr__(self, "split", (N, g))
+        N, g = (0, self.G) if self.split is None else self.split
+        if N < 0 or g < 0 or N + g != self.G:
+            raise ValueError("split (N, g) must satisfy N + g = G")
+        object.__setattr__(self, "split", (N, g))
 
     @property
     def rank(self) -> int:
@@ -64,21 +54,31 @@ class SurfaceModel:
 
     @property
     def intersection_matrix(self) -> tuple:
-        return _intersection_matrix(self.G, self.split)
+        """J with J[k][j] = <e_k, e_j>: row k is +-1 at partner(k), else 0."""
+        n = self.rank
+        return tuple(tuple(s if j == p else 0 for j in range(n))
+                     for p, s in self._signed_partners)
 
     def partner(self, i: int) -> int:
-        """Index paired with i: <e_i, e_partner(i)> = +-1."""
+        """Index paired with i.  This is the one definition of the form:
+        <e_i, e_partner(i)> = +1 when i < partner(i), else -1, and every
+        other pair of basis classes pairs to 0."""
         if not 0 <= i < self.rank:
             raise IndexError("basis index out of range")
-        if self.split is None:
-            return i + self.G if i < self.G else i - self.G
         N, g = self.split
-        if i < N:
-            return N + i
         if i < 2 * N:
-            return i - N
-        j = i - 2 * N
-        return 2 * N + g + j if j < g else 2 * N + (j - g)
+            return (i + N) % (2 * N)
+        return 2 * N + (i - 2 * N + g) % (2 * g)
+
+    @cached_property
+    def _signed_partners(self) -> tuple:
+        """(partner(k), <e_k, e_partner(k)>) for k = 0..rank - 1."""
+        return tuple((p, 1 if k < p else -1)
+                     for k, p in enumerate(map(self.partner, range(self.rank))))
+
+    def pair_vector(self, v) -> tuple:
+        """J v: entry k is <e_k, v> = +-v[partner(k)], signed as in ``partner``."""
+        return tuple(s * v[p] for p, s in self._signed_partners)
 
     def basis_class(self, i: int) -> "CohClass":
         if not 0 <= i < self.rank:
@@ -86,21 +86,15 @@ class SurfaceModel:
         return CohClass(self, tuple(1 if t == i else 0 for t in range(self.rank)))
 
     def c_class(self, i: int) -> "CohClass":
-        N, _ = self._split_or_raise()
-        if not 0 <= i < N:
+        if not 0 <= i < self.split[0]:
             raise IndexError("handle index out of range")
         return self.basis_class(i)
 
     def d_class(self, i: int) -> "CohClass":
-        N, _ = self._split_or_raise()
+        N = self.split[0]
         if not 0 <= i < N:
             raise IndexError("handle index out of range")
         return self.basis_class(N + i)
-
-    def _split_or_raise(self):
-        if self.split is None:
-            raise ValueError("surface has no split basis")
-        return self.split
 
 
 @dataclass(frozen=True)
@@ -135,13 +129,10 @@ class CohClass:
 
 
 def pairing(u: CohClass, v: CohClass) -> int:
-    """Cup product pairing <u, v> = u^T J v."""
+    """Cup product pairing <u, v> = u^T J v, with J v from ``pair_vector``."""
     if u.surface != v.surface:
         raise ValueError("classes live on different surfaces")
-    J = u.surface.intersection_matrix
-    return sum(u.vec[i] * J[i][j] * v.vec[j]
-               for i in range(len(u.vec)) for j in range(len(v.vec))
-               if J[i][j] != 0)
+    return sum(map(operator.mul, u.vec, u.surface.pair_vector(v.vec)))
 
 
 def is_symplectic(mat, surface: Optional[SurfaceModel] = None) -> bool:
@@ -196,10 +187,16 @@ class MappingClass:
         return MappingClass(self.surface, mat_mul(self.mat, other.mat))
 
     def inverse(self) -> "MappingClass":
-        """Integer inverse, -J A^T J (uses J^2 = -1)."""
-        J = self.surface.intersection_matrix
-        mJ = tuple(tuple(-x for x in row) for row in J)
-        return MappingClass(self.surface, mat_mul(mJ, mat_mul(transpose(self.mat), J)))
+        """Integer inverse -J A^T J = J (J A)^T (uses J^2 = -1).
+
+        With p the partner permutation and s_k = <e_k, e_p(k)>, entry (i, j)
+        is s_i s_j A[p(j)][p(i)]: two rounds of ``pair_vector``, no product
+        with J.
+        """
+        pair_vector = self.surface.pair_vector
+        JA_T = tuple(map(pair_vector, transpose(self.mat)))
+        return MappingClass(self.surface,
+                            transpose(tuple(map(pair_vector, transpose(JA_T)))))
 
     def trace(self) -> int:
         return sum(self.mat[i][i] for i in range(len(self.mat)))
@@ -226,28 +223,22 @@ def exterior_power_trace(A: MappingClass, j: int) -> int:
 def char_series(A: MappingClass, order: int) -> TruncSeries:
     """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A.
 
-    det(1 + sA) = sum_j s^j tr Lambda^j A has degree 2G, so its values at
-    s = 0..2G, 2G + 1 Bareiss determinants, give every exterior trace by
-    exact interpolation.
+    det(1 + sA) = sum_j s^j tr Lambda^j A is the pencil
+    ``linalg.det_pencil(1, A)``.  The zeta function reads the same
+    polynomial through ``tqft.trace_kappa_series`` at N = 0; this function
+    is its stand-alone form for callers holding a bare mapping class.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = A.surface.rank
-    values = [det_int(tuple(tuple(s * x + (i == j) for j, x in enumerate(row))
-                            for i, row in enumerate(A.mat)))
-              for s in range(n + 1)]
-    ext = interpolate(values)
-    return TruncSeries(order, [-ext[j] if j & 1 else ext[j]
-                               for j in range(min(n, order) + 1)])
+    ext = det_pencil(identity_matrix(A.surface.rank), A.mat)[:order + 1]
+    return TruncSeries(order, [-c if j & 1 else c for j, c in enumerate(ext)])
 
 
 def _transvection(surface: SurfaceModel, v: tuple, direction: int) -> tuple:
     """Matrix of x -> x + direction * <x, v> v (columns are images)."""
     n = surface.rank
-    J = surface.intersection_matrix
     cols = []
-    for k in range(n):
-        pair = sum(J[k][j] * v[j] for j in range(n))
+    for k, pair in enumerate(surface.pair_vector(v)):
         cols.append(tuple((1 if i == k else 0) + direction * pair * v[i]
                           for i in range(n)))
     return transpose(as_matrix(cols))

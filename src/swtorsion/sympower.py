@@ -203,9 +203,8 @@ def contract_class(c: CohClass, alpha: SymClass) -> SymClass:
     if space.n == 0:
         return SymClass.zero(space)
     target = SymSpace(space.surface, space.n - 1)
-    J = space.surface.intersection_matrix
-    pair_with_c = tuple(sum(c.vec[i] * J[i][j] for i in range(len(c.vec)))
-                        for j in range(len(c.vec)))
+    # <c, x_j> = -<x_j, c>, entry j of -J c
+    pair_with_c = tuple(-p for p in space.surface.pair_vector(c.vec))
     out: Dict[Monomial, int] = {}
     for m, co in alpha.terms.items():
         for pos, i in enumerate(m.indices):
@@ -256,15 +255,6 @@ class SymEndo:
     def from_function(cls, space: SymSpace,
                       f: Callable[[Monomial], SymClass]) -> "SymEndo":
         return cls(space, tuple(f(m) for m in enumerate_basis(space)))
-
-    def apply(self, alpha: SymClass) -> SymClass:
-        if alpha.space != self.space:
-            raise ValueError("class lives in a different space")
-        index = basis_index(self.space)
-        out = SymClass.zero(self.space)
-        for m, c in alpha.terms.items():
-            out = out + self.columns[index[m]].scale(c)
-        return out
 
     def matrix(self) -> tuple:
         """Dense integer matrix in the enumerate_basis ordering (rows first)."""

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .linalg import det_int, interpolate, rank_int
-from .series import TruncSeries, geometric_inverse_square
-from .surface import MappingClass, SurfaceModel, char_series, is_symplectic
+from .linalg import det_pencil, mat_mul, rank_int
+from .series import TruncSeries
+from .surface import MappingClass, SurfaceModel, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
                        contract_class, graded_trace, wedge_class)
 from .torsion import torsion_representative
@@ -142,27 +142,28 @@ def kappa_matrix(P: Presentation, n: int) -> SymEndo:
     return SymEndo.from_function(big, column)
 
 
-def _trace_polynomial(P: Presentation) -> Tuple[int, ...]:
-    """Coefficients of p(s) = sum over I of s^|I| det A[D u I, C u I].
+def _trace_series(A: MappingClass, N: int, nmax: int) -> Tuple[int, ...]:
+    """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2.
 
-    I runs over the subsets of the core classes X.  With Q the block of A
-    on rows D u X and columns C u X, p(s) is the determinant of
-    [[Q_DC, Q_DX], [s Q_XC, 1 + s Q_XX]] (expand det(B + E_X) into the
-    minors complementary to the unit diagonal), so 2g + 1 integer
-    determinants and an interpolation give all of it.
+    Here C, D are the first N and the next N basis classes, X the rest, and
+    p(s) = sum over subsets I of X of s^|I| det A[D u I, C u I].  With Q
+    the block of A on rows D u X and columns C u X, p(s) is the pencil
+    det([[Q_DC, Q_DX], [0, 1]] + s [[0, 0], [Q_XC, Q_XX]]) (expand
+    det(B + E_X) into the minors complementary to the unit diagonal).  At
+    N = 0 it is det(1 + sA), and the series is det(1 - tA) / (1 - t)^2.
     """
-    N, g = P.handles, P.genus
-    A = P.monodromy.mat
-    rows = tuple(range(N, 2 * N + 2 * g))
-    cols = tuple(range(N)) + tuple(range(2 * N, 2 * N + 2 * g))
-    values = []
-    for s in range(2 * g + 1):
-        values.append(det_int(tuple(
-            tuple(A[r][c] if a < N else
-                  s * A[r][c] + (1 if a == b else 0)
-                  for b, c in enumerate(cols))
-            for a, r in enumerate(rows))))
-    return interpolate(values)
+    M = A.mat
+    rows = range(N, len(M))
+    cols = tuple(range(N)) + tuple(range(2 * N, len(M)))
+    m0 = tuple(tuple(M[r][c] if a < N else int(a == b) for b, c in enumerate(cols))
+               for a, r in enumerate(rows))
+    m1 = tuple(tuple(0 if a < N else M[r][c] for c in cols)
+               for a, r in enumerate(rows))
+    signed = [-c if (k + N) & 1 else c
+              for k, c in enumerate(det_pencil(m0, m1))]
+    return tuple(sum((n - k + 1) * signed[k]
+                     for k in range(min(n + 1, len(signed))))
+                 for n in range(nmax + 1))
 
 
 def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
@@ -171,17 +172,11 @@ def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
     Tr kappa_n sums (-1)^{|I| + N} det A[D u I, C u I] over the monomials
     x_I y^q of Sym^n of the core surface; q takes n - |I| + 1 values, so
     sum_n Tr kappa_n t^n = (-1)^N p(-t) / (1 - t)^2 with p as in
-    ``_trace_polynomial``.  At N = 0 this is det(1 - tA) / (1 - t)^2, the
-    zeta function.
+    ``_trace_series``.  At N = 0 this is the zeta function.
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
-    N = P.handles
-    signed = [-c if (k + N) & 1 else c
-              for k, c in enumerate(_trace_polynomial(P))]
-    return tuple(sum((n - k + 1) * signed[k]
-                     for k in range(min(n + 1, len(signed))))
-                 for n in range(nmax + 1))
+    return _trace_series(P.monodromy, P.handles, nmax)
 
 
 def trace_kappa_coefficient(P: Presentation, n: int) -> int:
@@ -190,37 +185,29 @@ def trace_kappa_coefficient(P: Presentation, n: int) -> int:
 
 
 def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
-    """Zeta function of the monodromy flow, cross-checked three ways.
+    """Zeta function of the monodromy flow, expanded two ways.
 
     (a) exp of sum (2 - tr A^k) t^k / k, the signed fixed point count of
-        the iterates;
-    (b) the Lefschetz sum over exterior powers with multiplicity k - j + 1;
-    (c) det(1 - tA) / (1 - t)^2.
-    (b) and (c) read the exterior traces from one interpolated polynomial,
-    ``char_series``; (a) shares nothing with them.  All three must agree
-    with integer coefficients.
+        the iterates, with A^k from plain integer matrix products;
+    (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series`` at N = 0.
+    The two share no code, and both run on every call: a disagreement
+    raises RuntimeError.  The Lefschetz numbers of the induced maps on the
+    symmetric powers are a third route, which the tests check against.
     """
-    n = A.surface.rank
-    # (a)
+    M = A.mat
     traces = []
-    power = A
+    power = M
     for k in range(1, kmax + 1):
-        traces.append(power.trace())
-        power = power.compose(A)
+        if k > 1:
+            power = mat_mul(power, M)
+        traces.append(sum(power[i][i] for i in range(len(M))))
     log_term = TruncSeries(kmax, [0] + [Fraction(2 - traces[k - 1], k)
                                         for k in range(1, kmax + 1)])
-    via_exp = log_term.exp()
-    # (b)
-    char = char_series(A, kmax)
-    signed = [int(c) for c in char.coeffs]  # (-1)^j tr Lambda^j A
-    via_lefschetz = TruncSeries(kmax, [
-        sum((k - j + 1) * signed[j] for j in range(min(k, n) + 1))
-        for k in range(kmax + 1)])
-    # (c)
-    via_det = char * geometric_inverse_square(kmax)
-    if not (via_exp == via_lefschetz == via_det and via_det.is_integral()):
-        raise RuntimeError("zeta cross-check failed: the three expansions "
-                           "of the fixed point series disagree")
+    via_det = TruncSeries(kmax, _trace_series(A, 0, kmax))
+    if log_term.exp() != via_det:
+        raise RuntimeError("zeta cross-check failed: the exponential and the "
+                           "determinant expansions of the fixed point series "
+                           "disagree")
     return via_det
 
 

@@ -101,6 +101,24 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"genus": 0}'.encode("utf-16-le"))
+    for command in (["validate"], ["zeta", "--kmax", "2"]):
+        code, out, err = run_cli([command[0], str(path)] + command[1:], capsys)
+        assert code == 2 and out == ""
+        assert str(path) in err and "UTF-8" in err
+
+
+def test_gen_into_missing_directory_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "p.json"
+    code, out, err = run_cli(["gen", "--g", "0", "--handles", "1", "--words",
+                              "2", "--seed", "1", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_missing_field_diagnostic(tmp_path, capsys):
     path = tmp_path / "missing.json"
     path.write_text(json.dumps({"genus": 1, "handles": 0}))

@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
-from swtorsion.linalg import det_int, perm_parity, rank_int, submatrix
+from swtorsion.linalg import (det_int, det_pencil, perm_parity, rank_int,
+                             submatrix)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import graded_trace
@@ -96,3 +97,29 @@ def fraction_series_matrices(draw):
 def test_series_det_equals_leibniz(case):
     order, entries = case
     assert series_det(entries, order) == leibniz_det(entries, order)
+
+
+@st.composite
+def matrix_pencils(draw):
+    """Pairs (m0, m1) of n x n integer matrices, n <= 5; in half of them
+    some rows of m1 are zero, which lowers the degree bound."""
+    n = draw(st.integers(0, 5))
+    entries = st.integers(-4, 4)
+    m0 = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    sparse = draw(st.booleans())
+    m1 = tuple(tuple(0 for _ in range(n)) if sparse and draw(st.booleans())
+               else tuple(draw(entries) for _ in range(n)) for _ in range(n))
+    return m0, m1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(matrix_pencils())
+def test_det_pencil_equals_determinant_at_every_point(pencil):
+    m0, m1 = pencil
+    coeffs = det_pencil(m0, m1)
+    deg = sum(1 for row in m1 if any(row))
+    assert len(coeffs) == deg + 1
+    for s in range(-3, deg + 4):
+        value = det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
+                              for r0, r1 in zip(m0, m1)))
+        assert sum(c * s ** k for k, c in enumerate(coeffs)) == value

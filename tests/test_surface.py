@@ -29,6 +29,56 @@ def test_pairing_unsplit_convention():
     assert pairing(s.basis_class(0), s.basis_class(1)) == 0
 
 
+# The form written out by hand: <c_i, d_i> = +1, <x_j, x_{g+j}> = +1.
+J_SPLIT_2_1 = (
+    (0, 0, 1, 0, 0, 0),
+    (0, 0, 0, 1, 0, 0),
+    (-1, 0, 0, 0, 0, 0),
+    (0, -1, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 1),
+    (0, 0, 0, 0, -1, 0))
+J_UNSPLIT_2 = (
+    (0, 0, 1, 0),
+    (0, 0, 0, 1),
+    (-1, 0, 0, 0),
+    (0, -1, 0, 0))
+REFERENCE_FORMS = ((SurfaceModel(3, (2, 1)), J_SPLIT_2_1),
+                   (SurfaceModel(2), J_UNSPLIT_2),
+                   (SurfaceModel(0), ()))
+
+
+def test_intersection_matrix_matches_reference():
+    for s, J in REFERENCE_FORMS:
+        assert s.intersection_matrix == J
+
+
+def test_pairing_matches_reference_form():
+    rng = random.Random(17)
+    for s, J in REFERENCE_FORMS:
+        for _ in range(10):
+            u = [rng.randint(-3, 3) for _ in range(s.rank)]
+            v = [rng.randint(-3, 3) for _ in range(s.rank)]
+            expected = sum(u[i] * J[i][j] * v[j]
+                           for i in range(s.rank) for j in range(s.rank))
+            assert pairing(CohClass(s, u), CohClass(s, v)) == expected
+
+
+def test_unsplit_surface_is_split_with_no_handles():
+    assert SurfaceModel(2) == SurfaceModel(2, (0, 2))
+    assert hash(SurfaceModel(2)) == hash(SurfaceModel(2, (0, 2)))
+    assert SurfaceModel(2) != SurfaceModel(2, (1, 1))
+
+
+def test_handle_classes_need_handles():
+    for s in (SurfaceModel(2), SurfaceModel(0)):
+        with pytest.raises(IndexError):
+            s.c_class(0)
+        with pytest.raises(IndexError):
+            s.d_class(0)
+    with pytest.raises(IndexError):
+        SurfaceModel(3, (2, 1)).c_class(2)
+
+
 def test_pairing_antisymmetric_and_unimodular():
     rng = random.Random(3)
     for s in (SurfaceModel(2), SurfaceModel(3, (1, 2))):
@@ -117,11 +167,11 @@ def test_random_symplectic_closure_and_determinism():
 
 
 def test_inverse_and_compose():
-    s = SurfaceModel(2, (1, 1))
-    for seed in range(4):
-        A = random_symplectic(s, 6, seed)
-        assert A.compose(A.inverse()).mat == identity_matrix(4)
-        assert A.inverse().compose(A).mat == identity_matrix(4)
+    for s in (SurfaceModel(2, (1, 1)), SurfaceModel(2), SurfaceModel(3, (2, 1))):
+        for seed in range(4):
+            A = random_symplectic(s, 6, seed)
+            assert A.compose(A.inverse()).mat == identity_matrix(s.rank)
+            assert A.inverse().compose(A).mat == identity_matrix(s.rank)
 
 
 def test_genus_zero_surface():

@@ -9,6 +9,7 @@ from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 graded_trace, induced_endomorphism,
                                 lefschetz_number)
+from swtorsion import tqft
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
                             kappa_matrix, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
@@ -34,6 +35,13 @@ def test_presentation_requires_split_surface():
     A = MappingClass.identity(SurfaceModel(2))
     with pytest.raises(ValueError):
         Presentation(1, 1, A)
+
+
+def test_presentation_accepts_unsplit_surface_without_handles():
+    A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
+    P = Presentation(1, 0, A)
+    assert P.surface == SurfaceModel(1, (0, 1))
+    assert trace_kappa_series(P, 3) == zeta_series(A, 3).coeffs
 
 
 def _monomial_class(space, idx, q=0, coeff=1):
@@ -165,6 +173,21 @@ def test_zeta_examples():
     assert zeta_series(P0, 4) == TruncSeries(4, [1, 2, 3, 4, 5])
     A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
     assert zeta_series(A, 3) == TruncSeries(3, [1, -1, -2, -3])
+
+
+def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
+    P = make_presentation(1, 1, 12, 5)
+    honest = tqft._trace_series
+
+    def off_by_one(A, N, nmax):
+        coeffs = list(honest(A, N, nmax))
+        coeffs[2] += 1
+        return tuple(coeffs)
+
+    zeta_series(P, 4)
+    monkeypatch.setattr(tqft, "_trace_series", off_by_one)
+    with pytest.raises(RuntimeError):
+        zeta_series(P, 4)
 
 
 def test_rhs_series_edges():
