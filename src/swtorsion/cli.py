@@ -20,8 +20,9 @@ from typing import List, Optional
 from .intersection import intersection_number
 from .surface import SurfaceModel, random_symplectic
 from .torsion import torsion_representative
-from .tqft import (Presentation, compute_b1, sw_table, trace_kappa_coefficient,
-                   validate_presentation, verify_main_identity, zeta_series)
+from .tqft import (SYMPLECTIC_PROBLEM, Presentation, compute_b1, shape_problems,
+                   sw_table, trace_kappa_coefficient, verify_main_identity,
+                   zeta_series)
 
 
 class InputError(Exception):
@@ -45,14 +46,19 @@ def load_presentation(path: str) -> Presentation:
     for key in ("genus", "handles", "monodromy"):
         if key not in doc:
             raise InputError(f"{path}: missing field '{key}'")
-    problems = validate_presentation(doc["genus"], doc["handles"], doc["monodromy"])
+    problems = shape_problems(doc["genus"], doc["handles"], doc["monodromy"])
     if problems:
         raise InputError(f"{path}: " + "; ".join(problems))
     name = doc.get("name")
+    try:
+        # the MappingClass constructor is the one symplectic check
+        P = Presentation.from_matrix(doc["genus"], doc["handles"],
+                                     doc["monodromy"], name)
+    except ValueError:
+        raise InputError(f"{path}: {SYMPLECTIC_PROBLEM}")
     if name is not None and not isinstance(name, str):
         raise InputError(f"{path}: field 'name' must be a string")
-    return Presentation.from_matrix(doc["genus"], doc["handles"],
-                                    doc["monodromy"], name)
+    return P
 
 
 def presentation_document(P: Presentation) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .sympower import (Monomial, SymClass, SymSpace, apply_induced,
-                       basis_index, dual_basis, enumerate_basis, gram_matrix)
+                       dual_basis, duality_pairings, enumerate_basis)
 from .tqft import Presentation
 
 
@@ -109,44 +109,24 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
 def product_evaluate(u: ProductClass, v: ProductClass) -> int:
     """Evaluate the cup product of two product classes on the fundamental class.
 
-    Bilinear in the monomial pairs: ((a x b), (c x d)) contributes the
+    Bilinear in the monomial pairs: ((a x b), (c x e)) contributes the
     Kunneth sign (-1)^{deg b deg c} times the duality pairings <a, c> and
-    <b, d>.  Assembled through the Gram matrix so the double sum stays
-    quadratic in the space dimension.
+    <b, e>.  With v indexed by (c, e), each u-term walks only the sparse
+    pairings of a and of b, so the cost is linear in the term counts.
     """
     if u.space != v.space:
         raise ValueError("product classes live over different powers")
-    space = u.space
-    index = basis_index(space)
-    gram = gram_matrix(space)
-    basis = enumerate_basis(space)
-    d = len(basis)
-    # M1[b][c] = sum over u-terms (a x b) of coeff * <a, c>
-    M1: Dict[Tuple[int, int], int] = {}
-    for a, b, cu in u.terms:
-        ia = index[a]
-        ib = index[b]
-        row = gram[ia]
-        for ic in range(d):
-            if row[ic]:
-                key = (ib, ic)
-                M1[key] = M1.get(key, 0) + cu * row[ic]
-    # M2[c][b] = sum over v-terms (c x e) of coeff * <b, e>
-    M2: Dict[Tuple[int, int], int] = {}
-    for c, e, cv in v.terms:
-        ic = index[c]
-        ie = index[e]
-        for ib in range(d):
-            g = gram[ib][ie]
-            if g:
-                key = (ic, ib)
-                M2[key] = M2.get(key, 0) + cv * g
+    pairs = duality_pairings(u.space)
+    v_terms = {(c, e): cv for c, e, cv in v.terms}
     total = 0
-    for (ib, ic), m1 in M1.items():
-        m2 = M2.get((ic, ib))
-        if m2:
-            sign = -1 if (basis[ib].degree * basis[ic].degree) & 1 else 1
-            total += sign * m1 * m2
+    for a, b, cu in u.terms:
+        odd_b = b.degree & 1
+        for c, ac in pairs[a].items():
+            sign = -1 if odd_b and c.degree & 1 else 1
+            for e, be in pairs[b].items():
+                cv = v_terms.get((c, e))
+                if cv:
+                    total += sign * cu * ac * be * cv
     return total
 
 

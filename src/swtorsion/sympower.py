@@ -370,30 +370,72 @@ def duality_pair(alpha: SymClass, beta: SymClass) -> int:
     return total
 
 
+def _block_key(space: SymSpace, m: Monomial) -> tuple:
+    """(U, deg) with U the indices of m whose partner is not in m."""
+    partner = space.surface.partner
+    return tuple(i for i in m.indices if partner(i) not in m.indices), m.degree
+
+
+def _duality_blocks(space: SymSpace):
+    """Yield the square blocks (rows, cols) of the Gram matrix.
+
+    A monomial pairs only with monomials whose index set completes its
+    unpaired indices U to partner pairs and whose degree completes its own
+    to 2n, so the rows keyed (U, deg) meet only the columns keyed
+    (sorted partner(U), 2n - deg).  Both keep the enumerate_basis order.
+    """
+    partner = space.surface.partner
+    groups: Dict[tuple, List[Monomial]] = {}
+    for m in enumerate_basis(space):
+        groups.setdefault(_block_key(space, m), []).append(m)
+    for (U, deg), rows in groups.items():
+        cols = groups.get((tuple(sorted(map(partner, U))), 2 * space.n - deg), [])
+        yield tuple(rows), tuple(cols)
+
+
 @lru_cache(maxsize=None)
+def duality_pairings(space: SymSpace) -> Dict[Monomial, Dict[Monomial, int]]:
+    """For each basis monomial a, its nonzero pairings {b: <a, b>}.
+
+    Only the members of a's Gram block are paired (``pair_monomials``), so
+    the cost is the sum of the squared block sizes, not dim^2.
+    """
+    out: Dict[Monomial, Dict[Monomial, int]] = {}
+    for rows, cols in _duality_blocks(space):
+        for a in rows:
+            out[a] = {b: v for b in cols if (v := pair_monomials(space, a, b))}
+    return out
+
+
 def gram_matrix(space: SymSpace) -> tuple:
+    """Dense Gram matrix <a, b> over enumerate_basis, filled from the
+    sparse ``duality_pairings``."""
     basis = enumerate_basis(space)
-    return tuple(tuple(pair_monomials(space, a, b) for b in basis) for a in basis)
+    pairs = duality_pairings(space)
+    return tuple(tuple(pairs[a].get(b, 0) for b in basis) for a in basis)
 
 
 @lru_cache(maxsize=None)
 def dual_basis(space: SymSpace) -> Dict[Monomial, SymClass]:
     """For each basis monomial a, the class a* with <a*, b> = delta_{ab}.
 
-    Solves the integer Gram system exactly; the Gram matrix is unimodular,
-    so the duals have integer coefficients (asserted).
+    The Gram matrix is block diagonal up to order (``_duality_blocks``):
+    rows R meet only columns C, so the duals of the monomials in C are
+    combinations of R with coefficients from the inverse of that block.
+    Each block is inverted exactly; the Gram matrix is unimodular, so the
+    duals have integer coefficients (asserted entry by entry).
     """
-    basis = enumerate_basis(space)
-    P = gram_matrix(space)
-    Pinv = invert_rational(P)
-    out: Dict[Monomial, SymClass] = {}
-    for i, a in enumerate(basis):
-        terms: Dict[Monomial, int] = {}
-        for j, b in enumerate(basis):
-            v = Pinv[i][j]
-            if v != 0:
-                if v.denominator != 1:
-                    raise AssertionError("dual basis is not integral")
-                terms[b] = int(v)
-        out[a] = SymClass(space, terms)
-    return out
+    pairs = duality_pairings(space)
+    duals: Dict[Monomial, SymClass] = {}
+    for rows, cols in _duality_blocks(space):
+        inverse = invert_rational(
+            tuple(tuple(pairs[r].get(c, 0) for c in cols) for r in rows))
+        for a, coeffs in zip(cols, inverse):
+            terms: Dict[Monomial, int] = {}
+            for b, v in zip(rows, coeffs):
+                if v != 0:
+                    if v.denominator != 1:
+                        raise AssertionError("dual basis is not integral")
+                    terms[b] = int(v)
+            duals[a] = SymClass(space, terms)
+    return duals

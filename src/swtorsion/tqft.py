@@ -57,13 +57,14 @@ class Presentation:
         return cls(genus, handles, MappingClass(surface, rows), name)
 
 
-def validate_presentation(genus, handles, rows) -> List[str]:
-    """Diagnostics for raw presentation data; an empty list means valid.
+SYMPLECTIC_PROBLEM = ("symplectic: matrix does not preserve the "
+                      "intersection form (A^T J A = J fails)")
 
-    Checks the field types, the 2(g+N) matrix size, integrality, and the
-    symplectic condition for the split intersection form.  Returns named
-    violations instead of raising so callers can report all of them.
-    """
+
+def shape_problems(genus, handles, rows) -> List[str]:
+    """Diagnostics for the field types, the 2(g+N) matrix size and
+    integrality; everything ``validate_presentation`` checks except the
+    symplectic condition, which building the ``MappingClass`` checks."""
     problems: List[str] = []
     for field, value in (("genus", genus), ("handles", handles)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
@@ -80,10 +81,20 @@ def validate_presentation(genus, handles, rows) -> List[str]:
             if not isinstance(x, int) or isinstance(x, bool):
                 problems.append("integrality: matrix entries must be integers")
                 return problems
-    surface = SurfaceModel(genus + handles, (handles, genus))
-    if not is_symplectic(rows, surface):
-        problems.append("symplectic: matrix does not preserve the "
-                        "intersection form (A^T J A = J fails)")
+    return problems
+
+
+def validate_presentation(genus, handles, rows) -> List[str]:
+    """Diagnostics for raw presentation data; an empty list means valid.
+
+    Checks the field types, the 2(g+N) matrix size, integrality, and the
+    symplectic condition for the split intersection form.  Returns named
+    violations instead of raising so callers can report all of them.
+    """
+    problems = shape_problems(genus, handles, rows)
+    if not problems and not is_symplectic(
+            rows, SurfaceModel(genus + handles, (handles, genus))):
+        problems.append(SYMPLECTIC_PROBLEM)
     return problems
 
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+from swtorsion import surface, tqft
 from swtorsion.cli import (generate_fixture, load_presentation, main,
                            write_presentation)
 
@@ -61,6 +62,32 @@ def test_validate_rejects_reflection(tmp_path, capsys):
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 2
     assert "symplectic" in err
+
+
+def test_each_load_checks_symplectic_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counting(original):
+        def wrapped(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return wrapped
+
+    good = tmp_path / "good.json"
+    write_presentation(generate_fixture(2, 1, 8, 3), str(good))
+    for module in (surface, tqft):
+        monkeypatch.setattr(module, "is_symplectic",
+                            counting(module.is_symplectic))
+    load_presentation(str(good))
+    assert len(calls) == 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"genus": 1, "handles": 0, "monodromy": [[2, 0], [0, 1]]}))
+    calls.clear()
+    code, out, err = run_cli(["validate", str(bad)], capsys)
+    assert code == 2 and out == ""
+    assert "symplectic: matrix does not preserve the intersection form" in err
+    assert len(calls) == 1
 
 
 def test_bool_genus_and_handles_are_input_errors(tmp_path, capsys):

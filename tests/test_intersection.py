@@ -110,6 +110,14 @@ def test_intersection_matches_trace_on_random_suite():
             assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
 
 
+@pytest.mark.parametrize("g, N, n", [(2, 2, 2), (3, 1, 3)])
+def test_intersection_matches_trace_at_sym_dim_303(g, N, n):
+    # the largest shape the block duality made practical: Sym^4 of genus 4
+    P = make_presentation(g, N, 52, 1)
+    assert SymSpace(P.surface, n + N).dim == 303
+    assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
+
+
 def test_handle_dual_conversion_identity():
     """c-wedge of the small dual vs dual of the d-wedge, with its sign.
 

@@ -5,11 +5,13 @@ from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
-from swtorsion.linalg import (det_int, det_pencil, perm_parity, rank_int,
-                             submatrix)
+from swtorsion.intersection import ProductClass, product_evaluate
+from swtorsion.linalg import (det_int, det_pencil, invert_rational,
+                             perm_parity, rank_int, submatrix)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
-from swtorsion.sympower import graded_trace
+from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
+                                enumerate_basis, graded_trace, pair_monomials)
 from swtorsion.tqft import Presentation, kappa_matrix, trace_kappa_series
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -123,3 +125,63 @@ def test_det_pencil_equals_determinant_at_every_point(pencil):
         value = det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
                               for r0, r1 in zip(m0, m1)))
         assert sum(c * s ** k for k, c in enumerate(coeffs)) == value
+
+
+@st.composite
+def sym_spaces(draw, gmax=3, nmax=4):
+    """Sym^n of a split surface (N, G - N) with G <= gmax and n <= nmax."""
+    G = draw(st.integers(0, gmax))
+    N = draw(st.integers(0, G))
+    return SymSpace(SurfaceModel(G, (N, G - N)), draw(st.integers(0, nmax)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(sym_spaces())
+def test_block_duality_equals_dense_inverse(space):
+    basis = enumerate_basis(space)
+    gram = tuple(tuple(pair_monomials(space, a, b) for b in basis)
+                 for a in basis)
+    pairs = duality_pairings(space)
+    assert pairs.keys() == set(basis)
+    for a, row in zip(basis, gram):
+        assert pairs[a] == {b: v for b, v in zip(basis, row) if v}
+    inverse = invert_rational(gram)
+    duals = dual_basis(space)
+    for a, row in zip(basis, inverse):
+        assert all(v.denominator == 1 for v in row)
+        assert duals[a].terms == {b: int(v) for b, v in zip(basis, row) if v}
+
+
+@st.composite
+def product_class_pairs(draw):
+    """(u, v) over a small Sym^n; for about half of u's terms (a, b), v
+    gets a term (c, e) with c paired to a and e to b, so that many term
+    pairs contribute."""
+    space = draw(sym_spaces(gmax=2, nmax=3))
+    basis = enumerate_basis(space)
+    mono = st.sampled_from(basis)
+    coeff = st.integers(-3, 3)
+    u = {(draw(mono), draw(mono)): draw(coeff)
+         for _ in range(draw(st.integers(0, 6)))}
+    v = {(draw(mono), draw(mono)): draw(coeff)
+         for _ in range(draw(st.integers(0, 3)))}
+    for a, b in list(u):
+        partners_a = [c for c in basis if pair_monomials(space, a, c)]
+        partners_b = [e for e in basis if pair_monomials(space, b, e)]
+        if partners_a and partners_b and draw(st.booleans()):
+            key = (draw(st.sampled_from(partners_a)),
+                   draw(st.sampled_from(partners_b)))
+            v[key] = draw(coeff)
+    return ProductClass(space, u), ProductClass(space, v)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(product_class_pairs())
+def test_product_evaluate_equals_double_sum(pair):
+    u, v = pair
+    space = u.space
+    expected = sum(
+        (-1) ** (b.degree * c.degree) * pair_monomials(space, a, c)
+        * pair_monomials(space, b, e) * cu * cv
+        for a, b, cu in u.terms for c, e, cv in v.terms)
+    assert product_evaluate(u, v) == expected
