@@ -28,6 +28,9 @@ for seed in range(4):
     print(f"seed {seed}: D.Gamma = trace verified for n <= 2")
 
 # The classes themselves are small integer combinations of monomial pairs.
+# intersection_number never builds the graph class; it reads the few graph
+# coefficients the diagonal pairs with as restricted minors of A.  Here the
+# materialised graph_class, the reference route, is built for display.
 P = Presentation.from_matrix(0, 1, [[0, -1], [1, 0]])
 D = diagonal_class(P, 1)
 G = graph_class(P, 1)

@@ -14,12 +14,21 @@ with the dual taken in the ambient symmetric power.  For N = 0 this is the
 classical diagonal sum_b b x b*.  The graph class twists the diagonal by
 the inverse of the homology pushforward, which for a stored pullback matrix
 A is A itself.
+
+``intersection_number`` never builds the graph class.  The diagonal class
+reads it only at the pairs (c, e) that pair with its own terms, and each of
+those coefficients is a short sum of restricted minors of A over one duality
+block.  ``graph_class`` plus ``product_evaluate`` is the materialised
+reference route: it expands Lambda(A) on every basis monomial.  The tests,
+demo 04 and the benchmark's traced replay still call it; no production path
+does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Callable, Dict, List, Tuple
 
+from .linalg import det_int, submatrix
 from .sympower import (Monomial, SymClass, SymSpace, apply_induced,
                        dual_basis, duality_pairings, enumerate_basis)
 from .tqft import Presentation
@@ -89,6 +98,11 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     The diagonal dual sum_a (-1)^{deg a} a* x a pushed through the inverse
     of the homology pushforward; with the monodromy stored as the pullback
     on H^1 that twist is the induced action of the stored matrix.
+
+    Reference route only: it stores every product term (about 283,000 at
+    Sym dimension 1268), while ``intersection_number`` reads the few it
+    needs as restricted minors.  Called by the tests, demo 04 and the
+    benchmark's traced replay.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -106,30 +120,74 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     return ProductClass(space, terms)
 
 
-def product_evaluate(u: ProductClass, v: ProductClass) -> int:
-    """Evaluate the cup product of two product classes on the fundamental class.
+def _pair_against(u: ProductClass,
+                  coefficient: Callable[[Monomial, Monomial], int]) -> int:
+    """Cup product of u with the product class whose (c, e) coefficient is
+    ``coefficient(c, e)``, evaluated on the fundamental class.
 
     Bilinear in the monomial pairs: ((a x b), (c x e)) contributes the
     Kunneth sign (-1)^{deg b deg c} times the duality pairings <a, c> and
-    <b, e>.  With v indexed by (c, e), each u-term walks only the sparse
-    pairings of a and of b, so the cost is linear in the term counts.
+    <b, e>.  Each u-term walks only the sparse pairings of a and of b, so
+    the other class is read only at the pairs (c, e) that can contribute.
     """
-    if u.space != v.space:
-        raise ValueError("product classes live over different powers")
     pairs = duality_pairings(u.space)
-    v_terms = {(c, e): cv for c, e, cv in v.terms}
     total = 0
     for a, b, cu in u.terms:
         odd_b = b.degree & 1
         for c, ac in pairs[a].items():
             sign = -1 if odd_b and c.degree & 1 else 1
             for e, be in pairs[b].items():
-                cv = v_terms.get((c, e))
+                cv = coefficient(c, e)
                 if cv:
                     total += sign * cu * ac * be * cv
     return total
 
 
+def product_evaluate(u: ProductClass, v: ProductClass) -> int:
+    """Evaluate the cup product of two product classes on the fundamental class.
+
+    With v indexed by (c, e), the cost is linear in the term counts.
+    Together with ``graph_class`` this is the materialised reference route
+    for ``intersection_number``.
+    """
+    if u.space != v.space:
+        raise ValueError("product classes live over different powers")
+    v_terms = {(c, e): cv for c, e, cv in v.terms}
+    return _pair_against(u, lambda c, e: v_terms.get((c, e), 0))
+
+
 def intersection_number(P: Presentation, n: int) -> int:
-    """D . Gamma for the presentation, equal to the graded trace of kappa_n."""
-    return product_evaluate(diagonal_class(P, n), graph_class(P, n))
+    """D . Gamma for the presentation, equal to the graded trace of kappa_n.
+
+    The graph class is never built: the diagonal class reads it only at the
+    pairs (c, e) that pair with one of its terms, and there
+
+        Gamma[(c, e)] = sum_a (-1)^{deg a} a*[c] det A[e, a]
+
+    over the monomials a whose dual a* contains c (one duality block), with
+    a and e of equal length and equal y power.  Each restricted minor is one
+    Bareiss determinant, computed once per call.  The result equals
+    ``product_evaluate(diagonal_class(P, n), graph_class(P, n))``.
+    """
+    D = diagonal_class(P, n)
+    holders: Dict[Monomial, List[Tuple[Monomial, int]]] = {}
+    for a, dual in dual_basis(D.space).items():
+        sign = -1 if a.degree & 1 else 1
+        for c, coeff in dual.terms.items():
+            holders.setdefault(c, []).append((a, sign * coeff))
+    mat = P.monodromy.mat
+    minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+
+    def gamma(c: Monomial, e: Monomial) -> int:
+        total = 0
+        for a, signed in holders.get(c, ()):
+            if a.q != e.q or len(a.indices) != len(e.indices):
+                continue
+            key = (e.indices, a.indices)
+            minor = minors.get(key)
+            if minor is None:
+                minor = minors[key] = det_int(submatrix(mat, e.indices, a.indices))
+            total += signed * minor
+        return total
+
+    return _pair_against(D, gamma)

@@ -80,7 +80,13 @@ class SymSpace:
                 and all(0 <= i < 2 * self.G for i in m.indices))
 
 
-@lru_cache(maxsize=None)
+# Bound of the caches keyed by SymSpace.  One operation touches a handful of
+# spaces; a warm run of verify --nmax 3 over every split surface with
+# G <= 3 touches 36.
+_SPACE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def enumerate_basis(space: SymSpace) -> Tuple[Monomial, ...]:
     """All monomials with |I| + q <= n, ordered by |I|, then I, then q."""
     out: List[Monomial] = []
@@ -91,7 +97,7 @@ def enumerate_basis(space: SymSpace) -> Tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def basis_index(space: SymSpace) -> Dict[Monomial, int]:
     return {m: i for i, m in enumerate(enumerate_basis(space))}
 
@@ -218,7 +224,9 @@ def contract_class(c: CohClass, alpha: SymClass) -> SymClass:
     return SymClass(target, out)
 
 
-@lru_cache(maxsize=200000)
+# Keyed by the whole matrix, so a warm run over distinct monodromies hits
+# only within an operation; the bound keeps memory flat across operations.
+@lru_cache(maxsize=4096)
 def _lambda_image(mat: tuple, indices: Tuple[int, ...]) -> tuple:
     """Expansion of the wedge of columns ``indices`` of mat in the monomial basis.
 
@@ -393,7 +401,7 @@ def _duality_blocks(space: SymSpace):
         yield tuple(rows), tuple(cols)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def duality_pairings(space: SymSpace) -> Dict[Monomial, Dict[Monomial, int]]:
     """For each basis monomial a, its nonzero pairings {b: <a, b>}.
 
@@ -415,7 +423,7 @@ def gram_matrix(space: SymSpace) -> tuple:
     return tuple(tuple(pairs[a].get(b, 0) for b in basis) for a in basis)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def dual_basis(space: SymSpace) -> Dict[Monomial, SymClass]:
     """For each basis monomial a, the class a* with <a*, b> = delta_{ab}.
 

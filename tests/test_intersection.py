@@ -1,5 +1,6 @@
 import pytest
 
+from swtorsion import intersection, sympower
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
 from swtorsion.surface import SurfaceModel
@@ -110,12 +111,28 @@ def test_intersection_matches_trace_on_random_suite():
             assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
 
 
-@pytest.mark.parametrize("g, N, n", [(2, 2, 2), (3, 1, 3)])
+@pytest.mark.parametrize("g, N, n", [(2, 2, 2), (3, 1, 3), (3, 2, 3), (4, 1, 4)])
 def test_intersection_matches_trace_at_sym_dim_303(g, N, n):
-    # the largest shape the block duality made practical: Sym^4 of genus 4
+    # Sym^4 of genus 4 (dim 303), the largest shape the block duality made
+    # practical, and Sym^6 of genus 5 (dim 1268), where the materialised
+    # graph class would hold about 283,000 terms
     P = make_presentation(g, N, 52, 1)
-    assert SymSpace(P.surface, n + N).dim == 303
+    assert SymSpace(P.surface, n + N).dim in (303, 1268)
     assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
+
+
+def test_intersection_number_never_builds_the_graph_class(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference route called")
+
+    for module, name in ((intersection, "graph_class"),
+                         (intersection, "product_evaluate"),
+                         (intersection, "apply_induced"),
+                         (sympower, "apply_induced"),
+                         (sympower, "_lambda_image")):
+        monkeypatch.setattr(module, name, refuse)
+    P = make_presentation(2, 2, 52, 1)
+    assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
 
 
 def test_handle_dual_conversion_identity():

@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 
-from swtorsion.intersection import ProductClass, product_evaluate
+from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
+                                    intersection_number, product_evaluate)
 from swtorsion.linalg import (det_int, det_pencil, invert_rational,
                              perm_parity, rank_int, submatrix)
 from swtorsion.series import TruncSeries, series_det
@@ -34,6 +35,15 @@ def test_trace_series_equals_kappa_matrix_trace(P, nmax):
     series = trace_kappa_series(P, nmax)
     assert series == tuple(graded_trace(kappa_matrix(P, n))
                            for n in range(nmax + 1))
+
+
+@PROPERTY
+@given(presentations(), st.integers(0, 3))
+def test_intersection_number_equals_materialised_graph(P, n):
+    # the restricted-minor route against the reference route, without the
+    # trace: pins the Kunneth and dual signs of the graph coefficients
+    assert intersection_number(P, n) == product_evaluate(
+        diagonal_class(P, n), graph_class(P, n))
 
 
 def brute_force_rank(a) -> int:

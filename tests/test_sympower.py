@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import swtorsion
 from swtorsion.linalg import det_int, mat_mul
 from swtorsion.series import TruncSeries, geometric_inverse_square
 from swtorsion.surface import (MappingClass, SurfaceModel, char_series,
@@ -291,3 +294,14 @@ def test_gram_unimodular():
             for n in range(0, 4):
                 P = gram_matrix(SymSpace(surface, n))
                 assert abs(det_int(P)) == 1
+
+
+def test_every_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(swtorsion.__path__):
+        module = importlib.import_module(f"swtorsion.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_parameters", None)):
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert "sympower._lambda_image" in caches
+    assert {name: size for name, size in caches.items() if size is None} == {}
