@@ -41,6 +41,11 @@ def load_presentation(path: str) -> Presentation:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: line {e.lineno}, column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise InputError(f"{path}: nesting too deep")
+    except ValueError:
+        # the only other ValueError is Python's limit on integer digits
+        raise InputError(f"{path}: integer literal too long")
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top level must be a JSON object")
     for key in ("genus", "handles", "monodromy"):

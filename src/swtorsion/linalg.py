@@ -1,13 +1,16 @@
 """Exact linear algebra on small matrices.
 
-Matrices are immutable tuples of row tuples.  Integer routines stay in the
-integers (Bareiss elimination for determinants); rational routines use
-``fractions.Fraction`` throughout.  Nothing here ever touches a float.
+Matrices are immutable tuples of row tuples.  One fraction-free (Bareiss)
+elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
+and column basis.  Rational input is scaled to integers row by row first,
+so ``fractions.Fraction`` appears only in results.  Nothing here ever
+touches a float.
 """
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence, Tuple
 
 
@@ -39,29 +42,62 @@ def submatrix(a: tuple, rows: Sequence[int], cols: Sequence[int]) -> tuple:
     return tuple(tuple(a[i][j] for j in cols) for i in rows)
 
 
-def det_int(a: tuple) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+def _bareiss(m: list, jordan: bool = False) -> Tuple[list, int, int]:
+    """Fraction-free (Bareiss) elimination of the integer rows m, in place.
+
+    Each column c in turn takes its first nonzero entry at or below the
+    next pivot row as pivot p.  Every row below it (every other row when
+    ``jordan``) becomes (p * row - row[c] * pivot row) // previous pivot
+    right of c, and 0 at c; the division is exact, since each entry is
+    then a minor of the input.  Entries left of c are not touched.
+    Returns the pivot columns, the sign of the row swaps and the last
+    pivot.  A square matrix of full rank has determinant sign * last
+    pivot, and the Jordan pass on [a | I] leaves last pivot * a^-1 on the
+    right.
+    """
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    pivots: list = []
+    sign = prev = 1
+    r = 0
+    for c in range(cols):
+        if m[r][c] == 0:
+            for i in range(r + 1, rows):
+                if m[i][c]:
+                    m[r], m[i] = m[i], m[r]
                     sign = -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                continue
+        top = m[r]
+        p = top[c]
+        rest = range(c + 1, cols)
+        for i in range(0 if jordan else r + 1, rows):
+            if i != r:
+                row = m[i]
+                f = row[c]
+                for j in rest:
+                    row[j] = (p * row[j] - f * top[j]) // prev
+                row[c] = 0
+        prev = p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots, sign, prev
+
+
+def _integer_rows(a: tuple) -> Tuple[list, list]:
+    """Each row of a times the lcm s_i of its denominators, and the s_i."""
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    return [[x.numerator * (s // x.denominator) for x in row]
+            for row, s in zip(a, scales)], scales
+
+
+def det_int(a: tuple) -> int:
+    """Determinant of an integer matrix by fraction-free Bareiss elimination."""
+    pivots, sign, last = _bareiss([list(row) for row in a])
+    return sign * last if len(pivots) == len(a) else 0
 
 
 def interpolate(values: Sequence[int]) -> Tuple[int, ...]:
@@ -102,86 +138,33 @@ def det_pencil(m0: tuple, m1: tuple) -> Tuple[int, ...]:
                         for s in range(deg + 1)])
 
 
-def _pivot_order(n: int, rng) -> list:
-    order = list(range(n))
-    if rng is not None:
-        rng.shuffle(order)
-    return order
-
-
 def rank_int(a: tuple) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) row echelon.
-
-    After each pivot every remaining entry is a minor of the input, so the
-    division by the previous pivot is exact and no fraction is formed.
-    """
-    if not a or not a[0]:
-        return 0
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        for i in range(r + 1, rows):
-            f = m[i][c]
-            row = m[i]
-            for j in range(c + 1, cols):
-                row[j] = (p * row[j] - f * m[r][j]) // prev
-            row[c] = 0
-        prev = p
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank of an integer matrix: the pivot count of its Bareiss echelon."""
+    return len(_bareiss([list(row) for row in a])[0])
 
 
 def det_rational(a: tuple) -> Fraction:
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+    """Determinant of a rational matrix: det(S a) / det S, with S the
+    diagonal of row scales that makes S a integral."""
+    m, scales = _integer_rows(a)
+    return Fraction(det_int(m), prod(scales))
 
 
 def invert_rational(a: tuple) -> tuple:
     """Inverse of a square matrix over the rationals.
 
-    Raises ValueError on a singular input.
+    The Jordan pass on [S a | I] leaves det (S a)^-1 on the right, and
+    a^-1 = (S a)^-1 S.  Raises ValueError on a singular input.
     """
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = m[c][c]
-        m[c] = [x / inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return tuple(tuple(row[n:]) for row in m)
+    m, scales = _integer_rows(a)
+    for i, row in enumerate(m):
+        row.extend(int(i == j) for j in range(n))
+    pivots, _, det = _bareiss(m, jordan=True)
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(Fraction(x * s, det) for x, s in zip(row[n:], scales))
+                 for row in m)
 
 
 def independent_columns(a: tuple, rng=None) -> list:
@@ -193,26 +176,12 @@ def independent_columns(a: tuple, rng=None) -> list:
     """
     if not a:
         return []
-    rows, cols = len(a), len(a[0])
-    m = [[Fraction(x) for x in row] for row in a]
-    chosen: list = []
-    r = 0
-    for c in _pivot_order(cols, rng):
-        if r == rows:
-            break
-        col = [m[i][c] for i in range(rows)]
-        piv = next((i for i in range(r, rows) if col[i] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        chosen.append(c)
-        r += 1
-    return chosen
+    order = list(range(len(a[0])))
+    if rng is not None:
+        rng.shuffle(order)
+    m, _ = _integer_rows(a)
+    pivots = _bareiss([[row[c] for c in order] for row in m])[0]
+    return [order[p] for p in pivots]
 
 
 def perm_parity(p: Sequence[int]) -> int:

@@ -128,6 +128,19 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_over_deep_and_over_long_json_are_input_errors(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    long = tmp_path / "long.json"
+    long.write_text('{"genus": ' + "1" * 5000 + "}")
+    for path, reason in ((deep, "nesting too deep"),
+                         (long, "integer literal too long")):
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:")
+        assert reason in err and "Traceback" not in err
+
+
 def test_non_utf8_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + '{"genus": 0}'.encode("utf-16-le"))

@@ -1,14 +1,19 @@
 """Property tests: the fast routes against independent references on
 inputs drawn by hypothesis (derandomized, so every run draws the same)."""
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import prod
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
-from swtorsion.linalg import (det_int, det_pencil, invert_rational,
-                             perm_parity, rank_int, submatrix)
+from swtorsion.linalg import (det_int, det_pencil, det_rational,
+                             identity_matrix, independent_columns,
+                             invert_rational, mat_mul, perm_parity, rank_int,
+                             submatrix)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
@@ -58,10 +63,14 @@ def brute_force_rank(a) -> int:
 
 
 @st.composite
-def integer_matrices(draw):
-    """Matrices up to 5 x 6, half of them a product through an inner
-    dimension that caps the rank, so rank-deficient inputs are common."""
-    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+def integer_matrices(draw, square=False):
+    """Matrices up to 5 x 6 (square ones from 0 x 0 to 6 x 6), half of them
+    a product through an inner dimension that caps the rank, so
+    rank-deficient inputs are common."""
+    if square:
+        rows = cols = draw(st.integers(0, 6))
+    else:
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     entries = st.integers(-4, 4)
     if draw(st.booleans()):
         return tuple(tuple(draw(entries) for _ in range(cols))
@@ -77,6 +86,67 @@ def integer_matrices(draw):
 @given(integer_matrices())
 def test_rank_int_equals_largest_nonzero_minor(a):
     assert rank_int(a) == brute_force_rank(a)
+
+
+def leibniz(a):
+    """Sum over all permutations p of sign(p) * prod_i a[i][p(i)], the sign
+    read off the inversion count."""
+    n = len(a)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i, j in combinations(range(n), 2))
+        total += (-1) ** inversions * prod(a[i][p[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def rational_matrices(draw):
+    """D b E for a square integer matrix b and rational diagonals D, E, so
+    the rows have different denominators and the rank is that of b."""
+    b = draw(integer_matrices(square=True))
+    scale = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                      st.integers(1, 6))
+    d = [draw(scale) for _ in b]
+    e = [draw(scale) for _ in b]
+    return tuple(tuple(di * x * ej for x, ej in zip(row, e))
+                 for di, row in zip(d, b))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_matrices(square=True), rational_matrices())
+def test_determinants_equal_leibniz_sum(a, q):
+    assert det_int(a) == leibniz(a)
+    assert det_rational(q) == leibniz(q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(rational_matrices())
+def test_invert_rational_is_two_sided_inverse(a):
+    if leibniz(a) == 0:
+        with pytest.raises(ValueError):
+            invert_rational(a)
+        return
+    inverse = invert_rational(a)
+    identity = identity_matrix(len(a))
+    assert mat_mul(a, inverse) == identity
+    assert mat_mul(inverse, a) == identity
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_matrices(), st.integers(0, 2 ** 32))
+def test_independent_columns_are_the_greedy_basis(a, seed):
+    # a column is chosen exactly when it raises the rank of the columns
+    # chosen before it, in the order the seeded shuffle tries them
+    order = list(range(len(a[0])))
+    random.Random(seed).shuffle(order)
+    greedy: list = []
+    for c in order:
+        columns = submatrix(a, range(len(a)), greedy + [c])
+        if brute_force_rank(columns) > len(greedy):
+            greedy.append(c)
+    chosen = independent_columns(a, random.Random(seed))
+    assert chosen == greedy
+    assert len(chosen) == rank_int(a)
 
 
 def leibniz_det(entries, order):
