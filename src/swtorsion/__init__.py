@@ -19,8 +19,9 @@ from .torsion import (MorseMatrix, RelPerm, VolumedComplex, collapse_perm,
                       torsion_representative)
 from .tqft import (Presentation, SWRow, SWTable, VerificationReport,
                    VerificationRow, ascend_map, compute_b1, descend_map,
-                   kappa_matrix, rhs_series, sw_table, trace_kappa_coefficient,
-                   validate_presentation, verify_main_identity, zeta_series)
+                   kappa_matrix, kappa_trace, rhs_series, sw_table,
+                   trace_kappa_coefficient, validate_presentation,
+                   verify_main_identity, zeta_series)
 from .intersection import (ProductClass, diagonal_class, graph_class,
                            intersection_number, product_evaluate)
 
@@ -37,7 +38,7 @@ __all__ = [
     "collapse_perm", "MorseMatrix", "morse_differential_matrix",
     "torsion_representative", "torsion_coefficient_direct",
     "Presentation", "validate_presentation", "descend_map", "ascend_map",
-    "kappa_matrix", "trace_kappa_coefficient", "zeta_series", "rhs_series",
+    "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series", "rhs_series",
     "verify_main_identity", "VerificationReport", "VerificationRow",
     "compute_b1", "sw_table", "SWTable", "SWRow",
     "ProductClass", "diagonal_class", "graph_class", "product_evaluate",

@@ -80,9 +80,10 @@ class SymSpace:
                 and all(0 <= i < 2 * self.G for i in m.indices))
 
 
-# Bound of the caches keyed by SymSpace.  One operation touches a handful of
+# Bound of the caches keyed by SymSpace, and of the ascend-descend cache in
+# tqft keyed by (genus, handles, n).  One operation touches a handful of
 # spaces; a warm run of verify --nmax 3 over every split surface with
-# G <= 3 touches 36.
+# 1 <= G <= 3 touches 36 spaces and 36 ascend-descend keys.
 _SPACE_CACHE_SIZE = 64
 
 

@@ -8,6 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from swtorsion.cli import load_presentation, write_presentation
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
 from swtorsion.linalg import (det_int, det_pencil, det_rational,
@@ -18,7 +19,8 @@ from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
                                 enumerate_basis, graded_trace, pair_monomials)
-from swtorsion.tqft import Presentation, kappa_matrix, trace_kappa_series
+from swtorsion.tqft import (Presentation, kappa_matrix, kappa_trace,
+                            trace_kappa_series)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -40,6 +42,27 @@ def test_trace_series_equals_kappa_matrix_trace(P, nmax):
     series = trace_kappa_series(P, nmax)
     assert series == tuple(graded_trace(kappa_matrix(P, n))
                            for n in range(nmax + 1))
+
+
+@PROPERTY
+@given(presentations(), st.integers(0, 3))
+def test_kappa_trace_equals_kappa_matrix_trace(P, n):
+    # the diagonal read through restricted minors against the assembled
+    # matrix, without the determinant pencil
+    assert kappa_trace(P, n) == graded_trace(kappa_matrix(P, n))
+
+
+@PROPERTY
+@given(presentations(),
+       st.none() | st.text(min_size=0, max_size=12) | st.sampled_from(
+           ["Seifert–Weber", "Σ(2,3,5)", "κ_n", "トーラス"]))
+def test_json_round_trip(tmp_path_factory, P, name):
+    P = Presentation(P.genus, P.handles, P.monodromy, name)
+    path = str(tmp_path_factory.mktemp("round-trip") / "p.json")
+    write_presentation(P, path)
+    Q = load_presentation(path)
+    assert (Q.genus, Q.handles, Q.monodromy.mat, Q.name) == (
+        P.genus, P.handles, P.monodromy.mat, P.name)
 
 
 @PROPERTY

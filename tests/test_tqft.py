@@ -9,9 +9,9 @@ from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 graded_trace, induced_endomorphism,
                                 lefschetz_number)
-from swtorsion import tqft
+from swtorsion import sympower, tqft
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
-                            kappa_matrix, rhs_series, sw_table,
+                            kappa_matrix, kappa_trace, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
                             validate_presentation, verify_main_identity,
                             zeta_series)
@@ -227,6 +227,31 @@ def test_verify_hand_checked_rotation():
     report = verify_main_identity(P, 3)
     assert report.passed
     assert [r.lhs for r in report.rows] == [-1, -2, -3, -4]
+
+
+def test_verify_reads_the_diagonal_without_the_matrix(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("verify assembled kappa or expanded Lambda(A)")
+
+    monkeypatch.setattr(tqft, "kappa_matrix", forbidden)
+    monkeypatch.setattr(sympower, "apply_induced", forbidden)
+    monkeypatch.setattr(sympower, "_lambda_image", forbidden)
+    for g, N in ((1, 1), (1, 2), (0, 3)):
+        assert verify_main_identity(make_presentation(g, N, 14, 9), 3).passed
+
+
+def test_descend_ascend_cache_is_shared_across_monodromies():
+    tqft._descend_ascend.cache_clear()
+    for seed in (1, 2):
+        P = make_presentation(1, 2, 12, seed)
+        for n in range(4):
+            kappa_trace(P, n)
+    info = tqft._descend_ascend.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
+
+
+def test_verify_at_core_genus_four_with_two_handles():
+    assert verify_main_identity(make_presentation(4, 2, 40, 1), 3).passed
 
 
 def test_b1_examples():
