@@ -109,24 +109,6 @@ class CohClass:
         if len(self.vec) != self.surface.rank:
             raise ValueError("coefficient vector has wrong length")
 
-    def __add__(self, other: "CohClass") -> "CohClass":
-        self._check(other)
-        return CohClass(self.surface, tuple(a + b for a, b in zip(self.vec, other.vec)))
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        self._check(other)
-        return CohClass(self.surface, tuple(a - b for a, b in zip(self.vec, other.vec)))
-
-    def __neg__(self) -> "CohClass":
-        return CohClass(self.surface, tuple(-a for a in self.vec))
-
-    def scale(self, c: int) -> "CohClass":
-        return CohClass(self.surface, tuple(c * a for a in self.vec))
-
-    def _check(self, other: "CohClass"):
-        if self.surface != other.surface:
-            raise ValueError("classes live on different surfaces")
-
 
 def pairing(u: CohClass, v: CohClass) -> int:
     """Cup product pairing <u, v> = u^T J v, with J v from ``pair_vector``."""

@@ -52,9 +52,6 @@ class Monomial:
         return f"{xs}.{ys}" if xs else ys
 
 
-ONE = Monomial((), 0)
-
-
 @dataclass(frozen=True)
 class SymSpace:
     """H^*(Sym^n of the surface), as a free module on the monomial basis."""
@@ -80,10 +77,10 @@ class SymSpace:
                 and all(0 <= i < 2 * self.G for i in m.indices))
 
 
-# Bound of the caches keyed by SymSpace, and of the ascend-descend cache in
-# tqft keyed by (genus, handles, n).  One operation touches a handful of
-# spaces; a warm run of verify --nmax 3 over every split surface with
-# 1 <= G <= 3 touches 36 spaces and 36 ascend-descend keys.
+# Bound of the caches keyed by SymSpace.  Of the commands only intersect
+# touches spaces, Sym^{n+N} of the split surface and Sym^n of the core;
+# verify, sw, zeta and torsion touch none.  The rest of the room serves the
+# reference routes that the tests and the traced benchmark replay run.
 _SPACE_CACHE_SIZE = 64
 
 
@@ -144,16 +141,6 @@ class SymClass:
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
         return SymClass(self.space, out)
-
-    def __sub__(self, other: "SymClass") -> "SymClass":
-        self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return SymClass(self.space, out)
-
-    def __neg__(self) -> "SymClass":
-        return SymClass(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, k: int) -> "SymClass":
         return SymClass(self.space, {m: k * c for m, c in self.terms.items()})

@@ -10,26 +10,26 @@ come out of the zeta function of the monodromy times the Morse-complex
 torsion, and verifying that identity is the library's purpose.
 
 The trace has two routes.  ``trace_kappa_series`` reads it from one integer
-determinant pencil; ``kappa_trace`` reads the diagonal of kappa_n from the
-cached, monodromy-free ascend-descend map and one restricted minor of the
-monodromy per term.  ``verify_main_identity`` runs both.  ``kappa_matrix``
-assembles every column through the full Lambda(A) image and is the
-reference route for the diagonal, run by the tests and the benchmark's
-traced replay.
+determinant pencil; ``kappa_trace`` reads the diagonal of kappa_n, one
+restricted minor of the monodromy per subset of the core classes, from the
+closed form of ascend after descend (a fixed partial permutation of the
+handle-wedge monomials).  ``verify_main_identity`` runs both.
+``kappa_matrix`` assembles every column through ``descend_map``,
+``ascend_map`` and the full Lambda(A) image and is the reference route for
+the diagonal, run by the tests and the benchmark's traced replay.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import combinations
 from typing import List, Optional, Tuple
 
 from .linalg import det_int, det_pencil, mat_mul, rank_int, submatrix
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
-from .sympower import (_SPACE_CACHE_SIZE, Monomial, SymClass, SymEndo,
-                       SymSpace, apply_induced, contract_class,
-                       enumerate_basis, wedge_class)
+from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
+                       contract_class, wedge_class)
 from .torsion import torsion_representative
 
 
@@ -163,40 +163,29 @@ def kappa_matrix(P: Presentation, n: int) -> SymEndo:
     return SymEndo.from_function(big, column)
 
 
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
-def _descend_ascend(genus: int, handles: int, n: int) -> tuple:
-    """The nonzero columns of ascend after descend on Sym^{n+N}, as pairs
-    (m, ((u, c), ..)).  Neither map reads the monodromy, so one sweep over
-    the basis serves every presentation of this shape."""
-    P = Presentation(genus, handles, MappingClass.identity(
-        SurfaceModel(genus + handles, (handles, genus))))
-    big = SymSpace(P.surface, n + handles)
-    columns = []
-    for m in enumerate_basis(big):
-        down = descend_map(P, n, SymClass.monomial(big, m))
-        if not down.is_zero():
-            columns.append((m, tuple(ascend_map(P, n, down).terms.items())))
-    return tuple(columns)
-
-
 def kappa_trace(P: Presentation, n: int) -> int:
     """Graded trace of kappa_n read from its diagonal alone.
 
-    kappa_n is Lambda(A) after ascend after descend, and Lambda(A) fixes y
-    and sends x_J to the sum over I of det A[I, J] x_I; so the diagonal
-    entry at m is the sum of c det A[m, u] over the terms c u of the
-    ascend-descend image of m with u.q == m.q.  One restricted minor per
-    term; neither the pencil of ``trace_kappa_series`` nor the columns of
-    ``kappa_matrix`` are formed.
+    kappa_n is Lambda(A) after ascend after descend.  Ascend after descend
+    sends d_0..d_{N-1} x_K y^q to +c_0..c_{N-1} x_K y^q for each subset K
+    of the core classes X and kills every other monomial, and Lambda(A)
+    sends x_J to the sum over I of det A[I, J] x_I.  So the diagonal is
+    det A[D u K, C u K] at each of the n - |K| + 1 monomials x_{D u K} y^q,
+    and the trace sums (-1)^{N + |K|} (n - |K| + 1) det A[D u K, C u K]
+    over |K| <= n: one restricted minor per subset, with no symmetric
+    power, no pencil of ``trace_kappa_series`` and no column of
+    ``kappa_matrix`` formed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    N = P.handles
     mat = P.monodromy.mat
+    C, D = tuple(range(N)), tuple(range(N, 2 * N))
     total = 0
-    for m, terms in _descend_ascend(P.genus, P.handles, n):
-        entry = sum(c * det_int(submatrix(mat, m.indices, u.indices))
-                    for u, c in terms if u.q == m.q)
-        total += -entry if m.odd_part & 1 else entry
+    for k in range(min(n, 2 * P.genus) + 1):
+        weight = -(n - k + 1) if (N + k) & 1 else n - k + 1
+        for K in combinations(range(2 * N, len(mat)), k):
+            total += weight * det_int(submatrix(mat, D + K, C + K))
     return total
 
 

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 
+import swtorsion
 from swtorsion import surface, tqft
 from swtorsion.cli import (generate_fixture, load_presentation, main,
                            write_presentation)
@@ -227,6 +229,28 @@ def test_output_bytes_deterministic(tmp_path, capsys):
         assert code == 0
         outs.add(out)
     assert len(outs) == 1
+
+
+def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
+    # one process serves many commands; none may leave state behind
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(2, 2, 20, 3), str(path))
+    commands = [["verify", str(path), "--nmax", "3", "--format", "json"],
+                ["verify", str(path), "--nmax", "3"],
+                ["sw", str(path), "--nmax", "3"]]
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(swtorsion.__file__)))
+    alone = []
+    for args in commands:
+        proc = subprocess.run([sys.executable, "-m", "swtorsion.cli", *args],
+                              capture_output=True, env=env)
+        alone.append((proc.returncode, proc.stdout))
+    in_turn = []
+    for args in commands:
+        code, out, _ = run_cli(args, capsys)
+        in_turn.append((code, out.encode()))
+    assert in_turn == alone
+    assert len({out for _, out in alone}) == 3
 
 
 def test_console_entry_point():

@@ -20,7 +20,7 @@ from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
                                 enumerate_basis, graded_trace, pair_monomials)
 from swtorsion.tqft import (Presentation, kappa_matrix, kappa_trace,
-                            trace_kappa_series)
+                            trace_kappa_series, verify_main_identity)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -72,6 +72,17 @@ def test_intersection_number_equals_materialised_graph(P, n):
     # trace: pins the Kunneth and dual signs of the graph coefficients
     assert intersection_number(P, n) == product_evaluate(
         diagonal_class(P, n), graph_class(P, n))
+
+
+@PROPERTY
+@given(presentations(), st.integers(0, 3))
+def test_trace_identity_on_random_words(P, nmax):
+    # zeta x torsion, the trace pencil and the kappa diagonal agree, and so
+    # does the graph-diagonal intersection number
+    assert verify_main_identity(P, nmax).passed
+    series = trace_kappa_series(P, nmax)
+    for n in range(min(nmax, 2) + 1):
+        assert intersection_number(P, n) == series[n]
 
 
 def brute_force_rank(a) -> int:

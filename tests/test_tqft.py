@@ -11,7 +11,7 @@ from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 lefschetz_number)
 from swtorsion import sympower, tqft
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
-                            kappa_matrix, kappa_trace, rhs_series, sw_table,
+                            kappa_matrix, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
                             validate_presentation, verify_main_identity,
                             zeta_series)
@@ -234,24 +234,36 @@ def test_verify_reads_the_diagonal_without_the_matrix(monkeypatch):
         raise AssertionError("verify assembled kappa or expanded Lambda(A)")
 
     monkeypatch.setattr(tqft, "kappa_matrix", forbidden)
+    monkeypatch.setattr(tqft, "descend_map", forbidden)
+    monkeypatch.setattr(tqft, "ascend_map", forbidden)
     monkeypatch.setattr(sympower, "apply_induced", forbidden)
     monkeypatch.setattr(sympower, "_lambda_image", forbidden)
     for g, N in ((1, 1), (1, 2), (0, 3)):
         assert verify_main_identity(make_presentation(g, N, 14, 9), 3).passed
 
 
-def test_descend_ascend_cache_is_shared_across_monodromies():
-    tqft._descend_ascend.cache_clear()
-    for seed in (1, 2):
-        P = make_presentation(1, 2, 12, seed)
-        for n in range(4):
-            kappa_trace(P, n)
-    info = tqft._descend_ascend.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (4, 4, 4)
+def test_ascend_after_descend_is_the_handle_wedge_permutation():
+    # the closed form kappa_trace reads: d_0..d_{N-1} x_K y^q -> +c_0..c_{N-1}
+    # x_K y^q for K in the core classes, and every other monomial -> 0
+    for G in range(5):
+        for N in range(G + 1):
+            P = make_presentation(G - N, N, 0, 0)
+            C, D = tuple(range(N)), tuple(range(N, 2 * N))
+            for n in range(4):
+                big = SymSpace(P.surface, n + N)
+                for m in enumerate_basis(big):
+                    out = ascend_map(P, n, descend_map(
+                        P, n, SymClass.monomial(big, m)))
+                    K = m.indices[N:]
+                    if m.indices[:N] == D and all(i >= 2 * N for i in K):
+                        assert out == _monomial_class(big, C + K, m.q)
+                    else:
+                        assert out.is_zero()
 
 
-def test_verify_at_core_genus_four_with_two_handles():
-    assert verify_main_identity(make_presentation(4, 2, 40, 1), 3).passed
+@pytest.mark.parametrize("g, N", [(4, 2), (3, 4)])
+def test_verify_at_core_genus_four_with_two_handles(g, N):
+    assert verify_main_identity(make_presentation(g, N, 40, 1), 3).passed
 
 
 def test_b1_examples():
