@@ -17,11 +17,11 @@ from .torsion import (MorseMatrix, RelPerm, VolumedComplex, collapse_perm,
                       complex_torsion, enumerate_relative_perms,
                       morse_differential_matrix, torsion_coefficient_direct,
                       torsion_representative)
-from .tqft import (Presentation, SWRow, SWTable, VerificationReport,
-                   VerificationRow, ascend_map, compute_b1, descend_map,
-                   kappa_matrix, kappa_trace, rhs_series, sw_table,
-                   trace_kappa_coefficient, validate_presentation,
-                   verify_main_identity, zeta_series)
+from .tqft import (CrossCheckError, Presentation, SWRow, SWTable,
+                   VerificationReport, VerificationRow, ascend_map,
+                   compute_b1, descend_map, kappa_matrix, kappa_trace,
+                   rhs_series, sw_table, trace_kappa_coefficient,
+                   validate_presentation, verify_main_identity, zeta_series)
 from .intersection import (ProductClass, diagonal_class, graph_class,
                            intersection_number, product_evaluate)
 
@@ -40,6 +40,7 @@ __all__ = [
     "Presentation", "validate_presentation", "descend_map", "ascend_map",
     "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series", "rhs_series",
     "verify_main_identity", "VerificationReport", "VerificationRow",
+    "CrossCheckError",
     "compute_b1", "sw_table", "SWTable", "SWRow",
     "ProductClass", "diagonal_class", "graph_class", "product_evaluate",
     "intersection_number",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import (det_rational, independent_columns, mat_vec,
-                     perm_parity)
+from .linalg import (det_rational, identity_matrix, independent_columns,
+                     mat_mul, mat_vec, perm_parity, transpose)
 from .series import TruncSeries, series_det
 from .surface import pairing
 
@@ -190,27 +190,28 @@ class MorseMatrix:
 
 
 def morse_differential_matrix(P, kmax: int) -> MorseMatrix:
-    """Crossing-series matrix of the Morse differential of a presentation."""
+    """Crossing-series matrix of the Morse differential of a presentation.
+
+    The N iterates A^k c_i are the rows of one integer matrix, advanced by
+    a product with A^T, and coefficient k of entry (i, j) is A^k c_i dotted
+    with J c_j, the vectors J c_j read once from ``SurfaceModel.pair_vector``.
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     N = P.handles
     surface = P.surface
-    A = P.monodromy
-    cs = [surface.c_class(i) for i in range(N)]
-    images = {i: [] for i in range(N)}
-    cur = {i: cs[i] for i in range(N)}
+    unit = identity_matrix(surface.rank)
+    step = transpose(P.monodromy.mat)
+    duals = transpose([surface.pair_vector(unit[j]) for j in range(N)])
+    images = unit[:N]
+    coeffs = [[[0] for _ in range(N)] for _ in range(N)]
     for _ in range(kmax):
-        for i in range(N):
-            cur[i] = A.apply(cur[i])
-            images[i].append(cur[i])
-    entries = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            coeffs = [0] + [pairing(images[i][k], cs[j]) for k in range(kmax)]
-            row.append(TruncSeries(kmax, coeffs))
-        entries.append(tuple(row))
-    return MorseMatrix(N, kmax, tuple(entries))
+        images = mat_mul(images, step)
+        for row, pairs in zip(coeffs, mat_mul(images, duals)):
+            for c, x in zip(row, pairs):
+                c.append(x)
+    return MorseMatrix(N, kmax, tuple(tuple(TruncSeries(kmax, c) for c in row)
+                                      for row in coeffs))
 
 
 def torsion_representative(P, kmax: int) -> TruncSeries:

@@ -20,12 +20,13 @@ the diagonal, run by the tests and the benchmark's traced replay.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .linalg import det_int, det_pencil, mat_mul, rank_int, submatrix
+from .linalg import (det_int, det_pencil, identity_matrix, mat_mul, rank_int,
+                     submatrix)
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
@@ -231,31 +232,48 @@ def trace_kappa_coefficient(P: Presentation, n: int) -> int:
     return trace_kappa_series(P, n)[n]
 
 
+class CrossCheckError(RuntimeError):
+    """Two independent routes to one invariant disagreed; the CLI reports it
+    on stderr and exits 1."""
+
+
 def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
     """Zeta function of the monodromy flow, expanded two ways.
 
     (a) exp of sum (2 - tr A^k) t^k / k, the signed fixed point count of
-        the iterates, with A^k from plain integer matrix products;
+        the iterates, in plain integers.  Only A^1 .. A^ceil(kmax/2) are
+        formed, by integer matrix products; tr A^k is the sum over i, j of
+        A^ceil(k/2)[i][j] A^floor(k/2)[j][i], and the exponential z is the
+        Newton recurrence m z_m = sum_{k=1..m} (2 - tr A^k) z_{m-k}, whose
+        divisions are exact;
     (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series`` at N = 0.
-    The two share no code, and both run on every call: a disagreement
-    raises RuntimeError.  The Lefschetz numbers of the induced maps on the
-    symmetric powers are a third route, which the tests check against.
+    The two share no code, and both run on every call: a division with a
+    remainder or a disagreement raises ``CrossCheckError``.  The Lefschetz
+    numbers of the induced maps on the symmetric powers are a third route,
+    which the tests check against.
     """
     M = A.mat
-    traces = []
-    power = M
-    for k in range(1, kmax + 1):
-        if k > 1:
-            power = mat_mul(power, M)
-        traces.append(sum(power[i][i] for i in range(len(M))))
-    log_term = TruncSeries(kmax, [0] + [Fraction(2 - traces[k - 1], k)
-                                        for k in range(1, kmax + 1)])
-    via_det = TruncSeries(kmax, _trace_series(A, 0, kmax))
-    if log_term.exp() != via_det:
-        raise RuntimeError("zeta cross-check failed: the exponential and the "
-                           "determinant expansions of the fixed point series "
-                           "disagree")
-    return via_det
+    powers = [identity_matrix(len(M)), M]
+    while len(powers) <= (kmax + 1) // 2:
+        powers.append(mat_mul(powers[-1], M))
+    flat = [[x for row in p for x in row] for p in powers]
+    flat_t = [[x for col in zip(*p) for x in col] for p in powers]
+    counts = [2 - sum(map(operator.mul, flat[(k + 1) // 2], flat_t[k // 2]))
+              for k in range(1, kmax + 1)]
+    z = [1]
+    for m in range(1, kmax + 1):
+        q, r = divmod(sum(map(operator.mul, counts, reversed(z))), m)
+        if r:
+            raise CrossCheckError(
+                "zeta cross-check failed: the exponential of the fixed point "
+                f"counts is not integral at t^{m}")
+        z.append(q)
+    via_det = _trace_series(A, 0, kmax)
+    if tuple(z) != via_det:
+        raise CrossCheckError("zeta cross-check failed: the exponential and "
+                              "the determinant expansions of the fixed point "
+                              "series disagree")
+    return TruncSeries(kmax, via_det)
 
 
 def zeta_series(P, kmax: int) -> TruncSeries:

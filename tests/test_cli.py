@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import swtorsion
 from swtorsion import surface, tqft
 from swtorsion.cli import (generate_fixture, load_presentation, main,
@@ -176,6 +178,27 @@ def test_zeta_sphere_coefficients(tmp_path, capsys):
     assert code == 0
     rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
     assert [r[1] for r in rows] == ["1", "2", "3", "4", "5"]
+
+
+@pytest.mark.parametrize("command, flag", [("zeta", "--kmax"),
+                                           ("verify", "--nmax")])
+def test_zeta_cross_check_failure_exits_one(tmp_path, capsys, monkeypatch,
+                                            command, flag):
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(1, 1, 12, 5), str(path))
+    honest = tqft._trace_series
+
+    def off_by_one(A, N, nmax):
+        coeffs = list(honest(A, N, nmax))
+        coeffs[-1] += 1
+        return tuple(coeffs)
+
+    monkeypatch.setattr(tqft, "_trace_series", off_by_one)
+    code, out, err = run_cli([command, str(path), flag, "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: zeta cross-check failed: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_torsion_output(tmp_path, capsys):

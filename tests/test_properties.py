@@ -19,17 +19,19 @@ from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
                                 enumerate_basis, graded_trace, pair_monomials)
-from swtorsion.tqft import (Presentation, kappa_matrix, kappa_trace,
-                            trace_kappa_series, verify_main_identity)
+from swtorsion.tqft import (Presentation, compute_b1, kappa_matrix,
+                            kappa_trace, trace_kappa_series,
+                            verify_main_identity, zeta_series)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite
-def presentations(draw):
-    """Split presentations with g + N <= 3 and a random transvection word."""
-    N = draw(st.integers(0, 3))
-    g = draw(st.integers(0, 3 - N))
+def presentations(draw, max_genus=3):
+    """Split presentations with g + N <= max_genus and a random transvection
+    word."""
+    N = draw(st.integers(0, max_genus))
+    g = draw(st.integers(0, max_genus - N))
     surface = SurfaceModel(g + N, (N, g))
     A = random_symplectic(surface, draw(st.integers(0, 12)),
                           draw(st.integers(0, 2 ** 32)))
@@ -83,6 +85,63 @@ def test_trace_identity_on_random_words(P, nmax):
     series = trace_kappa_series(P, nmax)
     for n in range(min(nmax, 2) + 1):
         assert intersection_number(P, n) == series[n]
+
+
+@PROPERTY
+@given(st.integers(0, 6), st.integers(0, 40), st.integers(0, 2 ** 32),
+       st.integers(0, 40))
+def test_zeta_equals_the_exponential_of_the_fixed_point_counts(G, words, seed,
+                                                               kmax):
+    # the integer route inside zeta_series against TruncSeries.exp over
+    # Fraction, with every A^k a full product
+    A = random_symplectic(G, words, seed)
+    traces, power = [], identity_matrix(2 * G)
+    for _ in range(kmax):
+        power = mat_mul(power, A.mat)
+        traces.append(sum(power[i][i] for i in range(2 * G)))
+    log_term = TruncSeries(kmax, [0] + [Fraction(2 - t, k)
+                                        for k, t in enumerate(traces, 1)])
+    assert zeta_series(A, kmax) == log_term.exp()
+
+
+@PROPERTY
+@given(presentations(max_genus=4), st.integers(0, 12), st.integers(0, 2 ** 32),
+       st.integers(0, 24))
+def test_zeta_is_invariant_under_conjugation_and_inversion(P, words, seed,
+                                                           kmax):
+    A = P.monodromy
+    B = random_symplectic(P.surface, words, seed)
+    zeta = zeta_series(A, kmax)
+    assert zeta_series(B.compose(A).compose(B.inverse()), kmax) == zeta
+    assert zeta_series(A.inverse(), kmax) == zeta
+
+
+def fraction_rank(rows) -> int:
+    """Rank by Gaussian elimination over Fraction, row by row."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for r in range(rank + 1, len(m)):
+            f = m[r][c] / m[rank][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+@PROPERTY
+@given(presentations(max_genus=5))
+def test_b1_equals_the_rank_formula(P):
+    # b_1 = 1 + (2G - N) - rank(Q (1 - A^-1)), Q dropping the c rows
+    G, N = P.genus + P.handles, P.handles
+    Ainv = P.monodromy.inverse().mat
+    assert mat_mul(Ainv, P.monodromy.mat) == identity_matrix(2 * G)
+    rows = [[int(i == j) - Ainv[i][j] for j in range(2 * G)]
+            for i in range(N, 2 * G)]
+    assert compute_b1(P) == 1 + (2 * G - N) - fraction_rank(rows)
 
 
 def brute_force_rank(a) -> int:

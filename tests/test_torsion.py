@@ -135,6 +135,27 @@ def test_morse_matrix_rotation_entry():
     assert M.entries[0][0][0] == 0
 
 
+def test_morse_matrix_entries_are_the_pairings_of_the_iterates():
+    # every handle count up to five twice, against MappingClass.apply and
+    # the CohClass pairing; even handle counts catch a sign error in J c_j
+    # that the determinant would not show
+    rng = random.Random(8128)
+    for N in (0, 1, 2, 3, 4, 5) * 2:
+        g = rng.randint(0, 6 - N)
+        kmax = rng.randint(0, 30)
+        P = make_presentation(g, N, rng.randint(0, 40), rng.randrange(10 ** 9))
+        M = morse_differential_matrix(P, kmax)
+        assert (M.N, M.order, len(M.entries)) == (N, kmax, N)
+        A, cs = P.monodromy, [P.surface.c_class(i) for i in range(N)]
+        for i in range(N):
+            assert [M.entries[i][j][0] for j in range(N)] == [0] * N
+            image = cs[i]
+            for k in range(1, kmax + 1):
+                image = A.apply(image)
+                assert [M.entries[i][j][k] for j in range(N)] == [
+                    pairing(image, cj) for cj in cs]
+
+
 def test_torsion_representative_edge_cases():
     P = make_presentation(1, 0, 4, 9)
     assert torsion_representative(P, 3) == TruncSeries.one(3)

@@ -190,6 +190,27 @@ def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
         zeta_series(P, 4)
 
 
+@pytest.mark.parametrize("shift", [1, 3])
+def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
+    # At kmax = 3 the one product formed is A^2, and it enters only
+    # tr A^3 = sum_ij A^2[i][j] A[j][i].  Lowering A^2[1][0] by `shift`
+    # lowers tr A^3 by shift * A[0][1] = shift, so 3 z_3 gains `shift`:
+    # shift 1 leaves a remainder whose floor is the true z_3, shift 3 divides
+    # exactly into a wrong z_3, and each is caught by one check alone.
+    A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
+    honest = tqft.mat_mul
+
+    def perturbed(a, b):
+        rows = [list(r) for r in honest(a, b)]
+        rows[1][0] -= shift
+        return tuple(map(tuple, rows))
+
+    assert zeta_series(A, 3) == TruncSeries(3, [1, -1, -2, -3])
+    monkeypatch.setattr(tqft, "mat_mul", perturbed)
+    with pytest.raises(RuntimeError, match="^zeta cross-check failed: "):
+        zeta_series(A, 3)
+
+
 def test_rhs_series_edges():
     P = make_presentation(2, 0, 6, 8)
     assert rhs_series(P, 3) == zeta_series(P, 3)
