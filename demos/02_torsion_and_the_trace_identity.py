@@ -4,11 +4,13 @@ With handles present the monodromy no longer determines everything through
 its zeta function alone; the Morse complex of the presentation contributes a
 determinant of crossing series.  The graded trace of kappa_n equals the n-th
 coefficient of the product, and verify_main_identity checks that through two
-independent trace routes.
+independent trace routes.  The torsion itself has a fast route, the ratio of
+two determinant pencils, and the Morse determinant that verify runs.
 """
-from swtorsion import (Presentation, morse_differential_matrix, rhs_series,
-                       torsion_coefficient_direct, torsion_representative,
-                       verify_main_identity, zeta_series)
+from swtorsion import (Presentation, morse_differential_matrix, morse_torsion,
+                       rhs_series, torsion_coefficient_direct,
+                       torsion_representative, verify_main_identity,
+                       zeta_series)
 from swtorsion.cli import generate_fixture
 
 # One handle over the sphere, monodromy rotating the handle classes:
@@ -28,13 +30,16 @@ for row in report.rows:
           f"{'ok' if row.match else 'MISMATCH'}")
 assert report.passed
 
-# The determinant route and the composition-sum route to the torsion
-# coefficients agree coefficient by coefficient.
+# The pencil ratio, the Morse determinant and the composition sum give the
+# same torsion coefficients.
 fixture = generate_fixture(1, 2, words=7, seed=2)
-rep = torsion_representative(fixture, 6)
+pencils = [int(c) for c in torsion_representative(fixture, 6).coeffs]
+morse = [int(c) for c in morse_torsion(fixture, 6).coeffs]
 direct = [torsion_coefficient_direct(fixture, k) for k in range(7)]
-print("det route:   ", [int(rep[k]) for k in range(7)])
-print("direct route:", direct)
+print("pencil ratio:     ", pencils)
+print("Morse determinant:", morse)
+print("direct sum:       ", direct)
+assert pencils == morse == direct
 
 # A batch of random presentations, all verified exactly.
 for seed in range(5):

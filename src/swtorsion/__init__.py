@@ -15,8 +15,8 @@ from .sympower import (Monomial, SymClass, SymEndo, SymSpace, contract_class,
                        wedge_class)
 from .torsion import (MorseMatrix, RelPerm, VolumedComplex, collapse_perm,
                       complex_torsion, enumerate_relative_perms,
-                      morse_differential_matrix, torsion_coefficient_direct,
-                      torsion_representative)
+                      morse_differential_matrix, morse_torsion,
+                      torsion_coefficient_direct, torsion_representative)
 from .tqft import (CrossCheckError, Presentation, SWRow, SWTable,
                    VerificationReport, VerificationRow, ascend_map,
                    compute_b1, descend_map, kappa_matrix, kappa_trace,
@@ -36,7 +36,7 @@ __all__ = [
     "lefschetz_number", "top_evaluate", "duality_pair", "dual_basis",
     "VolumedComplex", "complex_torsion", "RelPerm", "enumerate_relative_perms",
     "collapse_perm", "MorseMatrix", "morse_differential_matrix",
-    "torsion_representative", "torsion_coefficient_direct",
+    "torsion_representative", "morse_torsion", "torsion_coefficient_direct",
     "Presentation", "validate_presentation", "descend_map", "ascend_map",
     "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series", "rhs_series",
     "verify_main_identity", "VerificationReport", "VerificationRow",

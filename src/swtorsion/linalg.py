@@ -104,25 +104,29 @@ def interpolate(values: Sequence[int]) -> Tuple[int, ...]:
     """Coefficients of the polynomial of degree < len(values) that takes
     values[k] at s = k, by forward differences in the falling-factorial basis.
 
-    The coefficients are asserted to be integers.
+    The coefficients are asserted to be integers.  The Stirling numbers
+    relate the falling-factorial and monomial bases with integer matrices,
+    so the polynomial is integral exactly when every k-th forward
+    difference at 0 is divisible by k!, and the work stays in ints.
     """
-    coeffs = [Fraction(0)] * len(values)
+    coeffs = [0] * len(values)
     falling = [1]  # coefficients of s (s - 1) .. (s - k + 1)
     diffs = list(values)
     factorial = 1
     for k in range(len(values)):
         if k:
             factorial *= k
+        q, r = divmod(diffs[0], factorial)
+        if r:
+            raise AssertionError("interpolated polynomial is not integral")
         for i, c in enumerate(falling):
-            coeffs[i] += Fraction(diffs[0] * c, factorial)
+            coeffs[i] += q * c
         shifted = [0] + falling
         for i, c in enumerate(falling):
             shifted[i] -= k * c
         falling = shifted
         diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    if any(c.denominator != 1 for c in coeffs):
-        raise AssertionError("interpolated polynomial is not integral")
-    return tuple(int(c) for c in coeffs)
+    return tuple(coeffs)
 
 
 def det_pencil(m0: tuple, m1: tuple) -> Tuple[int, ...]:

@@ -25,13 +25,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import List, Optional, Tuple
 
-from .linalg import (det_int, det_pencil, identity_matrix, mat_mul, rank_int,
-                     submatrix)
+from .linalg import det_int, identity_matrix, mat_mul, rank_int, submatrix
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
                        contract_class, wedge_class)
-from .torsion import torsion_representative
+from .torsion import morse_torsion, signed_pencil
 
 
 @dataclass(frozen=True)
@@ -191,24 +190,11 @@ def kappa_trace(P: Presentation, n: int) -> int:
 
 
 def _trace_series(A: MappingClass, N: int, nmax: int) -> Tuple[int, ...]:
-    """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2.
-
-    Here C, D are the first N and the next N basis classes, X the rest, and
-    p(s) = sum over subsets I of X of s^|I| det A[D u I, C u I].  With Q
-    the block of A on rows D u X and columns C u X, p(s) is the pencil
-    det([[Q_DC, Q_DX], [0, 1]] + s [[0, 0], [Q_XC, Q_XX]]) (expand
-    det(B + E_X) into the minors complementary to the unit diagonal).  At
-    N = 0 it is det(1 + sA), and the series is det(1 - tA) / (1 - t)^2.
+    """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2, with the
+    numerator from ``torsion.signed_pencil``.  At N = 0 the series is
+    det(1 - tA) / (1 - t)^2.
     """
-    M = A.mat
-    rows = range(N, len(M))
-    cols = tuple(range(N)) + tuple(range(2 * N, len(M)))
-    m0 = tuple(tuple(M[r][c] if a < N else int(a == b) for b, c in enumerate(cols))
-               for a, r in enumerate(rows))
-    m1 = tuple(tuple(0 if a < N else M[r][c] for c in cols)
-               for a, r in enumerate(rows))
-    signed = [-c if (k + N) & 1 else c
-              for k, c in enumerate(det_pencil(m0, m1))]
+    signed = signed_pencil(A.mat, N)
     return tuple(sum((n - k + 1) * signed[k]
                      for k in range(min(n + 1, len(signed))))
                  for n in range(nmax + 1))
@@ -220,7 +206,7 @@ def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
     Tr kappa_n sums (-1)^{|I| + N} det A[D u I, C u I] over the monomials
     x_I y^q of Sym^n of the core surface; q takes n - |I| + 1 values, so
     sum_n Tr kappa_n t^n = (-1)^N p(-t) / (1 - t)^2 with p as in
-    ``_trace_series``.  At N = 0 this is the zeta function.
+    ``torsion.signed_pencil``.  At N = 0 this is the zeta function.
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
@@ -287,16 +273,19 @@ def zeta_series(P, kmax: int) -> TruncSeries:
 def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
     """Torsion-times-zeta side of the trace identity, indexed by n.
 
-    The Morse matrix carries one factor of t per handle, so the product
-    zeta * det starts at t^N; coefficient n of the trace identity is
-    coefficient n + N of that product.  The shift is exact: the low
-    coefficients vanish identically.
+    The torsion is ``morse_torsion``, the determinant of the Morse matrix,
+    not the pencil ratio of ``torsion_representative``: the trace pencil
+    and that ratio share ``signed_pencil``, so only the Morse complex
+    keeps this side independent of the trace.  The Morse matrix carries
+    one factor of t per handle, so the product zeta * det starts at t^N;
+    coefficient n of the trace identity is coefficient n + N of that
+    product.  The shift is exact: the low coefficients vanish identically.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     N = P.handles
     order = nmax + N
-    product = zeta_series(P, order) * torsion_representative(P, order)
+    product = zeta_series(P, order) * morse_torsion(P, order)
     return product.shift_down(N)
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import swtorsion
-from swtorsion import surface, tqft
+from swtorsion import series, surface, torsion, tqft
 from swtorsion.cli import (generate_fixture, load_presentation, main,
                            write_presentation)
 
@@ -209,6 +209,24 @@ def test_torsion_output(tmp_path, capsys):
     assert code == 0
     rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
     assert [r[1] for r in rows] == ["0", "-1", "0", "1", "0"]
+
+
+def test_torsion_command_runs_the_pencils_alone(tmp_path, capsys,
+                                                monkeypatch):
+    P = generate_fixture(1, 4, 40, 3)
+    path = tmp_path / "four.json"
+    write_presentation(P, str(path))
+    expected = [str(c) for c in torsion.morse_torsion(P, 12).coeffs]
+
+    def forbidden(*args):
+        raise AssertionError("torsion ran the Morse determinant")
+
+    monkeypatch.setattr(series, "series_det", forbidden)
+    monkeypatch.setattr(torsion, "series_det", forbidden)
+    monkeypatch.setattr(torsion, "morse_differential_matrix", forbidden)
+    code, out, _ = run_cli(["torsion", str(path), "--kmax", "12"], capsys)
+    assert code == 0
+    assert [line.split("\t")[1] for line in out.splitlines()[1:]] == expected
 
 
 def test_sw_table_tsv_and_json(tmp_path, capsys):

@@ -13,15 +13,19 @@ from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
 from swtorsion.linalg import (det_int, det_pencil, det_rational,
                              identity_matrix, independent_columns,
-                             invert_rational, mat_mul, perm_parity, rank_int,
-                             submatrix)
+                             interpolate, invert_rational, mat_mul,
+                             perm_parity, rank_int, submatrix)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
                                 enumerate_basis, graded_trace, pair_monomials)
+from swtorsion.torsion import (morse_torsion, signed_pencil,
+                               torsion_coefficient_direct,
+                               torsion_representative)
 from swtorsion.tqft import (Presentation, compute_b1, kappa_matrix,
                             kappa_trace, trace_kappa_series,
                             verify_main_identity, zeta_series)
+from conftest import make_presentation
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -34,6 +38,17 @@ def presentations(draw, max_genus=3):
     g = draw(st.integers(0, max_genus - N))
     surface = SurfaceModel(g + N, (N, g))
     A = random_symplectic(surface, draw(st.integers(0, 12)),
+                          draw(st.integers(0, 2 ** 32)))
+    return Presentation(g, N, A)
+
+
+@st.composite
+def split_presentations(draw, gmax, nmax):
+    """Presentations with core genus g <= gmax, N <= nmax handles and a
+    transvection word of up to 40 letters, long enough to fill the matrix."""
+    g, N = draw(st.integers(0, gmax)), draw(st.integers(0, nmax))
+    surface = SurfaceModel(g + N, (N, g))
+    A = random_symplectic(surface, draw(st.integers(0, 40)),
                           draw(st.integers(0, 2 ** 32)))
     return Presentation(g, N, A)
 
@@ -85,6 +100,58 @@ def test_trace_identity_on_random_words(P, nmax):
     series = trace_kappa_series(P, nmax)
     for n in range(min(nmax, 2) + 1):
         assert intersection_number(P, n) == series[n]
+
+
+@PROPERTY
+@given(split_presentations(gmax=3, nmax=5), st.data())
+def test_three_torsion_routes_agree(P, data):
+    # the pencil ratio against the Berkowitz determinant of the Morse
+    # matrix, coefficient for coefficient, and the low coefficients against
+    # the sum over compositions and permutations
+    N = P.handles
+    kmax = data.draw(st.integers(N, 20), label="kmax")
+    tau = torsion_representative(P, kmax)
+    assert tau == morse_torsion(P, kmax)
+    for k in range(min(kmax, N + 2) + 1):
+        assert tau[k] == torsion_coefficient_direct(P, k)
+
+
+def test_torsion_routes_at_the_edges():
+    # no handles: tau = 1; kmax = N: only the leading t^N survives; and the
+    # identity monodromy with one handle, whose torsion vanishes
+    for kmax in (0, 5):
+        P = make_presentation(2, 0, 30, 4)
+        assert torsion_representative(P, kmax) == TruncSeries.one(kmax)
+        assert morse_torsion(P, kmax) == TruncSeries.one(kmax)
+    for g, N in ((0, 1), (1, 3), (2, 4)):
+        P = make_presentation(g, N, 40, 17)
+        tau = torsion_representative(P, N)
+        assert tau == morse_torsion(P, N)
+        assert list(tau.coeffs) == [0] * N + [torsion_coefficient_direct(P, N)]
+    P = make_presentation(1, 1, 0, 0)
+    assert not torsion_representative(P, 4)
+    assert not morse_torsion(P, 4)
+    assert all(torsion_coefficient_direct(P, k) == 0 for k in range(5))
+
+
+@PROPERTY
+@given(split_presentations(gmax=4, nmax=3))
+def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
+    # A is symplectic, so p_k = eps p_{2g-k} with one sign eps; hence
+    # Tr kappa_n and eps Tr kappa_{2g-2-n} agree about the core genus
+    # n = g - 1, exactly for b1 > 1 and up to an affine term for b1 = 1
+    g, N = P.genus, P.handles
+    signed = signed_pencil(P.monodromy.mat, N)
+    p = [-c if (k + N) & 1 else c for k, c in enumerate(signed)]
+    p += [0] * (2 * g + 1 - len(p))
+    eps = 1 if p == p[::-1] else -1
+    assert p == [eps * c for c in reversed(p)]
+    traces = trace_kappa_series(P, max(2 * g - 2, 0))
+    gap = [traces[n] - eps * traces[2 * g - 2 - n] for n in range(2 * g - 1)]
+    if compute_b1(P) > 1:
+        assert not any(gap)
+    else:
+        assert not any(a - 2 * b + c for a, b, c in zip(gap, gap[1:], gap[2:]))
 
 
 @PROPERTY
@@ -285,6 +352,46 @@ def matrix_pencils(draw):
     m1 = tuple(tuple(0 for _ in range(n)) if sparse and draw(st.booleans())
                else tuple(draw(entries) for _ in range(n)) for _ in range(n))
     return m0, m1
+
+
+def fraction_interpolate(values):
+    """Forward differences in the falling-factorial basis, accumulated as
+    Fraction and checked for integrality at the end."""
+    coeffs = [Fraction(0)] * len(values)
+    falling, diffs, factorial = [1], list(values), 1
+    for k in range(len(values)):
+        factorial *= k or 1
+        for i, c in enumerate(falling):
+            coeffs[i] += Fraction(diffs[0] * c, factorial)
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("interpolated polynomial is not integral")
+    return tuple(int(c) for c in coeffs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=10),
+       st.lists(st.integers(-50, 50), max_size=8))
+def test_interpolate_equals_the_fraction_form(coeffs, values):
+    # an integer polynomial through its values, and arbitrary values, which
+    # both forms must reject alike when the interpolant is not integral
+    points = [sum(c * s ** k for k, c in enumerate(coeffs))
+              for s in range(len(coeffs))]
+    assert interpolate(points) == fraction_interpolate(points) == tuple(coeffs)
+    try:
+        expected = fraction_interpolate(values)
+    except AssertionError:
+        with pytest.raises(AssertionError, match="not integral"):
+            interpolate(values)
+    else:
+        assert interpolate(values) == expected
+
+
+def test_interpolate_rejects_a_half_integral_polynomial():
+    # s (s - 1) / 2 takes the values 0, 0, 1
+    with pytest.raises(AssertionError, match="not integral"):
+        interpolate([0, 0, 1])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -9,7 +9,8 @@ from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 graded_trace, induced_endomorphism,
                                 lefschetz_number)
-from swtorsion import sympower, tqft
+import swtorsion
+from swtorsion import sympower, torsion, tqft
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
                             kappa_matrix, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
@@ -261,6 +262,31 @@ def test_verify_reads_the_diagonal_without_the_matrix(monkeypatch):
     monkeypatch.setattr(sympower, "_lambda_image", forbidden)
     for g, N in ((1, 1), (1, 2), (0, 3)):
         assert verify_main_identity(make_presentation(g, N, 14, 9), 3).passed
+
+
+def test_trace_identity_runs_the_morse_determinant(monkeypatch):
+    # the pencil torsion shares signed_pencil with the trace pencil, so the
+    # right-hand side must come from the Morse matrix to stay independent
+    def forbidden(*args):
+        raise AssertionError("the trace identity read the pencil torsion")
+
+    for module in (swtorsion, torsion, tqft):
+        if hasattr(module, "torsion_representative"):
+            monkeypatch.setattr(module, "torsion_representative", forbidden)
+    orders = []
+    honest = torsion.morse_differential_matrix
+
+    def counted(P, kmax):
+        orders.append(kmax)
+        return honest(P, kmax)
+
+    monkeypatch.setattr(torsion, "morse_differential_matrix", counted)
+    for g, N in ((1, 1), (1, 2), (0, 3), (2, 0)):
+        P = make_presentation(g, N, 14, 9)
+        assert verify_main_identity(P, 3).passed
+        assert rhs_series(P, 3).coeffs == trace_kappa_series(P, 3)
+        assert orders == [3 + N] * 2
+        orders.clear()
 
 
 def test_ascend_after_descend_is_the_handle_wedge_permutation():
