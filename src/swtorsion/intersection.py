@@ -18,10 +18,13 @@ A is A itself.
 ``intersection_number`` never builds the graph class.  The diagonal class
 reads it only at the pairs (c, e) that pair with its own terms, and each of
 those coefficients is a short sum of restricted minors of A over one duality
-block.  ``graph_class`` plus ``product_evaluate`` is the materialised
-reference route: it expands Lambda(A) on every basis monomial.  The tests,
-demo 04 and the benchmark's traced replay still call it; no production path
-does.
+block.  Nor does it build the duality of the whole space: every monomial it
+pairs or dualises holds all of the c's or all of the d's, and
+``sympower.handle_duality`` builds just those blocks from the core basis.
+``graph_class`` plus ``product_evaluate`` over the full ``duality_pairings``
+and ``dual_basis`` is the materialised reference route: it expands Lambda(A)
+on every basis monomial.  The tests, demo 04 and the benchmark's traced
+replay still call it; no production path does.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from typing import Callable, Dict, List, Tuple
 
 from .linalg import det_int, submatrix
 from .sympower import (Monomial, SymClass, SymSpace, apply_induced,
-                       dual_basis, duality_pairings, enumerate_basis)
+                       dual_basis, duality_pairings, enumerate_basis,
+                       handle_duality)
 from .tqft import Presentation
 
 
@@ -75,13 +79,13 @@ def diagonal_class(P: Presentation, n: int) -> ProductClass:
     Sums over the middle-surface monomial basis.  Extending the sum over
     every split-basis monomial of power n would change nothing: a monomial
     containing a handle class kills either the c wedge or the d wedge by a
-    repeated factor.
+    repeated factor.  The duals are read from ``handle_duality``, since
+    each d_0^..^d_{N-1}^beta lies in one of its blocks.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    N = P.handles
-    space = SymSpace(P.surface, n + N)
-    duals = dual_basis(space)
+    space = SymSpace(P.surface, n + P.handles)
+    duals = handle_duality(space)[1]
     terms: Dict[Tuple[Monomial, Monomial], int] = {}
     for beta in enumerate_basis(SymSpace(P.small_surface, n)):
         left = _handle_wedge(P, beta, use_d=False)
@@ -120,17 +124,17 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     return ProductClass(space, terms)
 
 
-def _pair_against(u: ProductClass,
+def _pair_against(u: ProductClass, pairs: Dict[Monomial, Dict[Monomial, int]],
                   coefficient: Callable[[Monomial, Monomial], int]) -> int:
     """Cup product of u with the product class whose (c, e) coefficient is
     ``coefficient(c, e)``, evaluated on the fundamental class.
 
     Bilinear in the monomial pairs: ((a x b), (c x e)) contributes the
     Kunneth sign (-1)^{deg b deg c} times the duality pairings <a, c> and
-    <b, e>.  Each u-term walks only the sparse pairings of a and of b, so
-    the other class is read only at the pairs (c, e) that can contribute.
+    <b, e>.  Each u-term walks only the sparse pairings of a and of b, read
+    from ``pairs``, which must hold every monomial of u's terms; so the
+    other class is read only at the pairs (c, e) that can contribute.
     """
-    pairs = duality_pairings(u.space)
     total = 0
     for a, b, cu in u.terms:
         odd_b = b.degree & 1
@@ -153,7 +157,8 @@ def product_evaluate(u: ProductClass, v: ProductClass) -> int:
     if u.space != v.space:
         raise ValueError("product classes live over different powers")
     v_terms = {(c, e): cv for c, e, cv in v.terms}
-    return _pair_against(u, lambda c, e: v_terms.get((c, e), 0))
+    return _pair_against(u, duality_pairings(u.space),
+                         lambda c, e: v_terms.get((c, e), 0))
 
 
 def intersection_number(P: Presentation, n: int) -> int:
@@ -166,12 +171,17 @@ def intersection_number(P: Presentation, n: int) -> int:
 
     over the monomials a whose dual a* contains c (one duality block), with
     a and e of equal length and equal y power.  Each restricted minor is one
-    Bareiss determinant, computed once per call.  The result equals
+    Bareiss determinant, computed once per call.  The pairings and duals
+    come from ``handle_duality``: each a, c and e above, and each monomial
+    of D, lies in a block holding c_0..c_{N-1} or d_0..d_{N-1} times a
+    core monomial, so the cost follows about twice dim H^*(Sym^n) of the
+    core surface, not the dimension of Sym^{n+N}.  The result equals
     ``product_evaluate(diagonal_class(P, n), graph_class(P, n))``.
     """
     D = diagonal_class(P, n)
+    pairs, duals = handle_duality(D.space)
     holders: Dict[Monomial, List[Tuple[Monomial, int]]] = {}
-    for a, dual in dual_basis(D.space).items():
+    for a, dual in duals.items():
         sign = -1 if a.degree & 1 else 1
         for c, coeff in dual.terms.items():
             holders.setdefault(c, []).append((a, sign * coeff))
@@ -190,4 +200,4 @@ def intersection_number(P: Presentation, n: int) -> int:
             total += signed * minor
         return total
 
-    return _pair_against(D, gamma)
+    return _pair_against(D, pairs, gamma)

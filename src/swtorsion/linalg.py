@@ -171,6 +171,23 @@ def invert_rational(a: tuple) -> tuple:
                  for row in m)
 
 
+def invert_unimodular(a: tuple) -> tuple:
+    """Integer inverse of an integer matrix of determinant +-1.
+
+    The Jordan pass on [a | I] leaves last pivot * a^-1 on the right, and
+    the last pivot is +-det a.  An integer matrix has an integer inverse
+    exactly when that pivot is +-1, so this is also the integrality check:
+    any other input raises ValueError.
+    """
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    pivots, _, last = _bareiss(m, jordan=True)
+    if pivots != list(range(n)) or last not in (1, -1):
+        raise ValueError("matrix is not unimodular")
+    return tuple(tuple(last * x for x in row[n:]) for row in m)
+
+
 def independent_columns(a: tuple, rng=None) -> list:
     """Column indices forming a basis of the column space.
 

@@ -173,12 +173,16 @@ class MappingClass:
 
         With p the partner permutation and s_k = <e_k, e_p(k)>, entry (i, j)
         is s_i s_j A[p(j)][p(i)]: two rounds of ``pair_vector``, no product
-        with J.
+        with J.  The inverse of a symplectic matrix is symplectic, so the
+        constructor's check is not run again.
         """
         pair_vector = self.surface.pair_vector
         JA_T = tuple(map(pair_vector, transpose(self.mat)))
-        return MappingClass(self.surface,
-                            transpose(tuple(map(pair_vector, transpose(JA_T)))))
+        inverse = object.__new__(MappingClass)
+        object.__setattr__(inverse, "surface", self.surface)
+        object.__setattr__(inverse, "mat",
+                           transpose(tuple(map(pair_vector, transpose(JA_T)))))
+        return inverse
 
     def trace(self) -> int:
         return sum(self.mat[i][i] for i in range(len(self.mat)))

@@ -361,10 +361,14 @@ class SWRow:
 class SWTable:
     """Averaged Seiberg-Witten invariants indexed by spin-c degree.
 
-    ``mode`` records which degree map applied: for b_1 = 1 the degree is
-    m = 2(n - g(S) + 1); for b_1 > 1 only |m| = 2(g(S) - 1 - n) is
-    determined and rows list the nonnegative representative.  Negative
-    symmetric power degrees carry vanishing invariants and are omitted.
+    ``mode`` records which degree map applied, with g(S) = g + N the genus
+    of the splitting surface: for b_1 = 1 the printed degree is
+    m = 2(n - g(S) + 1), and for b_1 > 1 it is m = 2(g(S) - 1 - n), which
+    is negative for every n > g(S) - 1 (the ``note`` still speaks of
+    |m|).  Both labels are open: ROADMAP item 1 step 2 derives the degree
+    from the paper, where counting on Sym^{n+N} suggests 2(n - g + 1) with
+    the core genus g.  Negative symmetric power degrees carry vanishing
+    invariants and are omitted.
     """
 
     presentation: Presentation

@@ -84,6 +84,11 @@ def test_each_load_checks_symplectic_once(tmp_path, capsys, monkeypatch):
                             counting(module.is_symplectic))
     load_presentation(str(good))
     assert len(calls) == 1
+    # sw and b1 invert the monodromy for b_1; the inverse is not re-checked
+    for args in (["sw", str(good), "--nmax", "2"], ["b1", str(good)]):
+        calls.clear()
+        assert run_cli(args, capsys)[0] == 0
+        assert len(calls) == 1, args
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(
         {"genus": 1, "handles": 0, "monodromy": [[2, 0], [0, 1]]}))

@@ -111,14 +111,36 @@ def test_intersection_matches_trace_on_random_suite():
             assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
 
 
-@pytest.mark.parametrize("g, N, n", [(2, 2, 2), (3, 1, 3), (3, 2, 3), (4, 1, 4)])
+@pytest.mark.parametrize("g, N, n", [(2, 2, 2), (3, 1, 3), (3, 2, 3), (4, 1, 4),
+                                     (3, 3, 3), (2, 4, 3), (1, 5, 3)])
 def test_intersection_matches_trace_at_sym_dim_303(g, N, n):
     # Sym^4 of genus 4 (dim 303), the largest shape the block duality made
-    # practical, and Sym^6 of genus 5 (dim 1268), where the materialised
-    # graph class would hold about 283,000 terms
+    # practical; Sym^6 of genus 5 (dim 1268), where the materialised graph
+    # class would hold about 283,000 terms; and Sym^6 to Sym^8 of genus 6
+    # (dims 5282, 8584, 12381), of which the handle blocks that
+    # intersection_number builds hold 3% or less
     P = make_presentation(g, N, 52, 1)
-    assert SymSpace(P.surface, n + N).dim in (303, 1268)
+    assert SymSpace(P.surface, n + N).dim in (303, 1268, 5282, 8584, 12381)
     assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
+
+
+def test_intersection_number_builds_only_the_handle_blocks(monkeypatch):
+    P = make_presentation(2, 2, 52, 1)
+    big = SymSpace(P.surface, 4)
+
+    def refuse_big(original):
+        def wrapped(space):
+            if space == big:
+                raise AssertionError("whole Sym^{n+N} space built")
+            return original(space)
+        return wrapped
+
+    for name in ("enumerate_basis", "dual_basis", "duality_pairings"):
+        guarded = refuse_big(getattr(sympower, name))
+        for module in (sympower, intersection):
+            monkeypatch.setattr(module, name, guarded)
+    sympower.handle_duality.cache_clear()
+    assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
 
 
 def test_intersection_number_never_builds_the_graph_class(monkeypatch):

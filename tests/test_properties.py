@@ -13,12 +13,14 @@ from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
 from swtorsion.linalg import (det_int, det_pencil, det_rational,
                              identity_matrix, independent_columns,
-                             interpolate, invert_rational, mat_mul,
+                             interpolate, invert_rational,
+                             invert_unimodular, mat_mul,
                              perm_parity, rank_int, submatrix)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
-                                enumerate_basis, graded_trace, pair_monomials)
+                                enumerate_basis, graded_trace, handle_duality,
+                                pair_monomials)
 from swtorsion.torsion import (morse_torsion, signed_pencil,
                                torsion_coefficient_direct,
                                torsion_representative)
@@ -292,6 +294,42 @@ def test_invert_rational_is_two_sided_inverse(a):
     assert mat_mul(inverse, a) == identity
 
 
+@st.composite
+def unimodular_matrices(draw):
+    """Integer matrices of determinant +-1 up to 6 x 6: the identity under
+    random row additions, swaps and sign changes."""
+    n = draw(st.integers(0, 6))
+    m = [list(row) for row in identity_matrix(n)]
+    for _ in range(draw(st.integers(0, 16)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("add", "swap", "negate")))
+        if op == "add" and i != j:
+            c = draw(st.integers(-3, 3))
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-x for x in m[i]]
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(unimodular_matrices(), integer_matrices(square=True))
+def test_invert_unimodular_equals_invert_rational(u, a):
+    inverse = invert_unimodular(u)
+    assert all(type(x) is int for row in inverse for x in row)
+    assert inverse == invert_rational(u)
+    if u:
+        # doubling a row doubles the determinant: no integer inverse
+        with pytest.raises(ValueError):
+            invert_unimodular((tuple(2 * x for x in u[0]),) + u[1:])
+    if abs(leibniz(a)) == 1:
+        assert invert_unimodular(a) == invert_rational(a)
+    else:
+        with pytest.raises(ValueError):
+            invert_unimodular(a)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(integer_matrices(), st.integers(0, 2 ** 32))
 def test_independent_columns_are_the_greedy_basis(a, seed):
@@ -430,6 +468,33 @@ def test_block_duality_equals_dense_inverse(space):
     for a, row in zip(basis, inverse):
         assert all(v.denominator == 1 for v in row)
         assert duals[a].terms == {b: int(v) for b, v in zip(basis, row) if v}
+
+
+@st.composite
+def handle_spaces(draw):
+    """Sym^{n+N} of a split surface (N, g) with N >= 1, g + N <= 4 and
+    n <= 3: the spaces whose handle blocks intersection_number reads."""
+    N = draw(st.integers(1, 3))
+    g = draw(st.integers(0, 4 - N))
+    return SymSpace(SurfaceModel(g + N, (N, g)), draw(st.integers(0, 3)) + N)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(handle_spaces())
+def test_handle_duality_equals_the_full_duality_on_its_blocks(space):
+    N, g = space.surface.split
+    # the handle part of a touched monomial is all of C or all of D
+    C, D = set(range(N)), set(range(N, 2 * N))
+    touched = {m for m in enumerate_basis(space)
+               if set(m.indices) & (C | D) in (C, D)}
+    core = SymSpace(SurfaceModel(g), space.n - N)
+    assert len(touched) == 2 * core.dim
+    pairs, duals = handle_duality(space)
+    assert pairs.keys() == duals.keys() == touched
+    full_pairs, full_duals = duality_pairings(space), dual_basis(space)
+    for m in touched:
+        assert pairs[m] == full_pairs[m]
+        assert duals[m] == full_duals[m]
 
 
 @st.composite
