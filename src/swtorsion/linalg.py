@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm, prod
-from typing import Sequence, Tuple
+from math import comb, lcm, prod
+from typing import Optional, Sequence, Tuple
 
 
 def as_matrix(rows) -> tuple:
@@ -129,17 +129,89 @@ def interpolate(values: Sequence[int]) -> Tuple[int, ...]:
     return tuple(coeffs)
 
 
-def det_pencil(m0: tuple, m1: tuple) -> Tuple[int, ...]:
+def det_pencil(m0: tuple, m1: tuple,
+               palindromic_degree: Optional[int] = None) -> Tuple[int, ...]:
     """Coefficients of det(m0 + s m1) in s, lowest degree first.
 
-    Each nonzero row of m1 raises the degree by at most one, so with deg
-    nonzero rows the Bareiss determinants at s = 0..deg and ``interpolate``
-    give the polynomial exactly.
+    With ``palindromic_degree`` = 2w the caller asserts that the pencil has
+    degree at most 2w and p_k = p_{2w-k}; every pencil of this library is
+    of that form, with 2w fixed by the shape of the problem (see
+    ``torsion.signed_pencil``).  Then the w + 1 Bareiss determinants at
+    s = 0..w determine p, and ``_solve_palindromic`` recovers it exactly.
+
+    Without it the pencil is taken as general: each nonzero row of m1
+    raises the degree by at most one, so with deg nonzero rows the
+    determinants at s = 0..deg and ``interpolate`` give it exactly.  This
+    is the reference form the tests check the palindromic one against.
     """
-    deg = sum(1 for row in m1 if any(row))
-    return interpolate([det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
-                                      for r0, r1 in zip(m0, m1)))
-                        for s in range(deg + 1)])
+    def value(s: int) -> int:
+        return det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
+                             for r0, r1 in zip(m0, m1)))
+
+    if palindromic_degree is None:
+        deg = sum(1 for row in m1 if any(row))
+        return interpolate([value(s) for s in range(deg + 1)])
+    w, odd = divmod(palindromic_degree, 2)
+    if odd or w < 0:
+        raise ValueError("a palindromic degree must be even and nonnegative")
+    half = _solve_palindromic([value(s) for s in range(w + 1)])
+    return tuple(half + half[-2::-1])
+
+
+def _solve_palindromic(values: Sequence[int]) -> list:
+    """p_0 .. p_w of the integer polynomial p of degree 2w with
+    p_k = p_{2w-k} and p(s) = values[s] for s = 0..w.
+
+    Such p are s^w q(u) with u = s + 1/s and q of degree w, whose lead
+    coefficient is p_0 = p(0).  With u_j = j + 1/j, s^w times the Newton
+    polynomial (u - u_1) .. (u - u_i) is B_i(s) / i!, where
+    B_i(s) = s^{w-i} prod_{j=1..i} (s - j)(j s - 1) is an integer
+    palindromic polynomial.  So p = p_0 (1 + s^2)^w + sum_{i<w} e_i B_i,
+    and since B_i(k) = 0 for 1 <= k <= i, the values at s = 1..w form a
+    triangular system in e_0 .. e_{w-1}.  Its pivots B_{k-1}(k) are
+    nonzero because u_j != u_k for j < k (s -> s + 1/s is injective on
+    s >= 1).  The e_i are carried times the product delta of the pivots,
+    which makes every step of the substitution an exact integer division,
+    and p delta is divided by delta at the end: O(w^2) integer operations.
+    A remainder there means the values fit no integer palindromic
+    polynomial, and raises AssertionError.
+    """
+    w = len(values) - 1
+    lead = values[0]
+    table = []
+    delta = 1
+    for k in range(1, w + 1):
+        b = k ** w
+        row = [b]
+        for i in range(1, k):
+            b = b * (k - i) * (i * k - 1) // k
+            row.append(b)
+        table.append(row)
+        delta *= b
+    scaled: list = []
+    for k, row in enumerate(table, 1):
+        rhs = (values[k] - lead * (1 + k * k) ** w) * delta
+        scaled.append((rhs - sum(map(operator.mul, scaled, row))) // row[-1])
+    out = [lead * delta * comb(w, k // 2) if k % 2 == 0 else 0
+           for k in range(w + 1)]
+    factor = [1]  # prod_{j<=i} (s - j)(j s - 1), lowest degree first
+    for i, e in enumerate(scaled):
+        if i:
+            nxt = [0] * (len(factor) + 2)
+            for m, c in enumerate(factor):
+                nxt[m] += i * c
+                nxt[m + 1] -= (i * i + 1) * c
+                nxt[m + 2] += i * c
+            factor = nxt
+        for m in range(w - i, w + 1):
+            out[m] += e * factor[m - w + i]
+    half = []
+    for x in out:
+        q, r = divmod(x, delta)
+        if r:
+            raise AssertionError("palindromic polynomial is not integral")
+        half.append(q)
+    return half
 
 
 def rank_int(a: tuple) -> int:

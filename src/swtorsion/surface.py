@@ -210,13 +210,16 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A.
 
     det(1 + sA) = sum_j s^j tr Lambda^j A is the pencil
-    ``linalg.det_pencil(1, A)``.  The zeta function reads the same
+    ``linalg.det_pencil(1, A)``.  A is symplectic, so det(1 + sA) is
+    reciprocal of degree 2G (``torsion.signed_pencil`` at N = 0) and
+    G + 1 Bareiss determinants give it.  The zeta function reads the same
     polynomial through ``tqft.trace_kappa_series`` at N = 0; this function
     is its stand-alone form for callers holding a bare mapping class.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    ext = det_pencil(identity_matrix(A.surface.rank), A.mat)[:order + 1]
+    n = A.surface.rank
+    ext = det_pencil(identity_matrix(n), A.mat, n)[:order + 1]
     return TruncSeries(order, [-c if j & 1 else c for j, c in enumerate(ext)])
 
 

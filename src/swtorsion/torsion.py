@@ -222,14 +222,26 @@ def morse_differential_matrix(P, kmax: int) -> MorseMatrix:
 def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
     """Coefficients in t of (-1)^N p(-t), lowest degree first.
 
-    Here C, D are the first N and the next N basis classes, X the rest, and
-    p(s) = sum over subsets I of X of s^|I| det A[D u I, C u I].  With Q
-    the block of A on rows D u X and columns C u X, p(s) is the pencil
+    Here C, D are the first N and the next N basis classes, X the other 2g,
+    and p(s) = sum over subsets I of X of s^|I| det A[D u I, C u I].  With
+    Q the block of A on rows D u X and columns C u X, p(s) is the pencil
     det([[Q_DC, Q_DX], [0, 1]] + s [[0, 0], [Q_XC, Q_XX]]) (expand
-    det(B + E_X) into the minors complementary to the unit diagonal), from
-    at most 2g + 1 Bareiss determinants.  The same expansion gives
-    t^N (-1)^N p(-t) = det (1 - tA)[D u X, C u X]; at N = 0 the
-    coefficients are those of det(1 - tA).
+    det(B + E_X) into the minors complementary to the unit diagonal).  The
+    same expansion gives t^N (-1)^N p(-t) = det (1 - tA)[D u X, C u X]; at
+    N = 0 the coefficients are those of det(1 - tA).
+
+    p is palindromic of degree 2g, p_k = +p_{2g-k}, so ``det_pencil``
+    takes g + 1 Bareiss determinants.  Write R = D u I, S = C u I and X' =
+    X minus I.  Jacobi's complementary-minor identity for B = A^-1, with
+    det A = 1, gives det A[R, S] = (-1)^{sum R + sum S} det B[D u X', C u X']
+    (the complements of S and R).  B is the signed partner transpose of
+    ``MappingClass.inverse``, B[i][j] = s_i s_j A[p(j)][p(i)], and p maps
+    C onto D in order and X' onto p(X'), so the minor of B is
+    det A[D u p(X'), C u p(X')] times the signs s_i of its rows and columns:
+    those of X' appear twice, s = +1 on C and -1 on D, which leaves (-1)^N.
+    The index sum is sum D + sum C + 2 sum I = N^2 + 2 (0 + .. + N - 1),
+    also N mod 2.  The two signs cancel, and I -> p(X minus I) is a
+    bijection from the k-subsets of X to its (2g - k)-subsets.
     """
     rows = range(N, len(mat))
     cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
@@ -238,7 +250,7 @@ def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
     m1 = tuple(tuple(0 if a < N else mat[r][c] for c in cols)
                for a, r in enumerate(rows))
     return tuple(-c if (k + N) & 1 else c
-                 for k, c in enumerate(det_pencil(m0, m1)))
+                 for k, c in enumerate(det_pencil(m0, m1, len(mat) - 2 * N)))
 
 
 def torsion_representative(P, kmax: int) -> TruncSeries:

@@ -227,25 +227,53 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
     """Zeta function of the monodromy flow, expanded two ways.
 
     (a) exp of sum (2 - tr A^k) t^k / k, the signed fixed point count of
-        the iterates, in plain integers.  Only A^1 .. A^ceil(kmax/2) are
-        formed, by integer matrix products; tr A^k is the sum over i, j of
-        A^ceil(k/2)[i][j] A^floor(k/2)[j][i], and the exponential z is the
-        Newton recurrence m z_m = sum_{k=1..m} (2 - tr A^k) z_{m-k}, whose
-        divisions are exact;
+        the iterates, in plain integers.  With n = 2G the size of A, the
+        traces s_k = tr A^k for k <= t = min(kmax, n + 1) are sums over i, j
+        of A^ceil(k/2)[i][j] A^floor(k/2)[j][i], so only A^1 .. A^ceil(t/2)
+        (at most A^{G+1}) are formed, by integer matrix products.  Past
+        k = n the traces follow from Cayley-Hamilton: Newton's identities
+        j c_j = -sum_{i=1..j} s_i c_{j-i} give the coefficients c_1 .. c_n
+        of det(1 - tA) from s_1 .. s_n, and s_k = -sum_{j=1..n} c_j s_{k-j}
+        for k > n.  The explicit s_{n+1} must equal that recurrence.  The
+        exponential z is the Newton recurrence
+        m z_m = sum_{k=1..m} (2 - tr A^k) z_{m-k};
     (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series`` at N = 0.
     The two share no code, and both run on every call: a division with a
-    remainder or a disagreement raises ``CrossCheckError``.  The Lefschetz
-    numbers of the induced maps on the symmetric powers are a third route,
-    which the tests check against.
+    remainder, a trace off the recurrence or a disagreement of the kmax + 1
+    coefficients raises ``CrossCheckError``.  The Lefschetz numbers of the
+    induced maps on the symmetric powers are a third route, which the tests
+    check against.
     """
     M = A.mat
-    powers = [identity_matrix(len(M)), M]
-    while len(powers) <= (kmax + 1) // 2:
+    n = len(M)
+    top = min(kmax, n + 1)
+    powers = [identity_matrix(n), M]
+    while len(powers) <= (top + 1) // 2:
         powers.append(mat_mul(powers[-1], M))
     flat = [[x for row in p for x in row] for p in powers]
     flat_t = [[x for col in zip(*p) for x in col] for p in powers]
-    counts = [2 - sum(map(operator.mul, flat[(k + 1) // 2], flat_t[k // 2]))
-              for k in range(1, kmax + 1)]
+    traces = [n] + [sum(map(operator.mul, flat[(k + 1) // 2], flat_t[k // 2]))
+                    for k in range(1, top + 1)]
+    if kmax > n:
+        c = [1]
+        for j in range(1, n + 1):
+            q, r = divmod(-sum(map(operator.mul, traces[1:j + 1],
+                                   reversed(c))), j)
+            if r:
+                raise CrossCheckError(
+                    "zeta cross-check failed: Newton's identities give a "
+                    f"non-integral coefficient of det(1 - tA) at t^{j}")
+            c.append(q)
+        c = c[1:]
+        for k in range(n + 1, kmax + 1):
+            recurred = -sum(map(operator.mul, c, reversed(traces[k - n:k])))
+            if k > n + 1:
+                traces.append(recurred)
+            elif recurred != traces[k]:
+                raise CrossCheckError(
+                    f"zeta cross-check failed: tr A^{k} is off the "
+                    "Cayley-Hamilton recurrence of the lower traces")
+    counts = [2 - s for s in traces[1:]]
     z = [1]
     for m in range(1, kmax + 1):
         q, r = divmod(sum(map(operator.mul, counts, reversed(z))), m)

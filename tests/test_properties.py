@@ -136,24 +136,80 @@ def test_torsion_routes_at_the_edges():
     assert all(torsion_coefficient_direct(P, k) == 0 for k in range(5))
 
 
+def full_pencil(mat, N):
+    """Reference for ``signed_pencil`` before its signs: p(s) =
+    det [[A_DC, A_DX], [s A_XC, 1 + s A_XX]] at all 2g + 1 points
+    s = 0..2g, through ``interpolate``, with no palindromy assumed."""
+    rows = range(N, len(mat))
+    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
+
+    def at(s):
+        return det_int(tuple(
+            tuple(mat[r][c] if a < N else s * mat[r][c] + int(a == b)
+                  for b, c in enumerate(cols)) for a, r in enumerate(rows)))
+
+    return list(interpolate([at(s) for s in range(len(mat) - 2 * N + 1)]))
+
+
 @PROPERTY
 @given(split_presentations(gmax=4, nmax=3))
 def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
-    # A is symplectic, so p_k = eps p_{2g-k} with one sign eps; hence
-    # Tr kappa_n and eps Tr kappa_{2g-2-n} agree about the core genus
-    # n = g - 1, exactly for b1 > 1 and up to an affine term for b1 = 1
+    # A is symplectic, so p_k = +p_{2g-k} (the derivation is in the
+    # signed_pencil docstring); hence Tr kappa_n and Tr kappa_{2g-2-n} agree
+    # about the core genus n = g - 1, exactly for b1 > 1 and up to an affine
+    # term for b1 = 1.  p is read from the full interpolation, since
+    # signed_pencil solves for half of it and is palindromic by construction.
     g, N = P.genus, P.handles
-    signed = signed_pencil(P.monodromy.mat, N)
-    p = [-c if (k + N) & 1 else c for k, c in enumerate(signed)]
-    p += [0] * (2 * g + 1 - len(p))
-    eps = 1 if p == p[::-1] else -1
-    assert p == [eps * c for c in reversed(p)]
+    p = full_pencil(P.monodromy.mat, N)
+    assert len(p) == 2 * g + 1
+    assert p == p[::-1]
+    assert list(signed_pencil(P.monodromy.mat, N)) == [
+        -c if (k + N) & 1 else c for k, c in enumerate(p)]
     traces = trace_kappa_series(P, max(2 * g - 2, 0))
-    gap = [traces[n] - eps * traces[2 * g - 2 - n] for n in range(2 * g - 1)]
+    gap = [traces[n] - traces[2 * g - 2 - n] for n in range(2 * g - 1)]
     if compute_b1(P) > 1:
         assert not any(gap)
     else:
         assert not any(a - 2 * b + c for a, b, c in zip(gap, gap[1:], gap[2:]))
+
+
+# (g, N, words, seed) where a core row of A vanishes on the columns C u X,
+# so m1 of signed_pencil has fewer than 2g nonzero rows
+ZERO_CORE_ROW = ((1, 1, 10, 174), (1, 2, 9, 266), (2, 1, 8, 32), (1, 3, 10, 44))
+
+
+def test_pencils_take_their_structural_width():
+    # the width of signed_pencil is 2g and that of char_series 2G, whatever
+    # the rows of m1 are: short words, the identity (words = 0), g = 0,
+    # N = 0..3, and the fixtures whose m1 has a zero core row
+    cases = [(g, N, words, seed) for g in range(4) for N in range(4)
+             for words in range(4) for seed in (1, 2)] + list(ZERO_CORE_ROW)
+    for g, N, words, seed in cases:
+        mat = make_presentation(g, N, words, seed).monodromy.mat
+        signed = [-c if (k + N) & 1 else c
+                  for k, c in enumerate(signed_pencil(mat, N))]
+        assert signed == full_pencil(mat, N)
+        n = len(mat)
+        full = interpolate([det_int(tuple(
+            tuple(int(i == j) + s * x for j, x in enumerate(row))
+            for i, row in enumerate(mat))) for s in range(n + 1)])
+        assert det_pencil(identity_matrix(n), mat, n) == full
+    for g, N, words, seed in ZERO_CORE_ROW:
+        mat = make_presentation(g, N, words, seed).monodromy.mat
+        cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
+        assert sum(1 for r in range(2 * N, len(mat))
+                   if any(mat[r][c] for c in cols)) < 2 * g
+
+
+def test_palindromic_pencil_rejects_a_non_integral_solution():
+    # det(1 + s 0) = 1 is not palindromic of degree 6: the palindromic
+    # polynomial through its values at s = 0..3 is not integral
+    zero = tuple((0,) * 6 for _ in range(6))
+    assert det_pencil(identity_matrix(6), zero) == (1,)
+    with pytest.raises(AssertionError, match="not integral"):
+        det_pencil(identity_matrix(6), zero, 6)
+    with pytest.raises(ValueError, match="even"):
+        det_pencil(identity_matrix(6), zero, 5)
 
 
 @PROPERTY

@@ -5,12 +5,13 @@ import pytest
 
 from swtorsion.linalg import identity_matrix, mat_mul
 from swtorsion.series import TruncSeries
-from swtorsion.surface import MappingClass, SurfaceModel
+from swtorsion.surface import MappingClass, SurfaceModel, char_series
 from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 graded_trace, induced_endomorphism,
                                 lefschetz_number)
 import swtorsion
-from swtorsion import sympower, torsion, tqft
+from swtorsion import linalg, sympower, torsion, tqft
+from swtorsion.torsion import signed_pencil
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
                             kappa_matrix, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
@@ -210,6 +211,62 @@ def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
     monkeypatch.setattr(tqft, "mat_mul", perturbed)
     with pytest.raises(RuntimeError, match="^zeta cross-check failed: "):
         zeta_series(A, 3)
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_zeta_checks_the_first_trace_past_2g(monkeypatch, shift):
+    # Route (a) reads tr A^k explicitly up to k = 2G + 1 and the rest from
+    # Cayley-Hamilton.  Lowering A^2[1][1] by `shift` lowers tr A^3 by
+    # shift * A[1][1].  At G = 1 (2G = 2) and kmax = 5, tr A^3 is the first
+    # trace past 2G, and its check fires first.  At kmax = 2 no product is
+    # formed.  At G = 2 and kmax = 3 no trace is extrapolated and
+    # B[1][1] = 2, so 3 z_3 gains 2 * shift: shift 1 leaves a remainder in
+    # the exponential, and shift 3 divides exactly into a wrong z_3 that
+    # the determinant expansion rejects.
+    A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
+    B = MappingClass(SurfaceModel(2), [[1, 0, 0, 0], [0, 2, 0, 1],
+                                       [0, 0, 1, 0], [0, 1, 0, 1]])
+    honest = tqft.mat_mul
+    low = zeta_series(A, 2)
+
+    def perturbed(a, b):
+        rows = [list(r) for r in honest(a, b)]
+        rows[1][1] -= shift
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(tqft, "mat_mul", perturbed)
+    with pytest.raises(tqft.CrossCheckError, match="Cayley-Hamilton"):
+        zeta_series(A, 5)
+    assert zeta_series(A, 2) == low
+    with pytest.raises(tqft.CrossCheckError,
+                       match="not integral at t\\^3" if shift == 1
+                       else "expansions .* disagree"):
+        zeta_series(B, 3)
+
+
+def test_zeta_and_pencil_cost_guard(monkeypatch):
+    # route (a) forms at most A^{G+1}, so G products, at any kmax; a
+    # palindromic pencil of degree 2w takes w + 1 determinants
+    calls = {"mat_mul": 0, "det_int": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(tqft, "mat_mul", counting("mat_mul", tqft.mat_mul))
+    monkeypatch.setattr(linalg, "det_int", counting("det_int", linalg.det_int))
+    P = make_presentation(0, 4, 40, 1)
+    zeta_series(P, 40)
+    assert 0 < calls["mat_mul"] <= 4
+    for g, N in ((3, 2), (0, 3), (4, 0)):
+        calls["det_int"] = 0
+        signed_pencil(make_presentation(g, N, 30, 2).monodromy.mat, N)
+        assert calls["det_int"] == g + 1
+    calls["det_int"] = 0
+    char_series(make_presentation(2, 3, 30, 2).monodromy, 10)
+    assert calls["det_int"] == 6
 
 
 def test_rhs_series_edges():
