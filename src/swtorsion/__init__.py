@@ -1,6 +1,6 @@
 """Exact invariants of 3-manifolds presented as glued compression bodies.
 
-Everything is exact arithmetic: truncated rational power series, integer
+Everything is exact arithmetic: truncated integer power series, integer
 symplectic lattices, the MacDonald monomial model for the cohomology of
 symmetric powers of a surface, Morse-complex torsion, the TQFT trace of the
 monodromy endomorphism, and the graph-diagonal intersection reformulation.

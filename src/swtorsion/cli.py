@@ -103,9 +103,8 @@ def _emit(rows: List[dict], header: List[str], fmt: str, out) -> None:
 
 
 def _series_rows(series) -> List[dict]:
-    return [{"k": k, "coefficient": str(series[k]) if series[k].denominator != 1
-             else str(series[k].numerator)}
-            for k in range(series.order + 1)]
+    return [{"k": k, "coefficient": str(c)}
+            for k, c in enumerate(series.coeffs)]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

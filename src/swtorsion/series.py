@@ -1,23 +1,16 @@
-"""Truncated formal power series in one variable with exact rational coefficients.
+"""Truncated formal power series in one variable with integer coefficients.
 
 A :class:`TruncSeries` keeps the coefficients of ``t^0 .. t^order`` and
 nothing else.  The truncation order is part of the value: binary operations
-require equal orders and never resize silently.  Coefficients are
-``fractions.Fraction``; exactness is an invariant of the whole library.
+require equal orders and never resize silently.  Coefficients are Python
+ints: zeta counts closed orbits and torsion counts flow lines, so every
+series of the library is integral, and the constructor rejects anything
+else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"exact coefficient expected, got {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -30,10 +23,14 @@ class TruncSeries:
     def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("order must be nonnegative")
-        cs = [_frac(c) for c in coeffs]
+        cs = list(coeffs)
+        for c in cs:
+            if type(c) is not int:
+                raise TypeError(
+                    f"integer coefficient expected, got {type(c).__name__}")
         if len(cs) > order + 1:
             raise ValueError(f"{len(cs)} coefficients for order {order}")
-        cs.extend([Fraction(0)] * (order + 1 - len(cs)))
+        cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -52,14 +49,11 @@ class TruncSeries:
             raise ValueError("exponent out of range")
         return cls(order, [0] * k + [coeff])
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 
     def __bool__(self) -> bool:
         return any(self.coeffs)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def _check_order(self, other: "TruncSeries"):
         if self.order != other.order:
@@ -83,7 +77,7 @@ class TruncSeries:
         """Cauchy product truncated at the common order."""
         self._check_order(other)
         n = self.order
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -91,41 +85,6 @@ class TruncSeries:
                 b = other.coeffs[j]
                 if b != 0:
                     out[i + j] += a * b
-        return TruncSeries(n, out)
-
-    def __truediv__(self, other: "TruncSeries") -> "TruncSeries":
-        """Quotient q with q * other == self up to the truncation order."""
-        self._check_order(other)
-        if other.coeffs[0] == 0:
-            raise ZeroDivisionError("division by series with zero constant term")
-        n = self.order
-        inv0 = 1 / other.coeffs[0]
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n + 1):
-            s = self.coeffs[k]
-            for j in range(1, k + 1):
-                if other.coeffs[j] != 0:
-                    s -= other.coeffs[j] * out[k - j]
-            out[k] = s * inv0
-        return TruncSeries(n, out)
-
-    def exp(self) -> "TruncSeries":
-        """exp of a series with zero constant term.
-
-        Uses the derivative recurrence f' = a' f, which keeps every step
-        rational: n f_n = sum_{k=1..n} k a_k f_{n-k}.
-        """
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for m in range(1, n + 1):
-            s = Fraction(0)
-            for k in range(1, m + 1):
-                if self.coeffs[k] != 0:
-                    s += k * self.coeffs[k] * out[m - k]
-            out[m] = s / m
         return TruncSeries(n, out)
 
     def shift_down(self, k: int) -> "TruncSeries":
@@ -161,7 +120,7 @@ def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSer
     block is a lower triangular Toeplitz matrix with first column
     (1, -a, -RC, -RBC, -RB^2C, ..) times that of B.  An n x n matrix costs
     about n^4 / 4 truncated series products and no division, so the
-    constant terms may vanish.  The work runs on plain coefficient lists;
+    constant terms may vanish.  The work runs on the plain coefficient tuples;
     ``torsion.torsion_coefficient_direct`` is the independent reference.
     """
     n = len(entries)
@@ -169,7 +128,10 @@ def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSer
     for row in entries:
         if len(row) != n:
             raise ValueError("series determinant needs a square matrix")
-        m.append([_coeff_list(e, order) for e in row])
+        for e in row:
+            if e.order != order:
+                raise ValueError(f"order mismatch: {e.order} vs {order}")
+        m.append([e.coeffs for e in row])
     zero = [0] * (order + 1)
     # poly: coefficients of det(x - B) for the current trailing block B,
     # highest power of x first; each coefficient is a truncated series.
@@ -191,14 +153,6 @@ def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSer
                 for i in rows]
     det = poly[-1] if n % 2 == 0 else _neg(poly[-1])
     return TruncSeries(order, det)
-
-
-def _coeff_list(e: TruncSeries, order: int) -> list:
-    """Coefficients with integral ones as ints, so integer matrices stay in
-    integer arithmetic."""
-    if e.order != order:
-        raise ValueError(f"order mismatch: {e.order} vs {order}")
-    return [c.numerator if c.denominator == 1 else c for c in e.coeffs]
 
 
 def _neg(a: list) -> list:

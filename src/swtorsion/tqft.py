@@ -354,9 +354,7 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     direct = trace_kappa_series(P, nmax)
     rows = []
     for n in range(nmax + 1):
-        coeff = rhs[n]
-        rows.append(VerificationRow(n, direct[n], kappa_trace(P, n),
-                                    int(coeff) if coeff.denominator == 1 else coeff))
+        rows.append(VerificationRow(n, direct[n], kappa_trace(P, n), rhs[n]))
     return VerificationReport(P, tuple(rows))
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from swtorsion import Presentation, SurfaceModel, random_symplectic
 
@@ -21,3 +22,17 @@ def presentation_sample(count: int, seed: int, *, gmax=2, hmax=2, cap=3,
         out.append(make_presentation(g, N, rng.randint(0, words),
                                      rng.randint(0, 10 ** 9)))
     return out
+
+
+def rational_exp(log_coeffs) -> tuple:
+    """Coefficients of exp(a) for a truncated series a with zero constant
+    term, over Fraction: the reference the integer routes are checked
+    against.  Uses the derivative recurrence f' = a' f, which keeps every
+    step rational: n f_n = sum_{k=1..n} k a_k f_{n-k}."""
+    a = [Fraction(c) for c in log_coeffs]
+    if a[0] != 0:
+        raise ValueError("exp requires zero constant term")
+    out = [Fraction(1)]
+    for m in range(1, len(a)):
+        out.append(sum(k * a[k] * out[m - k] for k in range(1, m + 1)) / m)
+    return tuple(out)

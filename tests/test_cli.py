@@ -216,6 +216,32 @@ def test_torsion_output(tmp_path, capsys):
     assert [r[1] for r in rows] == ["0", "-1", "0", "1", "0"]
 
 
+def test_series_commands_json_bytes(tmp_path, capsys):
+    # series coefficients print as JSON strings, verify rows as JSON numbers
+    path = tmp_path / "rot.json"
+    path.write_text(json.dumps(
+        {"genus": 0, "handles": 1, "monodromy": [[0, -1], [1, 0]]}))
+    expected = {
+        ("torsion", "--kmax", "2"):
+            '[\n  {\n    "k": 0,\n    "coefficient": "0"\n  },\n'
+            '  {\n    "k": 1,\n    "coefficient": "-1"\n  },\n'
+            '  {\n    "k": 2,\n    "coefficient": "0"\n  }\n]\n',
+        ("verify", "--nmax", "1"):
+            '[\n  {\n    "n": 0,\n    "lhs": -1,\n    "rhs": -1,\n'
+            '    "match": "match"\n  },\n'
+            '  {\n    "n": 1,\n    "lhs": -2,\n    "rhs": -2,\n'
+            '    "match": "match"\n  }\n]\n',
+        ("zeta", "--kmax", "2"):
+            '[\n  {\n    "k": 0,\n    "coefficient": "1"\n  },\n'
+            '  {\n    "k": 1,\n    "coefficient": "2"\n  },\n'
+            '  {\n    "k": 2,\n    "coefficient": "4"\n  }\n]\n',
+    }
+    for (command, flag, value), text in expected.items():
+        code, out, err = run_cli([command, str(path), flag, value,
+                                  "--format", "json"], capsys)
+        assert (code, out, err) == (0, text, "")
+
+
 def test_torsion_command_runs_the_pencils_alone(tmp_path, capsys,
                                                 monkeypatch):
     P = generate_fixture(1, 4, 40, 3)

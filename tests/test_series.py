@@ -5,17 +5,35 @@ import pytest
 
 from swtorsion.series import TruncSeries, geometric_inverse_square, series_det
 
+from conftest import rational_exp
+
 
 def S(order, *coeffs):
     return TruncSeries(order, coeffs)
 
 
-def random_series(rng, order, zero_constant=False):
+def random_series(rng, order):
+    return TruncSeries(order, [rng.randint(-4, 4) for _ in range(order + 1)])
+
+
+def random_log(rng, order):
+    """Rational coefficients of a series with zero constant term."""
     coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
               for _ in range(order + 1)]
-    if zero_constant:
-        coeffs[0] = Fraction(0)
-    return TruncSeries(order, coeffs)
+    coeffs[0] = Fraction(0)
+    return coeffs
+
+
+def rational_mul(a, b):
+    """Truncated Cauchy product of two equally long coefficient tuples."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1))
+                 for k in range(len(a)))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 1.0])
+def test_coefficients_must_be_ints(bad):
+    with pytest.raises(TypeError, match="integer coefficient expected"):
+        TruncSeries(1, [bad])
 
 
 def test_mul_difference_of_squares():
@@ -40,50 +58,27 @@ def test_mul_order_mismatch():
 
 
 def test_exp_zero():
-    assert TruncSeries.zero(4).exp() == TruncSeries.one(4)
+    assert rational_exp(TruncSeries.zero(4).coeffs) == (1, 0, 0, 0, 0)
 
 
 def test_exp_taylor():
-    e = TruncSeries.monomial(3, 1).exp()
-    assert e == TruncSeries(3, [1, 1, Fraction(1, 2), Fraction(1, 6)])
+    e = rational_exp(TruncSeries.monomial(3, 1).coeffs)
+    assert e == (1, 1, Fraction(1, 2), Fraction(1, 6))
 
 
 def test_exp_log_of_inverse_square():
     # exp(sum 2 t^k / k) equals 1/(1-t)^2; oracle by brute-force squaring
     # of the geometric series.
     order = 4
-    log = TruncSeries(order, [0] + [Fraction(2, k) for k in range(1, order + 1)])
+    log = [0] + [Fraction(2, k) for k in range(1, order + 1)]
     geom = TruncSeries(order, [1] * (order + 1))
-    assert log.exp() == geom * geom
-    assert log.exp() == S(order, 1, 2, 3, 4, 5)
+    assert rational_exp(log) == (geom * geom).coeffs
+    assert rational_exp(log) == S(order, 1, 2, 3, 4, 5).coeffs
 
 
 def test_exp_rejects_constant_term():
     with pytest.raises(ValueError):
-        TruncSeries.one(2).exp()
-
-
-def test_div_geometric():
-    one = TruncSeries.one(3)
-    assert one / S(3, 1, -1) == S(3, 1, 1, 1, 1)
-
-
-def test_div_self():
-    a = S(3, 2, 5, -1, 3)
-    assert a / a == TruncSeries.one(3)
-
-
-def test_div_multiply_back():
-    a = S(3, 1, -3, 1)
-    denom = S(3, 1, -2, 1)
-    q = a / denom
-    assert q == S(3, 1, -1, -2, -3)
-    assert q * denom == a
-
-
-def test_div_by_zero_constant():
-    with pytest.raises(ZeroDivisionError):
-        TruncSeries.one(2) / TruncSeries.zero(2)
+        rational_exp(TruncSeries.one(2).coeffs)
 
 
 def test_ring_axioms_random():
@@ -98,26 +93,13 @@ def test_ring_axioms_random():
         assert (a - b) + b == a
 
 
-def test_div_inverts_mul():
-    rng = random.Random(11)
-    for _ in range(25):
-        order = rng.randint(0, 8)
-        a = random_series(rng, order)
-        b = random_series(rng, order)
-        if b[0] == 0:
-            b = b + TruncSeries.one(order)
-        if b[0] == 0:
-            continue
-        assert (a * b) / b == a
-
-
 def test_exp_is_homomorphism():
     rng = random.Random(13)
     for _ in range(15):
         order = rng.randint(1, 8)
-        a = random_series(rng, order, zero_constant=True)
-        b = random_series(rng, order, zero_constant=True)
-        assert (a + b).exp() == a.exp() * b.exp()
+        a, b = random_log(rng, order), random_log(rng, order)
+        assert rational_exp([x + y for x, y in zip(a, b)]) == rational_mul(
+            rational_exp(a), rational_exp(b))
 
 
 def test_shift_down():

@@ -11,13 +11,14 @@ from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
                                 lefschetz_number)
 import swtorsion
 from swtorsion import linalg, sympower, torsion, tqft
-from swtorsion.torsion import signed_pencil
+from swtorsion.torsion import (morse_differential_matrix, morse_torsion,
+                               signed_pencil, torsion_representative)
 from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
                             kappa_matrix, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
                             validate_presentation, verify_main_identity,
                             zeta_series)
-from conftest import make_presentation, presentation_sample
+from conftest import make_presentation, presentation_sample, rational_exp
 
 ROT = [[0, -1], [1, 0]]  # c -> d, d -> -c on the one-handle sphere
 
@@ -144,8 +145,7 @@ def test_trace_series_is_zeta_at_large_genus():
         trace = sum(power[i][i] for i in range(len(A)))
         log_terms.append(Fraction(2 - trace, k))
         power = mat_mul(power, A)
-    zeta = TruncSeries(nmax, log_terms).exp()
-    assert trace_kappa_series(P, nmax) == zeta.coeffs
+    assert trace_kappa_series(P, nmax) == rational_exp(log_terms)
 
 
 def test_trace_series_matches_torsion_times_zeta():
@@ -196,9 +196,11 @@ def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
 def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
     # At kmax = 3 the one product formed is A^2, and it enters only
     # tr A^3 = sum_ij A^2[i][j] A[j][i].  Lowering A^2[1][0] by `shift`
-    # lowers tr A^3 by shift * A[0][1] = shift, so 3 z_3 gains `shift`:
-    # shift 1 leaves a remainder whose floor is the true z_3, shift 3 divides
-    # exactly into a wrong z_3, and each is caught by one check alone.
+    # lowers tr A^3 by shift * A[0][1] = shift.  Since kmax = 3 > 2G = 2,
+    # tr A^3 is the first trace past 2G, so both shifts are caught by the
+    # Cayley-Hamilton check before the exponential is formed; the remainder
+    # and disagreement checks are exercised at G = 2 by
+    # test_zeta_checks_the_first_trace_past_2g.
     A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
     honest = tqft.mat_mul
 
@@ -209,7 +211,9 @@ def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
 
     assert zeta_series(A, 3) == TruncSeries(3, [1, -1, -2, -3])
     monkeypatch.setattr(tqft, "mat_mul", perturbed)
-    with pytest.raises(RuntimeError, match="^zeta cross-check failed: "):
+    with pytest.raises(RuntimeError,
+                       match="^zeta cross-check failed: tr A\\^3 is off the "
+                             "Cayley-Hamilton recurrence"):
         zeta_series(A, 3)
 
 
@@ -269,13 +273,27 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
     assert calls["det_int"] == 6
 
 
+def test_every_series_route_yields_ints():
+    # every series of the library is integral, and carries plain ints
+    def ints(coeffs):
+        return all(type(c) is int for c in coeffs)
+
+    for P in presentation_sample(8, seed=1414):
+        M = morse_differential_matrix(P, 6)
+        assert all(ints(e.coeffs) for row in M.entries for e in row)
+        for series in (zeta_series(P, 6), torsion_representative(P, 6),
+                       morse_torsion(P, 6), rhs_series(P, 6),
+                       char_series(P.monodromy, 6)):
+            assert ints(series.coeffs)
+
+
 def test_rhs_series_edges():
     P = make_presentation(2, 0, 6, 8)
     assert rhs_series(P, 3) == zeta_series(P, 3)
     P = make_presentation(1, 1, 0, 0)
     assert not rhs_series(P, 3)
     for P in presentation_sample(6, seed=31337):
-        assert rhs_series(P, 3).is_integral()
+        assert all(type(c) is int for c in rhs_series(P, 3).coeffs)
 
 
 def test_verify_t3():
