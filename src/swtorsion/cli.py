@@ -107,7 +107,7 @@ def _series_rows(series) -> List[dict]:
             for k, c in enumerate(series.coeffs)]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swtorsion",
         description="Torsion, zeta, and averaged Seiberg-Witten trace "
@@ -155,8 +155,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--name")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# Built once at import, not per call: the parser depends on no input, and
+# building it costs more than parsing with it.  A plain constant, so clearing
+# the library's caches does not rebuild it.
+_PARSER = _build_parser()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _PARSER.parse_args(argv)
     out = sys.stdout
     try:
         return _dispatch(args, out)

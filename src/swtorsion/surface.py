@@ -54,7 +54,11 @@ class SurfaceModel:
 
     @property
     def intersection_matrix(self) -> tuple:
-        """J with J[k][j] = <e_k, e_j>: row k is +-1 at partner(k), else 0."""
+        """J with J[k][j] = <e_k, e_j>: row k is +-1 at partner(k), else 0.
+
+        A reference for the tests; the library reads the form through
+        ``pair_vector`` and never builds J.
+        """
         n = self.rank
         return tuple(tuple(s if j == p else 0 for j in range(n))
                      for p, s in self._signed_partners)
@@ -133,8 +137,17 @@ def is_symplectic(mat, surface: Optional[SurfaceModel] = None) -> bool:
         surface = SurfaceModel(n // 2)
     elif surface.rank != n:
         raise ValueError("matrix size does not match the surface")
-    J = surface.intersection_matrix
-    return mat_mul(transpose(m), mat_mul(J, m)) == J
+    # Entry (i, j) of A^T (J A) is column i of A dotted with J (column j),
+    # and must be +-1 at j = partner(i), else 0.  A^T J A is antisymmetric
+    # for any integer A, so the entries with i < j decide it.
+    cols = transpose(m)
+    pair_cols = tuple(map(surface.pair_vector, cols))
+    for i, (p, s) in enumerate(surface._signed_partners):
+        col = cols[i]
+        for j in range(i + 1, n):
+            if sum(map(operator.mul, col, pair_cols[j])) != (s if j == p else 0):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

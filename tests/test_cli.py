@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -303,6 +304,14 @@ def test_output_bytes_deterministic(tmp_path, capsys):
     assert len(outs) == 1
 
 
+def subprocess_cli(args, **env):
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.path.dirname(os.path.dirname(swtorsion.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "swtorsion.cli", *args],
+                          capture_output=True, env=env)
+    return proc.returncode, proc.stdout
+
+
 def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
     # one process serves many commands; none may leave state behind
     path = tmp_path / "p.json"
@@ -310,19 +319,60 @@ def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
     commands = [["verify", str(path), "--nmax", "3", "--format", "json"],
                 ["verify", str(path), "--nmax", "3"],
                 ["sw", str(path), "--nmax", "3"]]
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(swtorsion.__file__)))
-    alone = []
-    for args in commands:
-        proc = subprocess.run([sys.executable, "-m", "swtorsion.cli", *args],
-                              capture_output=True, env=env)
-        alone.append((proc.returncode, proc.stdout))
+    for command, flag, value in (("zeta", "--kmax", "10"),
+                                 ("torsion", "--kmax", "8"),
+                                 ("intersect", "--n", "2")):
+        args = [command, str(path), flag, value]
+        commands += [args + ["--format", "json"], args]
+    alone = [subprocess_cli(args) for args in commands]
     in_turn = []
     for args in commands:
         code, out, _ = run_cli(args, capsys)
         in_turn.append((code, out.encode()))
     assert in_turn == alone
-    assert len({out for _, out in alone}) == 3
+    assert len({out for _, out in alone}) == len(commands)
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(1, 1, 8, 2), str(path))
+    built = []
+    honest = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        honest(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for args in (["sw", str(path), "--nmax", "2"], ["b1", str(path)]):
+        assert run_cli(args, capsys)[0] == 0
+    assert built == []
+
+
+def test_usage_error_leaves_the_parser_reusable(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(2, 1, 12, 5), str(path))
+    good = ["sw", str(path), "--nmax", "3"]
+    first = run_cli(good, capsys)
+    assert first[0] == 0 and first[1]
+    with pytest.raises(SystemExit) as exc:
+        main(["sw", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: swtorsion sw")
+    assert "--nmax" in captured.err
+    assert run_cli(good, capsys) == first
+
+
+def test_help_in_process_prints_what_it_prints_alone(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: swtorsion")
+    assert (0, out.encode()) == subprocess_cli(["--help"], COLUMNS="80")
 
 
 def test_console_entry_point():

@@ -15,9 +15,9 @@ from swtorsion.linalg import (det_int, det_pencil, det_rational,
                              identity_matrix, independent_columns,
                              interpolate, invert_rational,
                              invert_unimodular, mat_mul,
-                             perm_parity, rank_int, submatrix)
+                             perm_parity, rank_int, submatrix, transpose)
 from swtorsion.series import TruncSeries, series_det
-from swtorsion.surface import SurfaceModel, random_symplectic
+from swtorsion.surface import SurfaceModel, is_symplectic, random_symplectic
 from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
                                 enumerate_basis, graded_trace, handle_duality,
                                 pair_monomials)
@@ -238,6 +238,27 @@ def test_zeta_is_invariant_under_conjugation_and_inversion(P, words, seed,
     zeta = zeta_series(A, kmax)
     assert zeta_series(B.compose(A).compose(B.inverse()), kmax) == zeta
     assert zeta_series(A.inverse(), kmax) == zeta
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.data())
+def test_is_symplectic_equals_the_two_product_form(G, data):
+    # A^T (J A) read entry by entry from the signed partners against the
+    # dense products with J, on symplectic matrices and one-entry
+    # perturbations of them, over every split of the genus
+    N = data.draw(st.integers(0, G))
+    surface = SurfaceModel(G, (N, G - N))
+    J = surface.intersection_matrix
+    mat = random_symplectic(surface, data.draw(st.integers(0, 60)),
+                            data.draw(st.integers(0, 2 ** 32))).mat
+    i, j = (data.draw(st.integers(0, 2 * G - 1)) for _ in range(2))
+    delta = data.draw(st.integers(-3, 3).filter(bool))
+    bumped = [list(row) for row in mat]
+    bumped[i][j] += delta
+    assert is_symplectic(mat, surface)
+    for m in (mat, bumped):
+        assert is_symplectic(m, surface) == (
+            mat_mul(transpose(m), mat_mul(J, m)) == J)
 
 
 def fraction_rank(rows) -> int:

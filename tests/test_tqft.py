@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -271,6 +272,25 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
     calls["det_int"] = 0
     char_series(make_presentation(2, 3, 30, 2).monodromy, 10)
     assert calls["det_int"] == 6
+
+
+def test_verify_computes_each_restricted_minor_once(monkeypatch):
+    # the diagonal route sums the C(2g, k) minors of each size k <= nmax once
+    # for all rows; tqft calls det_int for that route alone
+    calls = []
+    honest = tqft.det_int
+
+    def counting(m):
+        calls.append(1)
+        return honest(m)
+
+    monkeypatch.setattr(tqft, "det_int", counting)
+    for g, N, nmax in ((2, 1, 3), (1, 2, 4), (3, 0, 2), (0, 2, 3)):
+        P = make_presentation(g, N, 20, 4)
+        calls.clear()
+        assert verify_main_identity(P, nmax).passed
+        assert len(calls) == sum(comb(2 * g, k)
+                                 for k in range(min(nmax, 2 * g) + 1))
 
 
 def test_every_series_route_yields_ints():
