@@ -20,11 +20,15 @@ reads it only at the pairs (c, e) that pair with its own terms, and each of
 those coefficients is a short sum of restricted minors of A over one duality
 block.  Nor does it build the duality of the whole space: every monomial it
 pairs or dualises holds all of the c's or all of the d's, and
-``sympower.handle_duality`` builds just those blocks from the core basis.
+``sympower.handle_duality`` writes just those blocks down in closed form,
+on plain (indices, q) keys, without evaluating a pairing or inverting a
+block.  The production route builds no ``Monomial``, ``SymClass`` or
+``ProductClass``; ``diagonal_class`` wraps the same terms as monomials.
 ``graph_class`` plus ``product_evaluate`` over the full ``duality_pairings``
-and ``dual_basis`` is the materialised reference route: it expands Lambda(A)
-on every basis monomial.  The tests, demo 04 and the benchmark's traced
-replay still call it; no production path does.
+and ``dual_basis`` (each pairing through ``pair_monomials``, each block
+inverted by ``invert_unimodular``) is the materialised reference route: it
+expands Lambda(A) on every basis monomial.  The tests, demo 04 and the
+benchmark's traced replay still call it; no production path does.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from .linalg import det_int, submatrix
-from .sympower import (Monomial, SymClass, SymSpace, apply_induced,
+from .sympower import (Key, Monomial, SymClass, SymSpace, apply_induced,
                        dual_basis, duality_pairings, enumerate_basis,
                        handle_duality)
 from .tqft import Presentation
@@ -61,16 +65,27 @@ class ProductClass:
         return len(self.terms)
 
 
-def _handle_wedge(P: Presentation, beta: Monomial, use_d: bool) -> Monomial:
-    """c_0^..^c_{N-1}^beta or d_0^..^d_{N-1}^beta as a split-basis monomial.
+def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple]]:
+    """The space Sym^{n+N} and the terms (a, b, coefficient) of the
+    diagonal class on (indices, q) keys.
 
-    The handle indices precede every shifted x index, so the concatenation
-    is already ascending and the wedge sign is +1.
+    For each core monomial beta, a is c_0^..^c_{N-1}^beta and b runs over
+    the dual of d_0^..^d_{N-1}^beta, read from ``handle_duality``.  The
+    handle indices precede every shifted core index, so a wedge is the
+    plain concatenation with sign +1.  The keys of ``handle_duality`` that
+    start with C are exactly these a, one per core monomial, so no two
+    terms share a key.
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     N = P.handles
-    shifted = tuple(i + 2 * N for i in beta.indices)
-    handles = tuple(range(N)) if not use_d else tuple(range(N, 2 * N))
-    return Monomial(handles + shifted, beta.q)
+    space = SymSpace(P.surface, n + N)
+    pairs, duals = handle_duality(space)
+    C, D = tuple(range(N)), tuple(range(N, 2 * N))
+    terms = [(a, b, coeff)
+             for a in pairs if a[0][:N] == C
+             for b, coeff in duals[D + a[0][N:], a[1]].items()]
+    return space, terms
 
 
 def diagonal_class(P: Presentation, n: int) -> ProductClass:
@@ -79,21 +94,12 @@ def diagonal_class(P: Presentation, n: int) -> ProductClass:
     Sums over the middle-surface monomial basis.  Extending the sum over
     every split-basis monomial of power n would change nothing: a monomial
     containing a handle class kills either the c wedge or the d wedge by a
-    repeated factor.  The duals are read from ``handle_duality``, since
-    each d_0^..^d_{N-1}^beta lies in one of its blocks.
+    repeated factor.  Built from the same (indices, q) terms that
+    ``intersection_number`` pairs (``_diagonal_terms``), as monomials.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    space = SymSpace(P.surface, n + P.handles)
-    duals = handle_duality(space)[1]
-    terms: Dict[Tuple[Monomial, Monomial], int] = {}
-    for beta in enumerate_basis(SymSpace(P.small_surface, n)):
-        left = _handle_wedge(P, beta, use_d=False)
-        right_src = _handle_wedge(P, beta, use_d=True)
-        for m, c in duals[right_src].terms.items():
-            key = (left, m)
-            terms[key] = terms.get(key, 0) + c
-    return ProductClass(space, terms)
+    space, terms = _diagonal_terms(P, n)
+    return ProductClass(space, {(Monomial(*a), Monomial(*b)): coeff
+                                for a, b, coeff in terms})
 
 
 def graph_class(P: Presentation, n: int) -> ProductClass:
@@ -124,26 +130,29 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     return ProductClass(space, terms)
 
 
-def _pair_against(u: ProductClass, pairs: Dict[Monomial, Dict[Monomial, int]],
-                  coefficient: Callable[[Monomial, Monomial], int]) -> int:
-    """Cup product of u with the product class whose (c, e) coefficient is
-    ``coefficient(c, e)``, evaluated on the fundamental class.
+def _pair_against(terms, pairs: Dict[Key, Dict[Key, int]],
+                  coefficient: Callable[[Key, Key], int]) -> int:
+    """Cup product of the product class with the terms (a, b, coefficient)
+    and the one whose (c, e) coefficient is ``coefficient(c, e)``,
+    evaluated on the fundamental class; all monomials are (indices, q) keys.
 
     Bilinear in the monomial pairs: ((a x b), (c x e)) contributes the
     Kunneth sign (-1)^{deg b deg c} times the duality pairings <a, c> and
-    <b, e>.  Each u-term walks only the sparse pairings of a and of b, read
-    from ``pairs``, which must hold every monomial of u's terms; so the
-    other class is read only at the pairs (c, e) that can contribute.
+    <b, e>, and deg b is odd exactly when b has an odd number of indices.
+    Each term walks only the sparse pairings of a and of b, read from
+    ``pairs``, which must hold every monomial of the terms; so the other
+    class is read only at the pairs (c, e) that can contribute.
     """
     total = 0
-    for a, b, cu in u.terms:
-        odd_b = b.degree & 1
+    for a, b, cu in terms:
+        odd_b = len(b[0]) & 1
+        pairs_b = pairs[b]
         for c, ac in pairs[a].items():
-            sign = -1 if odd_b and c.degree & 1 else 1
-            for e, be in pairs[b].items():
+            weight = -cu * ac if odd_b and len(c[0]) & 1 else cu * ac
+            for e, be in pairs_b.items():
                 cv = coefficient(c, e)
                 if cv:
-                    total += sign * cu * ac * be * cv
+                    total += weight * be * cv
     return total
 
 
@@ -156,9 +165,13 @@ def product_evaluate(u: ProductClass, v: ProductClass) -> int:
     """
     if u.space != v.space:
         raise ValueError("product classes live over different powers")
-    v_terms = {(c, e): cv for c, e, cv in v.terms}
-    return _pair_against(u, duality_pairings(u.space),
-                         lambda c, e: v_terms.get((c, e), 0))
+    full = duality_pairings(u.space)
+    pairs = {(m.indices, m.q): {(b.indices, b.q): x for b, x in full[m].items()}
+             for a, b, _ in u.terms for m in (a, b)}
+    v_terms = {((c.indices, c.q), (e.indices, e.q)): cv for c, e, cv in v.terms}
+    return _pair_against(
+        [((a.indices, a.q), (b.indices, b.q), cu) for a, b, cu in u.terms],
+        pairs, lambda c, e: v_terms.get((c, e), 0))
 
 
 def intersection_number(P: Presentation, n: int) -> int:
@@ -172,32 +185,39 @@ def intersection_number(P: Presentation, n: int) -> int:
     over the monomials a whose dual a* contains c (one duality block), with
     a and e of equal length and equal y power.  Each restricted minor is one
     Bareiss determinant, computed once per call.  The pairings and duals
-    come from ``handle_duality``: each a, c and e above, and each monomial
-    of D, lies in a block holding c_0..c_{N-1} or d_0..d_{N-1} times a
-    core monomial, so the cost follows about twice dim H^*(Sym^n) of the
-    core surface, not the dimension of Sym^{n+N}.  The result equals
+    come from ``handle_duality`` in closed form: each a, c and e above, and
+    each monomial of D, lies in a block holding c_0..c_{N-1} or
+    d_0..d_{N-1} times a core monomial, so the cost follows about twice
+    dim H^*(Sym^n) of the core surface, not the dimension of Sym^{n+N}.
+    Every monomial is a plain (indices, q) key; no ``Monomial``,
+    ``SymClass`` or ``ProductClass`` is built.  The result equals
     ``product_evaluate(diagonal_class(P, n), graph_class(P, n))``.
     """
-    D = diagonal_class(P, n)
-    pairs, duals = handle_duality(D.space)
-    holders: Dict[Monomial, List[Tuple[Monomial, int]]] = {}
-    for a, dual in duals.items():
-        sign = -1 if a.degree & 1 else 1
-        for c, coeff in dual.terms.items():
-            holders.setdefault(c, []).append((a, sign * coeff))
+    space, terms = _diagonal_terms(P, n)
+    pairs, duals = handle_duality(space)
+    # holders[c, k, q]: the a of k indices and y power q whose dual holds c
+    holders: Dict[tuple, List[Tuple[Tuple[int, ...], int]]] = {}
+    for (cols, q), dual in duals.items():
+        odd = len(cols) & 1
+        for c, coeff in dual.items():
+            holders.setdefault((c, len(cols), q), []).append(
+                (cols, -coeff if odd else coeff))
     mat = P.monodromy.mat
     minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
+    values: Dict[Tuple[Key, Key], int] = {}
 
-    def gamma(c: Monomial, e: Monomial) -> int:
-        total = 0
-        for a, signed in holders.get(c, ()):
-            if a.q != e.q or len(a.indices) != len(e.indices):
-                continue
-            key = (e.indices, a.indices)
-            minor = minors.get(key)
-            if minor is None:
-                minor = minors[key] = det_int(submatrix(mat, e.indices, a.indices))
-            total += signed * minor
-        return total
+    def gamma(c: Key, e: Key) -> int:
+        value = values.get((c, e))
+        if value is None:
+            rows, q = e
+            value = 0
+            for cols, signed in holders.get((c, len(rows), q), ()):
+                minor = minors.get((rows, cols))
+                if minor is None:
+                    minor = minors[rows, cols] = det_int(
+                        submatrix(mat, rows, cols))
+                value += signed * minor
+            values[c, e] = value
+        return value
 
-    return _pair_against(D, pairs, gamma)
+    return _pair_against(terms, pairs, gamma)

@@ -2,9 +2,11 @@
 
 For a genus-G surface the degree-n symmetric power has cohomology with basis
 ``x_I y^q`` where I is a strictly increasing subset of the 2G odd generators,
-y is the even degree-2 class, and ``|I| + q <= n``.  Monomials are the only
-representation used anywhere: every operation re-sorts indices and tracks the
-transposition sign, so coefficients stay exact integers.
+y is the even degree-2 class, and ``|I| + q <= n``.  Every operation re-sorts
+indices and tracks the transposition sign, so coefficients stay exact
+integers.  ``Monomial`` is the representation everywhere except in
+``handle_duality``, the one production route, which works on plain
+(I, q) keys.
 
 Degrees: deg(x_I y^q) = |I| + 2q; the sign of a monomial in graded traces is
 (-1)^{|I|}.
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .linalg import invert_unimodular, perm_parity
@@ -78,10 +80,11 @@ class SymSpace:
 
 
 # Bound of the caches keyed by SymSpace.  Of the commands only intersect
-# touches spaces: the basis of Sym^n of the core and the handle blocks of
-# Sym^{n+N} of the split surface, never the basis of the whole Sym^{n+N};
-# verify, sw, zeta and torsion touch none.  The rest of the room serves the
-# reference routes that the tests and the traced benchmark replay run.
+# touches a space: one ``handle_duality`` entry for Sym^{n+N} of the split
+# surface, built from keys alone, never the basis of Sym^n of the core or of
+# the whole Sym^{n+N}; verify, sw, zeta and torsion touch none.  The rest of
+# the room serves the reference routes that the tests and the traced
+# benchmark replay run.
 _SPACE_CACHE_SIZE = 64
 
 
@@ -384,38 +387,10 @@ def _duality_blocks(space: SymSpace):
     groups: Dict[tuple, List[Monomial]] = {}
     for m in enumerate_basis(space):
         groups.setdefault(_block_key(space, m), []).append(m)
-    yield from _paired_groups(space, groups)
-
-
-def _paired_groups(space: SymSpace, groups: Dict[tuple, List[Monomial]]):
-    """Each group of monomials keyed by ``_block_key`` with the group it
-    pairs with, as (rows, cols)."""
     partner = space.surface.partner
     for (U, deg), rows in groups.items():
         cols = groups.get((tuple(sorted(map(partner, U))), 2 * space.n - deg), [])
         yield tuple(rows), tuple(cols)
-
-
-def _handle_blocks(space: SymSpace):
-    """Yield the Gram blocks (rows, cols) of Sym^{n+N} of a split surface
-    whose monomials hold all of C = (c_0..c_{N-1}) or all of D.
-
-    Such a block is keyed by an unpaired set U that contains C (or D), so
-    every member is C (or D) joined to a core monomial x_K y^q with
-    |K| + q <= n, K shifted past the handle indices; these are exactly the
-    blocks the handle diagonal reaches.  They are generated from the core
-    basis, never from the basis of the whole space.  With no handles C and
-    D are empty, the core basis is taken once and every block is reached.
-    """
-    N, g = space.surface.split
-    core = enumerate_basis(SymSpace(SurfaceModel(g), space.n - N))
-    heads = (tuple(range(N)), tuple(range(N, 2 * N))) if N else ((),)
-    groups: Dict[tuple, List[Monomial]] = {}
-    for head in heads:
-        for m in core:
-            mono = Monomial(head + tuple(2 * N + i for i in m.indices), m.q)
-            groups.setdefault(_block_key(space, mono), []).append(mono)
-    yield from _paired_groups(space, groups)
 
 
 def _block_pairings(space: SymSpace,
@@ -468,17 +443,126 @@ def dual_basis(space: SymSpace) -> Dict[Monomial, SymClass]:
     return _block_duals(space, _duality_blocks(space), duality_pairings(space))
 
 
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
-def handle_duality(space: SymSpace) -> Tuple[
-        Dict[Monomial, Dict[Monomial, int]], Dict[Monomial, SymClass]]:
-    """Pairings and duals on the blocks of ``_handle_blocks`` alone.
+# A monomial x_I y^q as the plain pair (I, q): the keys of ``handle_duality``.
+Key = Tuple[Tuple[int, ...], int]
 
-    Every monomial of those blocks maps to the same pairings as in
-    ``duality_pairings`` and the same dual as in ``dual_basis``, and each
-    sign is still computed in the split space by ``pair_monomials``.  The
-    cost follows about twice dim H^*(Sym^n) of the core surface, not the
-    dimension of the whole space.
+
+def _odd_inversions(seq) -> int:
+    """1 when sorting the distinct ints of seq is an odd permutation, else 0."""
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) & 1
+
+
+def disjoint_inverse_entry(p: int, L: int, u: int, x: int) -> int:
+    """Entry (S, T) of the inverse of the disjointness matrix
+    [S and T disjoint] on the subsets of size <= L <= p of p points, with
+    u = |S cup T| and x = |S cap T| (derivation in ``handle_duality``)."""
+    if u > L:
+        return 0
+    coeff = 1 if u == p else math.comb(p - u - 1, L - u)
+    return -coeff if (L - u + x) & 1 else coeff
+
+
+@lru_cache(maxsize=_SPACE_CACHE_SIZE)
+def handle_duality(space: SymSpace) -> Tuple[Dict[Key, Dict[Key, int]],
+                                             Dict[Key, Dict[Key, int]]]:
+    """Pairings and duals on the Gram blocks of Sym^m of a split surface
+    whose monomials hold all of C = (c_0..c_{N-1}) or all of D, in closed
+    form.
+
+    Returns (pairs, duals) on (indices, q) keys: pairs[a] is {b: <a, b>}
+    over the nonzero pairings of a, and duals[a] is the dual a*, with
+    <a*, b> = delta_{ab}, as {b: coefficient}.  On these monomials they
+    equal ``duality_pairings`` and ``dual_basis``.  Each such monomial is
+    C (or D) joined to a core monomial x_K y^q with |K| + q <= m - N, and
+    these are exactly the blocks the handle diagonal reaches.  With no
+    handles every block of the space is reached.
+
+    *Blocks.*  Write a monomial as x_{U + S} y^q, with U the indices whose
+    partner is absent and S a set of whole partner pairs.  Two monomials
+    pair only when their indices are disjoint and together form whole
+    pairs, and their degrees add up to 2m.  So the rows keyed (U, d) meet
+    only the columns keyed (p(U), 2m - d), and there <a, b> is nonzero
+    exactly when S_a and S_b are disjoint.  With h = (d - |U|)/2 the rows
+    are the S with |S| = s <= L = min(h, m - |U| - h, P) and q = h - s,
+    where P = G - |U| counts the free pairs (those that meet neither U nor
+    p(U)).  The columns give the same L, so both sides are indexed by the
+    sets of at most L free pairs.  Here U holds C (or D), so every free
+    pair is a core pair.
+
+    *Pairing.*  ``pair_monomials`` is the sign of the reordering of the
+    concatenation I_a I_b into pair order (a_0, p(a_0), a_1, p(a_1), ..),
+    a_i < p(a_i).  Let eps(a) be the sign of sorting I_a into "U
+    ascending, then the pairs (i, p(i)) of S by ascending i".  Reorder
+    I_a I_b into U_a S_a U_b S_b (sign eps(a) eps(b)).  Pairs are blocks
+    of two and move past anything for free, which gives U_a U_b S_a S_b.
+    Then write U_b = p(U_a) as p(u_1)..p(u_k) for u_1 < .. < u_k,
+    interleave to (u_1, p(u_1)) .. (sign (-1)^{k(k-1)/2}) and turn each
+    pair with u > p(u) (sign -1 each).  So <a, b> = c(U_a) eps(a) eps(b)
+    [S_a, S_b disjoint], with c(U) the product of those last three signs.
+
+    *Duals.*  A block is thus c(U) E_r Z E_c, with E the diagonal signs
+    eps and Z the disjointness matrix.  By inclusion and exclusion
+    [S, T disjoint] = sum over W in S cap T of (-1)^{|W|}, so Z = M^T F M
+    with M[W, S] = [W in S] on the sets of size <= L and F = (-1)^{|W|}.
+    The family is closed under subsets, so the inverse of M is the Moebius
+    function (-1)^{|S| - |W|} [W in S].  Hence Z is unimodular and
+
+        Z^{-1}[S, T] = sum over W containing S cup T, |W| <= L,
+                           of (-1)^{|W| - |S| - |T|}
+                     = (-1)^x sum_{j <= L - u} (-1)^j C(P - u, j)
+                     = (-1)^{L - u + x} C(P - u - 1, L - u)
+
+    for u = |S cup T| <= L (0 otherwise), x = |S cap T| and C(-1, 0) = 1,
+    by the partial alternating sum of a row of binomials
+    (``disjoint_inverse_entry``).  The dual of a column b is the sum over
+    the rows r of c(U_r) eps(b) eps(r) Z^{-1}[S_b, S_r] r.
+
+    No pairing is evaluated and no block inverted.  The tests hold both
+    closed forms against ``duality_pairings``, ``dual_basis`` and
+    ``invert_unimodular``.  The cost follows about twice
+    dim H^*(Sym^{m-N}) of the core surface.
     """
-    blocks = tuple(_handle_blocks(space))
-    pairs = _block_pairings(space, blocks)
-    return pairs, _block_duals(space, blocks, pairs)
+    partner = space.surface.partner
+    N, g = space.surface.split
+    n = space.n - N
+    heads = (tuple(range(N)), tuple(range(N, 2 * N))) if N else ((),)
+    core_pairs = [(i, partner(i)) for i in range(2 * N, 2 * space.G)
+                  if i < partner(i)]
+    # members[U, h]: the rows keyed (U, |U| + 2h) as (key, eps, bit mask
+    # of S).  The head precedes every core index, so eps reads the core.
+    members: Dict[tuple, List[tuple]] = {}
+    for k in range(min(g, n) + 1):
+        for chosen in combinations(range(g), k):
+            free = [j for j in range(g) if j not in chosen]
+            for ends in product(*(core_pairs[j] for j in chosen)):
+                U = tuple(sorted(ends))
+                for h in range(n - k + 1):
+                    block = []
+                    for s in range(min(h, n - k - h, g - k) + 1):
+                        for S in combinations(free, s):
+                            flat = tuple(t for j in S for t in core_pairs[j])
+                            eps = -1 if _odd_inversions(U + flat) else 1
+                            block.append((tuple(sorted(U + flat)), h - s, eps,
+                                          sum(1 << j for j in S)))
+                    for head in heads:
+                        members[head + U, h] = [((head + idx, q), eps, mask)
+                                                for idx, q, eps, mask in block]
+    pairs: Dict[Key, Dict[Key, int]] = {}
+    duals: Dict[Key, Dict[Key, int]] = {}
+    for (U, h), rows in members.items():
+        k = len(U) - N
+        L = min(h, n - k - h, g - k)
+        images = tuple(map(partner, U))
+        odd = (_odd_inversions(images) + len(U) * (len(U) - 1) // 2
+               + sum(u > v for u, v in zip(U, images)))
+        c = -1 if odd & 1 else 1
+        cols = members[tuple(sorted(images)), n - k - h]
+        for r, eps, mask in rows:
+            pairs[r] = {b: c * eps * e for b, e, m in cols if not mask & m}
+        inverse = {(u, x): c * disjoint_inverse_entry(g - k, L, u, x)
+                   for u in range(L + 1) for x in range(u + 1)}
+        for b, e, m in cols:
+            duals[b] = {r: e * eps * v for r, eps, mask in rows
+                        if (v := inverse.get(((mask | m).bit_count(),
+                                              (mask & m).bit_count())))}
+    return pairs, duals

@@ -375,16 +375,17 @@ def compute_b1(P: Presentation) -> int:
 
     Mayer-Vietoris for the two compression bodies gives
     b_1 = 1 + (2G - N) - rank(Q (1 - A^{-1})) where Q deletes the c rows
-    and A^{-1} is the homology pushforward of the stored pullback.
+    and A^{-1} is the homology pushforward of the stored pullback.  Since
+    (A - 1) A^{-1} = 1 - A^{-1} and A^{-1} is invertible, that rank is
+    rank(Q (A - 1)), so A is never inverted.
     """
     G = P.genus + P.handles
     N = P.handles
     if G == 0:
         return 1
-    Ainv = P.monodromy.inverse().mat
-    M = tuple(tuple((1 if i == j else 0) - Ainv[i][j] for j in range(2 * G))
-              for i in range(2 * G))
-    dropped = tuple(M[i] for i in range(N, 2 * G))
+    A = P.monodromy.mat
+    dropped = tuple(tuple(A[i][j] - (1 if i == j else 0) for j in range(2 * G))
+                    for i in range(N, 2 * G))
     return 1 + (2 * G - N) - rank_int(dropped)
 
 

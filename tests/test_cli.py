@@ -292,6 +292,27 @@ def test_intersect_command(tmp_path, capsys):
     assert out.strip().split("\n")[1] == "1\t-2\t-2\tmatch"
 
 
+def test_intersect_command_bytes(tmp_path, capsys):
+    # the whole stdout in both formats, on the rotation fixture and on a
+    # two-handle fixture (Sym^4 of genus 3)
+    rot = tmp_path / "rot.json"
+    rot.write_text(json.dumps(
+        {"genus": 0, "handles": 1, "monodromy": [[0, -1], [1, 0]]}))
+    two = tmp_path / "two.json"
+    write_presentation(generate_fixture(1, 2, 24, 1), str(two))
+    header = "n\tintersection\ttrace\tmatch\n"
+    for path, value in ((rot, "-3"), (two, "-62392")):
+        code, out, err = run_cli(["intersect", str(path), "--n", "2"], capsys)
+        assert (code, out, err) == (
+            0, f"{header}2\t{value}\t{value}\tmatch\n", "")
+        code, out, err = run_cli(["intersect", str(path), "--n", "2",
+                                  "--format", "json"], capsys)
+        assert (code, out, err) == (
+            0, '[\n  {\n    "n": 2,\n'
+               f'    "intersection": {value},\n    "trace": {value},\n'
+               '    "match": "match"\n  }\n]\n', "")
+
+
 def test_output_bytes_deterministic(tmp_path, capsys):
     path = tmp_path / "p.json"
     run_cli(["gen", "--g", "1", "--handles", "1", "--words", "6", "--seed", "9",

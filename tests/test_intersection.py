@@ -1,6 +1,6 @@
 import pytest
 
-from swtorsion import intersection, sympower
+from swtorsion import intersection, linalg, sympower
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
 from swtorsion.surface import SurfaceModel
@@ -155,6 +155,26 @@ def test_intersection_number_never_builds_the_graph_class(monkeypatch):
         monkeypatch.setattr(module, name, refuse)
     P = make_presentation(2, 2, 52, 1)
     assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
+
+
+@pytest.mark.parametrize("g, N, n", [(3, 0, 3), (2, 1, 3), (1, 3, 2)])
+def test_intersection_number_pairs_and_inverts_nothing(monkeypatch, g, N, n):
+    # the closed-form duality on plain keys: no pairing evaluated, no
+    # block inverted, no monomial object built
+    P = make_presentation(g, N, 40, 2)
+    expected = trace_kappa_coefficient(P, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reference duality called")
+
+    for module, name in ((sympower, "pair_monomials"),
+                         (sympower, "top_evaluate"),
+                         (sympower, "invert_unimodular"),
+                         (linalg, "invert_unimodular"),
+                         (Monomial, "__init__")):
+        monkeypatch.setattr(module, name, refuse)
+    sympower.handle_duality.cache_clear()
+    assert intersection_number(P, n) == expected
 
 
 def test_handle_dual_conversion_identity():

@@ -18,9 +18,10 @@ from swtorsion.linalg import (det_int, det_pencil, det_rational,
                              perm_parity, rank_int, submatrix, transpose)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, is_symplectic, random_symplectic
-from swtorsion.sympower import (SymSpace, dual_basis, duality_pairings,
-                                enumerate_basis, graded_trace, handle_duality,
-                                pair_monomials)
+from swtorsion.sympower import (Monomial, SymClass, SymSpace,
+                                disjoint_inverse_entry, dual_basis,
+                                duality_pairings, enumerate_basis,
+                                graded_trace, handle_duality, pair_monomials)
 from swtorsion.torsion import (morse_torsion, signed_pencil,
                                torsion_coefficient_direct,
                                torsion_representative)
@@ -551,6 +552,21 @@ def handle_spaces(draw):
     return SymSpace(SurfaceModel(g + N, (N, g)), draw(st.integers(0, 3)) + N)
 
 
+def assert_handle_duality_is_the_full_duality(space, touched):
+    """``handle_duality`` holds exactly the monomials ``touched``, and on
+    them, read back as monomials, it equals the full duality."""
+    pairs, duals = handle_duality(space)
+    key = {m: (m.indices, m.q) for m in touched}
+    assert pairs.keys() == duals.keys() == set(key.values())
+    full_pairs, full_duals = duality_pairings(space), dual_basis(space)
+    for m in touched:
+        assert {Monomial(*b): v for b, v in pairs[key[m]].items()} == \
+            full_pairs[m]
+        assert SymClass(space, {Monomial(*b): v
+                                for b, v in duals[key[m]].items()}) == \
+            full_duals[m]
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(handle_spaces())
 def test_handle_duality_equals_the_full_duality_on_its_blocks(space):
@@ -561,12 +577,29 @@ def test_handle_duality_equals_the_full_duality_on_its_blocks(space):
                if set(m.indices) & (C | D) in (C, D)}
     core = SymSpace(SurfaceModel(g), space.n - N)
     assert len(touched) == 2 * core.dim
-    pairs, duals = handle_duality(space)
-    assert pairs.keys() == duals.keys() == touched
-    full_pairs, full_duals = duality_pairings(space), dual_basis(space)
-    for m in touched:
-        assert pairs[m] == full_pairs[m]
-        assert duals[m] == full_duals[m]
+    assert_handle_duality_is_the_full_duality(space, touched)
+
+
+@pytest.mark.parametrize("g", range(5))
+@pytest.mark.parametrize("n", range(4))
+def test_handle_duality_without_handles_is_the_whole_duality(g, n):
+    # with no handles every block of the space is reached
+    space = SymSpace(SurfaceModel(g, (0, g)), n)
+    assert_handle_duality_is_the_full_duality(space, enumerate_basis(space))
+
+
+def test_disjoint_inverse_entry_is_the_unimodular_inverse():
+    # the closed form against invert_unimodular, which also checks that the
+    # disjointness matrix on the sets of at most L of p points is unimodular
+    for p in range(9):
+        for L in range(min(p, 5) + 1):
+            sets = [frozenset(S) for s in range(L + 1)
+                    for S in combinations(range(p), s)]
+            disjoint = tuple(tuple(int(not S & T) for T in sets)
+                             for S in sets)
+            assert invert_unimodular(disjoint) == tuple(
+                tuple(disjoint_inverse_entry(p, L, len(S | T), len(S & T))
+                      for T in sets) for S in sets)
 
 
 @st.composite

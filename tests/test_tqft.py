@@ -415,6 +415,17 @@ def test_b1_examples():
     assert compute_b1(Presentation.from_matrix(0, 1, ROT)) == 1
 
 
+def test_compute_b1_never_inverts_the_monodromy(monkeypatch):
+    # rank(Q (1 - A^-1)) is read as rank(Q (A - 1))
+    expected = [compute_b1(P) for P in presentation_sample(8, seed=5)]
+
+    def refuse(self):
+        raise AssertionError("compute_b1 inverted the monodromy")
+
+    monkeypatch.setattr(MappingClass, "inverse", refuse)
+    assert [compute_b1(P) for P in presentation_sample(8, seed=5)] == expected
+
+
 def test_sw_table_degree_maps():
     # b1 > 1 at slice genus 2: n = 0 pairs with |m| = 2, n = 1 with 0
     P = Presentation.from_matrix(2, 0, identity_matrix(4))
