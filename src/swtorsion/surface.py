@@ -225,8 +225,9 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     det(1 + sA) = sum_j s^j tr Lambda^j A is the pencil
     ``linalg.det_pencil(1, A)``.  A is symplectic, so det(1 + sA) is
     reciprocal of degree 2G (``torsion.signed_pencil`` at N = 0) and
-    G + 1 Bareiss determinants give it.  The zeta function reads the same
-    polynomial through ``tqft.trace_kappa_series`` at N = 0; this function
+    G + 1 Bareiss determinants give it.  Zeta's route (b) reads the same
+    polynomial through ``torsion.signed_pencil`` at N = 0, and the trace
+    and torsion commands through ``torsion.newton_pencil``; this function
     is its stand-alone form for callers holding a bare mapping class.
     """
     if order < 0:

@@ -10,10 +10,14 @@ come out of the zeta function of the monodromy times the Morse-complex
 torsion, and verifying that identity is the library's purpose.
 
 The trace has two routes.  ``trace_kappa_series`` reads it from one integer
-determinant pencil; ``kappa_trace`` reads the diagonal of kappa_n, one
-restricted minor of the monodromy per subset of the core classes, from the
-closed form of ascend after descend (a fixed partial permutation of the
-handle-wedge monomials).  ``verify_main_identity`` runs both.
+determinant pencil, whose low coefficients ``torsion.newton_pencil`` takes
+from the traces of powers of a 2g x 2g Schur complement; ``kappa_trace``
+reads the diagonal of kappa_n, one restricted minor of the monodromy per
+subset of the core classes, from the closed form of ascend after descend
+(a fixed partial permutation of the handle-wedge monomials).
+``verify_main_identity`` runs both.  The zeta function is expanded from
+the traces of A^k and, as a cross-check on every call, from the Bareiss
+pencil ``torsion.signed_pencil`` at N = 0.
 ``kappa_matrix`` assembles every column through ``descend_map``,
 ``ascend_map`` and the full Lambda(A) image and is the reference route for
 the diagonal, run by the tests and the benchmark's traced replay.
@@ -30,7 +34,7 @@ from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
                        contract_class, wedge_class)
-from .torsion import morse_torsion, signed_pencil
+from .torsion import morse_torsion, newton_pencil, signed_pencil
 
 
 @dataclass(frozen=True)
@@ -198,28 +202,36 @@ def _diagonal_trace(q: Tuple[int, ...], N: int, n: int) -> int:
                for k in range(min(n + 1, len(q))))
 
 
-def _trace_series(A: MappingClass, N: int, nmax: int) -> Tuple[int, ...]:
-    """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2, with the
-    numerator from ``torsion.signed_pencil``.  At N = 0 the series is
-    det(1 - tA) / (1 - t)^2.
-    """
-    signed = signed_pencil(A.mat, N)
+def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
+    """Coefficients n = 0..nmax of signed(t) / (1 - t)^2."""
     return tuple(sum((n - k + 1) * signed[k]
                      for k in range(min(n + 1, len(signed))))
                  for n in range(nmax + 1))
 
 
+def _trace_series(A: MappingClass, N: int, nmax: int) -> Tuple[int, ...]:
+    """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2, with the
+    numerator from the Bareiss pencil ``torsion.signed_pencil``.  Zeta's
+    route (b) runs it at N = 0, det(1 - tA) / (1 - t)^2, so it shares no
+    code with ``trace_kappa_series`` or with zeta's route (a).
+    """
+    return _over_square(signed_pencil(A.mat, N), nmax)
+
+
 def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
-    """Graded traces Tr kappa_n for n = 0..nmax, from one determinant.
+    """Graded traces Tr kappa_n for n = 0..nmax, from one determinant pencil.
 
     Tr kappa_n sums (-1)^{|I| + N} det A[D u I, C u I] over the monomials
     x_I y^q of Sym^n of the core surface; q takes n - |I| + 1 values, so
     sum_n Tr kappa_n t^n = (-1)^N p(-t) / (1 - t)^2 with p as in
-    ``torsion.signed_pencil``.  At N = 0 this is the zeta function.
+    ``torsion.signed_pencil``.  Only p_0 .. p_nmax enter, and
+    ``torsion.newton_pencil`` reads them from the traces of at most
+    T^ceil(nmax/2) for a 2g x 2g Schur complement T.  At N = 0 this is
+    the zeta function.
     """
     if nmax < 0:
         raise ValueError("n must be nonnegative")
-    return _trace_series(P.monodromy, P.handles, nmax)
+    return _over_square(newton_pencil(P.monodromy.mat, P.handles, nmax), nmax)
 
 
 def trace_kappa_coefficient(P: Presentation, n: int) -> int:
@@ -312,7 +324,7 @@ def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
 
     The torsion is ``morse_torsion``, the determinant of the Morse matrix,
     not the pencil ratio of ``torsion_representative``: the trace pencil
-    and that ratio share ``signed_pencil``, so only the Morse complex
+    and that ratio share ``newton_pencil``, so only the Morse complex
     keeps this side independent of the trace.  The Morse matrix carries
     one factor of t per handle, so the product zeta * det starts at t^N;
     coefficient n of the trace identity is coefficient n + N of that
@@ -352,11 +364,14 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     """Compare both trace routes against the torsion-times-zeta series.
 
     For each n up to nmax the coefficient of the determinant pencil
-    (``trace_kappa_series``), the graded trace read from the diagonal of
-    kappa_n (``kappa_trace``) and the series coefficient must agree
-    exactly; mismatches are recorded, not raised.  The diagonal route sums
-    each restricted minor once, by subset size, for all rows.  The assembled
-    ``kappa_matrix`` is the reference route for the diagonal and is not run.
+    (``trace_kappa_series``, through ``newton_pencil``), the graded trace
+    read from the diagonal of kappa_n (``kappa_trace``) and the series
+    coefficient must agree exactly; mismatches are recorded, not raised.
+    The diagonal route sums each restricted minor once, by subset size,
+    for all rows.  The series side runs the Morse determinant and
+    ``zeta_series``, whose cross-check still runs the Bareiss pencil
+    ``signed_pencil`` at N = 0.  The assembled ``kappa_matrix`` is the
+    reference route for the diagonal and is not run.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")

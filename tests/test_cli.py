@@ -7,9 +7,11 @@ import sys
 import pytest
 
 import swtorsion
-from swtorsion import series, surface, torsion, tqft
+from swtorsion import linalg, series, surface, torsion, tqft
 from swtorsion.cli import (generate_fixture, load_presentation, main,
                            write_presentation)
+from swtorsion.linalg import det_int, submatrix
+from swtorsion.series import TruncSeries
 
 
 def run_cli(args, capsys):
@@ -259,6 +261,76 @@ def test_torsion_command_runs_the_pencils_alone(tmp_path, capsys,
     code, out, _ = run_cli(["torsion", str(path), "--kmax", "12"], capsys)
     assert code == 0
     assert [line.split("\t")[1] for line in out.splitlines()[1:]] == expected
+
+
+def test_torsion_without_handles_forms_no_pencil(tmp_path, capsys,
+                                                monkeypatch):
+    # at N = 0 the numerator and the denominator are both det(1 - tA), so
+    # tau = 1 and neither is formed, not even at core genus 30
+    def forbidden(*args):
+        raise AssertionError("torsion formed a pencil at N = 0")
+
+    monkeypatch.setattr(torsion, "newton_pencil", forbidden)
+    monkeypatch.setattr(torsion, "signed_pencil", forbidden)
+    for g, words, kmax in ((0, 0, 0), (1, 4, 2), (4, 40, 8), (30, 240, 8)):
+        P = generate_fixture(g, 0, words, 1)
+        assert torsion.torsion_representative(P, kmax) == \
+            torsion.morse_torsion(P, kmax) == TruncSeries.one(kmax)
+        path = tmp_path / f"g{g}.json"
+        write_presentation(P, str(path))
+        code, out, err = run_cli(["torsion", str(path), "--kmax", str(kmax)],
+                                 capsys)
+        assert (code, err) == (0, "")
+        assert out == "k\tcoefficient\n0\t1\n" + "".join(
+            f"{k}\t0\n" for k in range(1, kmax + 1))
+
+
+def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
+                                                      monkeypatch):
+    # det A[D, C] = -3762 here, so every pencil of sw, torsion and intersect
+    # comes from the Schur complement: no det_pencil, and at most
+    # ceil(w/2) + 1 products per newton_pencil call, w = min(top, g)
+    P = generate_fixture(3, 2, 52, 1)
+    assert det_int(submatrix(P.monodromy.mat, (2, 3), (0, 1))) == -3762
+    path = tmp_path / "q.json"
+    write_presentation(P, str(path))
+
+    def forbidden(*args):
+        raise AssertionError("a command ran the Bareiss pencil")
+
+    for module in (linalg, surface, torsion):
+        monkeypatch.setattr(module, "det_pencil", forbidden)
+    products = []
+    honest_mul = torsion.mat_mul
+
+    def counting_mul(a, b):
+        products.append(1)
+        return honest_mul(a, b)
+
+    calls = []
+    honest = torsion.newton_pencil
+
+    def counted(mat, N, top=None):
+        before = len(products)
+        out = honest(mat, N, top)
+        g = len(mat) // 2 - N
+        calls.append((g if top is None else min(top, g),
+                      len(products) - before))
+        return out
+
+    monkeypatch.setattr(torsion, "mat_mul", counting_mul)
+    monkeypatch.setattr(torsion, "newton_pencil", counted)
+    monkeypatch.setattr(tqft, "newton_pencil", counted)
+    for argv, kernel_calls in ((["sw", "--nmax", "4"], 1),
+                               (["torsion", "--kmax", "24"], 2),
+                               (["intersect", "--n", "3"], 1)):
+        calls.clear()
+        products.clear()
+        code, _, err = run_cli([argv[0], str(path)] + argv[1:], capsys)
+        assert (code, err) == (0, "")
+        assert len(calls) == kernel_calls
+        assert all(count <= (w + 1) // 2 + 1 for w, count in calls)
+        assert sum(count for _, count in calls) == len(products)
 
 
 def test_sw_table_tsv_and_json(tmp_path, capsys):

@@ -22,7 +22,8 @@ from swtorsion.sympower import (Monomial, SymClass, SymSpace,
                                 disjoint_inverse_entry, dual_basis,
                                 duality_pairings, enumerate_basis,
                                 graded_trace, handle_duality, pair_monomials)
-from swtorsion.torsion import (morse_torsion, signed_pencil,
+from swtorsion import torsion
+from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
                                torsion_coefficient_direct,
                                torsion_representative)
 from swtorsion.tqft import (Presentation, compute_b1, kappa_matrix,
@@ -200,6 +201,50 @@ def test_pencils_take_their_structural_width():
         cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
         assert sum(1 for r in range(2 * N, len(mat))
                    if any(mat[r][c] for c in cols)) < 2 * g
+
+
+@st.composite
+def pencil_matrices(draw):
+    """(A, N) with core genus g <= 6, N <= 4 handles and a transvection word
+    of 0-68 letters; the short words often leave det A[D, C] = 0."""
+    g, N = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    surface = SurfaceModel(g + N, (N, g))
+    A = random_symplectic(surface, draw(st.integers(0, 68)),
+                          draw(st.integers(0, 2 ** 32)))
+    return A.mat, N
+
+
+@PROPERTY
+@given(pencil_matrices())
+def test_newton_pencil_equals_the_bareiss_pencil(case):
+    # every truncation top = 0..2g + 1, and the whole pencil
+    mat, N = case
+    full = signed_pencil(mat, N)
+    assert newton_pencil(mat, N) == full
+    for top in range(len(mat) - 2 * N + 2):
+        assert newton_pencil(mat, N, top) == full[:top + 1]
+
+
+@pytest.mark.parametrize("g, N, words, seed", [(2, 2, 0, 1), (2, 1, 2, 1)])
+def test_newton_pencil_falls_back_on_a_singular_handle_block(
+        monkeypatch, g, N, words, seed):
+    # the identity and `gen --g 2 --handles 1 --words 2 --seed 1` have
+    # det A[D, C] = 0, so there is no Schur complement and every call
+    # returns the truncated Bareiss pencil
+    mat = make_presentation(g, N, words, seed).monodromy.mat
+    assert det_int(submatrix(mat, range(N, 2 * N), range(N))) == 0
+    full = signed_pencil(mat, N)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return signed_pencil(*args)
+
+    monkeypatch.setattr(torsion, "signed_pencil", counted)
+    assert newton_pencil(mat, N) == full
+    for top in range(2 * g + 2):
+        assert newton_pencil(mat, N, top) == full[:top + 1]
+    assert len(calls) == 2 * g + 3
 
 
 def test_palindromic_pencil_rejects_a_non_integral_solution():

@@ -360,7 +360,7 @@ def test_verify_reads_the_diagonal_without_the_matrix(monkeypatch):
 
 
 def test_trace_identity_runs_the_morse_determinant(monkeypatch):
-    # the pencil torsion shares signed_pencil with the trace pencil, so the
+    # the pencil torsion shares newton_pencil with the trace pencil, so the
     # right-hand side must come from the Morse matrix to stay independent
     def forbidden(*args):
         raise AssertionError("the trace identity read the pencil torsion")
