@@ -23,9 +23,11 @@ for n in range(4):
     print(f"  n={n}: trace={tr}  lefschetz={lef}")
 
 # A random genus-2 monodromy, built deterministically from a transvection
-# word.  Every call expands the zeta series two ways, by the exponential
-# formula and by the rational function det(1 - tA)/(1 - t)^2, and raises if
-# they disagree.  The Lefschetz numbers printed above are a third route.
+# word.  Every call reads det(1 - tA) from Newton's identities on the traces
+# of A^k and checks it against G + 1 Bareiss determinants, raising if they
+# disagree; verify's side of the trace identity expands the same series by
+# the exponential formula instead.  The Lefschetz numbers printed above are
+# a further route.
 from swtorsion import random_symplectic
 
 A = random_symplectic(SurfaceModel(2), 6, seed=11)

@@ -12,7 +12,8 @@ Every pencil has two forms.  ``newton_pencil``, the one production reads,
 takes the Schur complement of A[D, C] and Newton's identities on the
 traces of its powers; it falls back to ``signed_pencil`` when A[D, C] is
 singular.  ``signed_pencil`` takes g + 1 Bareiss determinants; it is
-zeta's route (b) and the reference the tests check the kernel against.
+zeta's route (b), the route ``tqft.zeta_series`` checks the kernel against
+on every call, and the reference the tests check the kernel against.
 """
 from __future__ import annotations
 
@@ -284,10 +285,11 @@ def newton_pencil(mat: tuple, N: int,
     integer matrix T, so k divides the Newton sum, and e_k = delta^(k-1) p_k
     with p_k a sum of integer minors of A.  A remainder raises
     AssertionError.  When delta = 0, A[D, C] cannot be eliminated, there
-    is no Schur complement, and ``signed_pencil`` gives the answer.  At N = 0, D and C are empty: delta = 1, T = A and
-    p(s) = det(1 + sA).  A call with delta != 0 forms two products for T
-    (none at N = 0) and ceil(w/2) - 1 powers of T, against g + 1 Bareiss
-    determinants of size 2g + N in ``signed_pencil``.
+    is no Schur complement, and ``signed_pencil`` gives the answer.  At
+    N = 0, D and C are empty: delta = 1, T = A and p(s) = det(1 + sA),
+    which ``tqft.zeta_series`` reads.  A call with delta != 0 forms two
+    products for T (none at N = 0) and ceil(w/2) - 1 powers of T, against
+    g + 1 Bareiss determinants of size 2g + N in ``signed_pencil``.
     """
     if top is not None and top < 0:
         raise ValueError("top must be nonnegative")

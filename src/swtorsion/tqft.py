@@ -15,9 +15,12 @@ from the traces of powers of a 2g x 2g Schur complement; ``kappa_trace``
 reads the diagonal of kappa_n, one restricted minor of the monodromy per
 subset of the core classes, from the closed form of ascend after descend
 (a fixed partial permutation of the handle-wedge monomials).
-``verify_main_identity`` runs both.  The zeta function is expanded from
-the traces of A^k and, as a cross-check on every call, from the Bareiss
-pencil ``torsion.signed_pencil`` at N = 0.
+``verify_main_identity`` runs both.  ``zeta_series`` reads det(1 - tA)
+from the same kernel at N = 0 and checks it, on every call, against the
+Bareiss pencil ``torsion.signed_pencil`` at N = 0.  The rhs of ``verify``
+expands the zeta function from the traces of A^k instead
+(``_zeta_of_mapping_class``, checked against the same Bareiss pencil), so
+it shares no code with the kernel that the lhs reads.
 ``kappa_matrix`` assembles every column through ``descend_map``,
 ``ascend_map`` and the full Lambda(A) image and is the reference route for
 the diagonal, run by the tests and the benchmark's traced replay.
@@ -213,7 +216,8 @@ def _trace_series(A: MappingClass, N: int, nmax: int) -> Tuple[int, ...]:
     """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2, with the
     numerator from the Bareiss pencil ``torsion.signed_pencil``.  Zeta's
     route (b) runs it at N = 0, det(1 - tA) / (1 - t)^2, so it shares no
-    code with ``trace_kappa_series`` or with zeta's route (a).
+    code with ``newton_pencil``, which ``zeta_series`` checks against it,
+    or with zeta's route (a).
     """
     return _over_square(signed_pencil(A.mat, N), nmax)
 
@@ -245,7 +249,8 @@ class CrossCheckError(RuntimeError):
 
 
 def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
-    """Zeta function of the monodromy flow, expanded two ways.
+    """Zeta function of the monodromy flow, expanded two ways without the
+    power-sum kernel; the route ``rhs_series``, and so ``verify``, runs.
 
     (a) exp of sum (2 - tr A^k) t^k / k, the signed fixed point count of
         the iterates, in plain integers.  With n = 2G the size of A, the
@@ -261,9 +266,11 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
     (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series`` at N = 0.
     The two share no code, and both run on every call: a division with a
     remainder, a trace off the recurrence or a disagreement of the kmax + 1
-    coefficients raises ``CrossCheckError``.  The Lefschetz numbers of the
-    induced maps on the symmetric powers are a third route, which the tests
-    check against.
+    coefficients raises ``CrossCheckError``.  Neither reads
+    ``newton_pencil``, which the trace side of ``verify`` reads, so the two
+    sides of the trace identity stay independent.  The Lefschetz numbers of
+    the induced maps on the symmetric powers are a further route, which the
+    tests check against.
     """
     M = A.mat
     n = len(M)
@@ -312,29 +319,52 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
 
 
 def zeta_series(P, kmax: int) -> TruncSeries:
-    """Zeta function of a presentation's monodromy (or a bare mapping class)."""
+    """Zeta function of a presentation's monodromy (or a bare mapping class).
+
+    det(1 - tA) / (1 - t)^2, with det(1 - tA) from the power-sum kernel
+    ``newton_pencil`` at N = 0, where delta = 1 and T = A: the route the
+    ``zeta`` command prints, at most ceil(min(kmax, G) / 2) - 1 products
+    of size 2G.  Every call checks it against ``_trace_series`` at N = 0,
+    the Bareiss pencil ``signed_pencil``, which shares no code with the
+    kernel.  A remainder in the kernel's Newton division or a disagreement
+    raises ``CrossCheckError``.  The exponential of the fixed point counts,
+    ``_zeta_of_mapping_class``, is left to ``rhs_series``, the side of
+    ``verify`` that must not read the kernel.
+    """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     A = P.monodromy if isinstance(P, Presentation) else P
-    return _zeta_of_mapping_class(A, kmax)
+    try:
+        coeffs = _over_square(newton_pencil(A.mat, 0, kmax), kmax)
+    except AssertionError as e:
+        raise CrossCheckError(f"zeta cross-check failed: {e} in the "
+                              "power-sum kernel of det(1 - tA)") from None
+    if coeffs != _trace_series(A, 0, kmax):
+        raise CrossCheckError("zeta cross-check failed: the power-sum and the "
+                              "Bareiss pencils of det(1 - tA) disagree")
+    return TruncSeries(kmax, coeffs)
 
 
 def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
     """Torsion-times-zeta side of the trace identity, indexed by n.
 
     The torsion is ``morse_torsion``, the determinant of the Morse matrix,
-    not the pencil ratio of ``torsion_representative``: the trace pencil
-    and that ratio share ``newton_pencil``, so only the Morse complex
-    keeps this side independent of the trace.  The Morse matrix carries
-    one factor of t per handle, so the product zeta * det starts at t^N;
-    coefficient n of the trace identity is coefficient n + N of that
-    product.  The shift is exact: the low coefficients vanish identically.
+    not the pencil ratio of ``torsion_representative``, and the zeta
+    function is ``_zeta_of_mapping_class``, the exponential of the fixed
+    point counts checked against the Bareiss pencil, not ``zeta_series``:
+    the trace, that ratio and ``zeta_series`` all read ``newton_pencil``,
+    so only these routes keep this side independent of the trace.  The
+    Morse matrix carries one factor of t per handle, so the product
+    zeta * det starts at t^N; coefficient n of the trace identity is
+    coefficient n + N of that product.  The shift is exact: the low
+    coefficients vanish identically.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     N = P.handles
     order = nmax + N
-    product = zeta_series(P, order) * morse_torsion(P, order)
+    product = (_zeta_of_mapping_class(P.monodromy, order)
+               * morse_torsion(P, order))
     return product.shift_down(N)
 
 
@@ -368,10 +398,13 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     read from the diagonal of kappa_n (``kappa_trace``) and the series
     coefficient must agree exactly; mismatches are recorded, not raised.
     The diagonal route sums each restricted minor once, by subset size,
-    for all rows.  The series side runs the Morse determinant and
-    ``zeta_series``, whose cross-check still runs the Bareiss pencil
-    ``signed_pencil`` at N = 0.  The assembled ``kappa_matrix`` is the
-    reference route for the diagonal and is not run.
+    for all rows.  The series side, ``rhs_series``, runs the Morse
+    determinant and ``_zeta_of_mapping_class``: the exponential of the
+    fixed point counts with its own integrality and Cayley-Hamilton checks,
+    and its cross-check against the Bareiss pencil ``signed_pencil`` at
+    N = 0.  Neither reads ``newton_pencil``, which the pencil route does.
+    The assembled ``kappa_matrix`` is the reference route for the diagonal
+    and is not run.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")

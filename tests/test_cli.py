@@ -209,6 +209,31 @@ def test_zeta_cross_check_failure_exits_one(tmp_path, capsys, monkeypatch,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("shift", [1, 2, 3, 5])
+def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, shift):
+    # zeta reads det(1 - tA) from newton_pencil at N = 0 (G = 4, kmax = 40),
+    # whose one product is T^2 = A^2.  Lowering A^2[1][1] by 2 keeps the
+    # Newton divisions exact, and the Bareiss pencil rejects the result;
+    # shifts 1, 3 and 5 leave a remainder in the kernel.  Both exit 1 with
+    # one line on stderr.
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(0, 4, 40, 1), str(path))
+    honest = torsion.mat_mul
+
+    def perturbed(a, b):
+        rows = [list(r) for r in honest(a, b)]
+        rows[1][1] -= shift
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(torsion, "mat_mul", perturbed)
+    code, out, err = run_cli(["zeta", str(path), "--kmax", "40"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: zeta cross-check failed: ")
+    assert ("disagree" in err) == (shift == 2)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_torsion_output(tmp_path, capsys):
     path = tmp_path / "rot.json"
     path.write_text(json.dumps(

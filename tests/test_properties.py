@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from swtorsion.cli import load_presentation, write_presentation
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
@@ -26,7 +26,8 @@ from swtorsion import torsion
 from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
                                torsion_coefficient_direct,
                                torsion_representative)
-from swtorsion.tqft import (Presentation, compute_b1, kappa_matrix,
+from swtorsion.tqft import (Presentation, _trace_series,
+                            _zeta_of_mapping_class, compute_b1, kappa_matrix,
                             kappa_trace, trace_kappa_series,
                             verify_main_identity, zeta_series)
 from conftest import make_presentation, rational_exp
@@ -263,15 +264,36 @@ def test_palindromic_pencil_rejects_a_non_integral_solution():
        st.integers(0, 40))
 def test_zeta_equals_the_exponential_of_the_fixed_point_counts(G, words, seed,
                                                                kmax):
-    # the integer route inside zeta_series against the exponential over
-    # Fraction, with every A^k a full product
+    # the integer exponential of _zeta_of_mapping_class (route (a), which
+    # verify runs) and the power-sum kernel of zeta_series against the
+    # exponential over Fraction, with every A^k a full product
     A = random_symplectic(G, words, seed)
     traces, power = [], identity_matrix(2 * G)
     for _ in range(kmax):
         power = mat_mul(power, A.mat)
         traces.append(sum(power[i][i] for i in range(2 * G)))
-    assert zeta_series(A, kmax).coeffs == rational_exp(
+    want = rational_exp(
         [0] + [Fraction(2 - t, k) for k, t in enumerate(traces, 1)])
+    assert _zeta_of_mapping_class(A, kmax).coeffs == want
+    assert zeta_series(A, kmax).coeffs == want
+
+
+@PROPERTY
+@given(st.sampled_from(range(7)), st.integers(0, 68), st.integers(0, 2 ** 32),
+       st.integers(0, 40))
+@example(0, 0, 0, 40)
+@example(3, 68, 7, 40)
+@example(6, 68, 1, 40)
+def test_zeta_routes_agree(G, words, seed, kmax):
+    # the power-sum kernel that zeta prints, the exponential of the fixed
+    # point counts that verify's rhs runs and the Bareiss pencil that both
+    # check against, at the drawn kmax and at every order where route (a)
+    # stops forming traces and starts the Cayley-Hamilton recurrence
+    A = random_symplectic(G, words, seed)
+    for k in {kmax, 0, max(2 * G - 1, 0), 2 * G, 2 * G + 1, 2 * G + 2}:
+        kernel = zeta_series(A, k).coeffs
+        assert kernel == _zeta_of_mapping_class(A, k).coeffs
+        assert kernel == _trace_series(A, 0, k)
 
 
 @PROPERTY

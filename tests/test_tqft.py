@@ -14,11 +14,11 @@ import swtorsion
 from swtorsion import linalg, sympower, torsion, tqft
 from swtorsion.torsion import (morse_differential_matrix, morse_torsion,
                                signed_pencil, torsion_representative)
-from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
-                            kappa_matrix, rhs_series, sw_table,
-                            trace_kappa_coefficient, trace_kappa_series,
-                            validate_presentation, verify_main_identity,
-                            zeta_series)
+from swtorsion.tqft import (Presentation, _zeta_of_mapping_class, ascend_map,
+                            compute_b1, descend_map, kappa_matrix, rhs_series,
+                            sw_table, trace_kappa_coefficient,
+                            trace_kappa_series, validate_presentation,
+                            verify_main_identity, zeta_series)
 from conftest import make_presentation, presentation_sample, rational_exp
 
 ROT = [[0, -1], [1, 0]]  # c -> d, d -> -c on the one-handle sphere
@@ -210,12 +210,12 @@ def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
         rows[1][0] -= shift
         return tuple(map(tuple, rows))
 
-    assert zeta_series(A, 3) == TruncSeries(3, [1, -1, -2, -3])
+    assert _zeta_of_mapping_class(A, 3) == TruncSeries(3, [1, -1, -2, -3])
     monkeypatch.setattr(tqft, "mat_mul", perturbed)
     with pytest.raises(RuntimeError,
                        match="^zeta cross-check failed: tr A\\^3 is off the "
                              "Cayley-Hamilton recurrence"):
-        zeta_series(A, 3)
+        _zeta_of_mapping_class(A, 3)
 
 
 @pytest.mark.parametrize("shift", [1, 3])
@@ -232,7 +232,7 @@ def test_zeta_checks_the_first_trace_past_2g(monkeypatch, shift):
     B = MappingClass(SurfaceModel(2), [[1, 0, 0, 0], [0, 2, 0, 1],
                                        [0, 0, 1, 0], [0, 1, 0, 1]])
     honest = tqft.mat_mul
-    low = zeta_series(A, 2)
+    low = _zeta_of_mapping_class(A, 2)
 
     def perturbed(a, b):
         rows = [list(r) for r in honest(a, b)]
@@ -241,18 +241,21 @@ def test_zeta_checks_the_first_trace_past_2g(monkeypatch, shift):
 
     monkeypatch.setattr(tqft, "mat_mul", perturbed)
     with pytest.raises(tqft.CrossCheckError, match="Cayley-Hamilton"):
-        zeta_series(A, 5)
-    assert zeta_series(A, 2) == low
+        _zeta_of_mapping_class(A, 5)
+    assert _zeta_of_mapping_class(A, 2) == low
     with pytest.raises(tqft.CrossCheckError,
                        match="not integral at t\\^3" if shift == 1
                        else "expansions .* disagree"):
-        zeta_series(B, 3)
+        _zeta_of_mapping_class(B, 3)
 
 
 def test_zeta_and_pencil_cost_guard(monkeypatch):
     # route (a) forms at most A^{G+1}, so G products, at any kmax; a
-    # palindromic pencil of degree 2w takes w + 1 determinants
-    calls = {"mat_mul": 0, "det_int": 0}
+    # palindromic pencil of degree 2w takes w + 1 determinants; zeta_series
+    # runs no route (a): the kernel at N = 0 forms T^2 .. T^ceil(w/2) of
+    # T = A, w = min(kmax, G), and its check is route (b)'s G + 1
+    # determinants
+    calls = {"mat_mul": 0, "det_int": 0, "kernel_mul": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -263,7 +266,7 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
     monkeypatch.setattr(tqft, "mat_mul", counting("mat_mul", tqft.mat_mul))
     monkeypatch.setattr(linalg, "det_int", counting("det_int", linalg.det_int))
     P = make_presentation(0, 4, 40, 1)
-    zeta_series(P, 40)
+    _zeta_of_mapping_class(P.monodromy, 40)
     assert 0 < calls["mat_mul"] <= 4
     for g, N in ((3, 2), (0, 3), (4, 0)):
         calls["det_int"] = 0
@@ -272,6 +275,15 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
     calls["det_int"] = 0
     char_series(make_presentation(2, 3, 30, 2).monodromy, 10)
     assert calls["det_int"] == 6
+    monkeypatch.setattr(torsion, "mat_mul",
+                        counting("kernel_mul", torsion.mat_mul))
+    for g, N, kmax in ((0, 4, 40), (6, 0, 40), (5, 0, 3), (2, 0, 0)):
+        G = g + N
+        calls.update(mat_mul=0, det_int=0, kernel_mul=0)
+        zeta_series(make_presentation(g, N, 40, 1), kmax)
+        assert calls["mat_mul"] == 0
+        assert calls["kernel_mul"] <= max(-(-min(kmax, G) // 2) - 1, 0)
+        assert calls["det_int"] == G + 1
 
 
 def test_verify_computes_each_restricted_minor_once(monkeypatch):
