@@ -21,14 +21,15 @@ those coefficients is a short sum of restricted minors of A over one duality
 block.  Nor does it build the duality of the whole space: every monomial it
 pairs or dualises holds all of the c's or all of the d's, and
 ``sympower.handle_duality`` writes just those blocks down in closed form,
-on plain (indices, q) keys, without evaluating a pairing or inverting a
+on plain (indices, q) tuples, without evaluating a pairing or inverting a
 block.  The production route builds no ``Monomial``, ``SymClass`` or
 ``ProductClass``; ``diagonal_class`` wraps the same terms as monomials.
 ``graph_class`` plus ``product_evaluate`` over the full ``duality_pairings``
 and ``dual_basis`` (each pairing through ``pair_monomials``, each block
 inverted by ``invert_unimodular``) is the materialised reference route: it
-expands Lambda(A) on every basis monomial.  The tests, demo 04 and the
-benchmark's traced replay still call it; no production path does.
+expands Lambda(A) on every basis monomial, and its monomials equal the
+(indices, q) tuples.  The tests, demo 04 and the benchmark's traced replay
+still call it; no production path does.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from .linalg import det_int, submatrix
-from .sympower import (Key, Monomial, SymClass, SymSpace, apply_induced,
+from .sympower import (Monomial, SymClass, SymSpace, apply_induced,
                        dual_basis, duality_pairings, enumerate_basis,
                        handle_duality)
 from .tqft import Presentation
@@ -58,7 +59,7 @@ class ProductClass:
             if not (space.contains(a) and space.contains(b)):
                 raise ValueError("monomial exceeds the space bound")
             cleaned.append((a, b, c))
-        cleaned.sort(key=lambda t: (t[0].indices, t[0].q, t[1].indices, t[1].q))
+        cleaned.sort()
         object.__setattr__(self, "terms", tuple(cleaned))
 
     def __len__(self) -> int:
@@ -130,11 +131,11 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     return ProductClass(space, terms)
 
 
-def _pair_against(terms, pairs: Dict[Key, Dict[Key, int]],
-                  coefficient: Callable[[Key, Key], int]) -> int:
+def _pair_against(terms, pairs: Dict[tuple, Dict[tuple, int]],
+                  coefficient: Callable[[tuple, tuple], int]) -> int:
     """Cup product of the product class with the terms (a, b, coefficient)
     and the one whose (c, e) coefficient is ``coefficient(c, e)``,
-    evaluated on the fundamental class; all monomials are (indices, q) keys.
+    evaluated on the fundamental class; all monomials are (indices, q) tuples.
 
     Bilinear in the monomial pairs: ((a x b), (c x e)) contributes the
     Kunneth sign (-1)^{deg b deg c} times the duality pairings <a, c> and
@@ -165,13 +166,9 @@ def product_evaluate(u: ProductClass, v: ProductClass) -> int:
     """
     if u.space != v.space:
         raise ValueError("product classes live over different powers")
-    full = duality_pairings(u.space)
-    pairs = {(m.indices, m.q): {(b.indices, b.q): x for b, x in full[m].items()}
-             for a, b, _ in u.terms for m in (a, b)}
-    v_terms = {((c.indices, c.q), (e.indices, e.q)): cv for c, e, cv in v.terms}
-    return _pair_against(
-        [((a.indices, a.q), (b.indices, b.q), cu) for a, b, cu in u.terms],
-        pairs, lambda c, e: v_terms.get((c, e), 0))
+    v_terms = {(c, e): cv for c, e, cv in v.terms}
+    return _pair_against(u.terms, duality_pairings(u.space),
+                         lambda c, e: v_terms.get((c, e), 0))
 
 
 def intersection_number(P: Presentation, n: int) -> int:
@@ -189,7 +186,7 @@ def intersection_number(P: Presentation, n: int) -> int:
     each monomial of D, lies in a block holding c_0..c_{N-1} or
     d_0..d_{N-1} times a core monomial, so the cost follows about twice
     dim H^*(Sym^n) of the core surface, not the dimension of Sym^{n+N}.
-    Every monomial is a plain (indices, q) key; no ``Monomial``,
+    Every monomial is a plain (indices, q) tuple; no ``Monomial``,
     ``SymClass`` or ``ProductClass`` is built.  The result equals
     ``product_evaluate(diagonal_class(P, n), graph_class(P, n))``.
     """
@@ -204,9 +201,9 @@ def intersection_number(P: Presentation, n: int) -> int:
                 (cols, -coeff if odd else coeff))
     mat = P.monodromy.mat
     minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    values: Dict[Tuple[Key, Key], int] = {}
+    values: Dict[Tuple[tuple, tuple], int] = {}
 
-    def gamma(c: Key, e: Key) -> int:
+    def gamma(c: tuple, e: tuple) -> int:
         value = values.get((c, e))
         if value is None:
             rows, q = e

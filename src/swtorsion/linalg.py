@@ -11,7 +11,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 def as_matrix(rows) -> tuple:
@@ -100,57 +100,22 @@ def det_int(a: tuple) -> int:
     return sign * last if len(pivots) == len(a) else 0
 
 
-def interpolate(values: Sequence[int]) -> Tuple[int, ...]:
-    """Coefficients of the polynomial of degree < len(values) that takes
-    values[k] at s = k, by forward differences in the falling-factorial basis.
-
-    The coefficients are asserted to be integers.  The Stirling numbers
-    relate the falling-factorial and monomial bases with integer matrices,
-    so the polynomial is integral exactly when every k-th forward
-    difference at 0 is divisible by k!, and the work stays in ints.
-    """
-    coeffs = [0] * len(values)
-    falling = [1]  # coefficients of s (s - 1) .. (s - k + 1)
-    diffs = list(values)
-    factorial = 1
-    for k in range(len(values)):
-        if k:
-            factorial *= k
-        q, r = divmod(diffs[0], factorial)
-        if r:
-            raise AssertionError("interpolated polynomial is not integral")
-        for i, c in enumerate(falling):
-            coeffs[i] += q * c
-        shifted = [0] + falling
-        for i, c in enumerate(falling):
-            shifted[i] -= k * c
-        falling = shifted
-        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
-    return tuple(coeffs)
-
-
 def det_pencil(m0: tuple, m1: tuple,
-               palindromic_degree: Optional[int] = None) -> Tuple[int, ...]:
-    """Coefficients of det(m0 + s m1) in s, lowest degree first.
+               palindromic_degree: int) -> Tuple[int, ...]:
+    """Coefficients of det(m0 + s m1) in s, lowest degree first, for a
+    pencil that the caller asserts is palindromic of degree 2w =
+    ``palindromic_degree``: of degree at most 2w with p_k = p_{2w-k}.
 
-    With ``palindromic_degree`` = 2w the caller asserts that the pencil has
-    degree at most 2w and p_k = p_{2w-k}; every pencil of this library is
-    of that form, with 2w fixed by the shape of the problem (see
-    ``torsion.signed_pencil``).  Then the w + 1 Bareiss determinants at
-    s = 0..w determine p, and ``_solve_palindromic`` recovers it exactly.
-
-    Without it the pencil is taken as general: each nonzero row of m1
-    raises the degree by at most one, so with deg nonzero rows the
-    determinants at s = 0..deg and ``interpolate`` give it exactly.  This
-    is the reference form the tests check the palindromic one against.
+    Every pencil of this library is of that form, with 2w fixed by the
+    shape of the problem (see ``torsion.signed_pencil``).  The w + 1
+    Bareiss determinants at s = 0..w determine p, and
+    ``_solve_palindromic`` recovers it exactly.  The tests check it
+    against the interpolation of all 2w + 1 values.
     """
     def value(s: int) -> int:
         return det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
                              for r0, r1 in zip(m0, m1)))
 
-    if palindromic_degree is None:
-        deg = sum(1 for row in m1 if any(row))
-        return interpolate([value(s) for s in range(deg + 1)])
     w, odd = divmod(palindromic_degree, 2)
     if odd or w < 0:
         raise ValueError("a palindromic degree must be even and nonnegative")

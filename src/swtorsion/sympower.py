@@ -4,9 +4,9 @@ For a genus-G surface the degree-n symmetric power has cohomology with basis
 ``x_I y^q`` where I is a strictly increasing subset of the 2G odd generators,
 y is the even degree-2 class, and ``|I| + q <= n``.  Every operation re-sorts
 indices and tracks the transposition sign, so coefficients stay exact
-integers.  ``Monomial`` is the representation everywhere except in
-``handle_duality``, the one production route, which works on plain
-(I, q) keys.
+integers.  A ``Monomial`` is the tuple (I, q) itself, so it equals, hashes
+and sorts as that key; ``handle_duality``, the one production route, builds
+plain (I, q) tuples, and the reference routes read them unconverted.
 
 Degrees: deg(x_I y^q) = |I| + 2q; the sign of a monomial in graded traces is
 (-1)^{|I|}.
@@ -14,6 +14,7 @@ Degrees: deg(x_I y^q) = |I| + 2q; the sign of a monomial in graded traces is
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -23,20 +24,19 @@ from .linalg import invert_unimodular, perm_parity
 from .surface import CohClass, MappingClass, SurfaceModel
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Basis element x_I y^q with I strictly increasing (0-indexed)."""
+class Monomial(namedtuple("Monomial", "indices q")):
+    """Basis element x_I y^q with I strictly increasing (0-indexed), as
+    the tuple (indices, q) that it equals, hashes and sorts as."""
 
-    indices: Tuple[int, ...]
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        idx = tuple(self.indices)
+    def __new__(cls, indices, q: int):
+        idx = tuple(indices)
         if any(a >= b for a, b in zip(idx, idx[1:])):
             raise ValueError("indices must be strictly increasing")
-        if self.q < 0:
+        if q < 0:
             raise ValueError("q must be nonnegative")
-        object.__setattr__(self, "indices", idx)
+        return super().__new__(cls, idx, q)
 
     @property
     def degree(self) -> int:
@@ -82,9 +82,10 @@ class SymSpace:
 # Bound of the caches keyed by SymSpace.  Of the commands only intersect
 # touches a space: one ``handle_duality`` entry for Sym^{n+N} of the split
 # surface, built from keys alone, never the basis of Sym^n of the core or of
-# the whole Sym^{n+N}; verify, sw, zeta and torsion touch none.  The rest of
-# the room serves the reference routes that the tests and the traced
-# benchmark replay run.
+# the whole Sym^{n+N}; verify, sw, zeta and torsion touch none.  That entry
+# is keyed by the space alone, so a warm process reuses it across every
+# monodromy of one shape.  The rest serves the reference routes that the
+# tests and the traced benchmark replay run.
 _SPACE_CACHE_SIZE = 64
 
 
@@ -156,8 +157,7 @@ class SymClass:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"{c}*{m}" for m, c in sorted(
-            self.terms.items(), key=lambda t: (t[0].indices, t[0].q)))
+        return " + ".join(f"{c}*{m}" for m, c in sorted(self.terms.items()))
 
 
 def _insert_index(i: int, indices: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -216,8 +216,9 @@ def contract_class(c: CohClass, alpha: SymClass) -> SymClass:
     return SymClass(target, out)
 
 
-# Keyed by the whole matrix, so a warm run over distinct monodromies hits
-# only within an operation; the bound keeps memory flat across operations.
+# Reference routes only: no command reaches it.  Keyed by the whole matrix,
+# so it hits only within one call on one monodromy, where the recursion
+# reuses the images of shorter prefixes; the bound keeps memory flat.
 @lru_cache(maxsize=4096)
 def _lambda_image(mat: tuple, indices: Tuple[int, ...]) -> tuple:
     """Expansion of the wedge of columns ``indices`` of mat in the monomial basis.
@@ -393,28 +394,6 @@ def _duality_blocks(space: SymSpace):
         yield tuple(rows), tuple(cols)
 
 
-def _block_pairings(space: SymSpace,
-                    blocks) -> Dict[Monomial, Dict[Monomial, int]]:
-    """For each row monomial a of the blocks, {b: <a, b>} over its columns."""
-    return {a: {b: v for b in cols if (v := pair_monomials(space, a, b))}
-            for rows, cols in blocks for a in rows}
-
-
-def _block_duals(space: SymSpace, blocks, pairs) -> Dict[Monomial, SymClass]:
-    """The dual a* of each column monomial a of the blocks: rows R meet
-    only columns C, so the duals of C are combinations of R with
-    coefficients from the inverse of that block (``invert_unimodular``,
-    which also checks that they are integers)."""
-    duals: Dict[Monomial, SymClass] = {}
-    for rows, cols in blocks:
-        inverse = invert_unimodular(
-            tuple(tuple(pairs[r].get(c, 0) for c in cols) for r in rows))
-        for a, coeffs in zip(cols, inverse):
-            duals[a] = SymClass(space,
-                                {b: v for b, v in zip(rows, coeffs) if v})
-    return duals
-
-
 @lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def duality_pairings(space: SymSpace) -> Dict[Monomial, Dict[Monomial, int]]:
     """For each basis monomial a, its nonzero pairings {b: <a, b>}.
@@ -422,7 +401,8 @@ def duality_pairings(space: SymSpace) -> Dict[Monomial, Dict[Monomial, int]]:
     Only the members of a's Gram block are paired (``pair_monomials``), so
     the cost is the sum of the squared block sizes, not dim^2.
     """
-    return _block_pairings(space, _duality_blocks(space))
+    return {a: {b: v for b in cols if (v := pair_monomials(space, a, b))}
+            for rows, cols in _duality_blocks(space) for a in rows}
 
 
 def gram_matrix(space: SymSpace) -> tuple:
@@ -437,14 +417,20 @@ def gram_matrix(space: SymSpace) -> tuple:
 def dual_basis(space: SymSpace) -> Dict[Monomial, SymClass]:
     """For each basis monomial a, the class a* with <a*, b> = delta_{ab}.
 
-    The Gram matrix is block diagonal up to order (``_duality_blocks``)
-    and unimodular, so each block is inverted exactly in integers.
+    The Gram matrix is block diagonal up to order (``_duality_blocks``),
+    so the duals of a block's columns combine its rows, with coefficients
+    from the block's integer inverse (``invert_unimodular``, which raises
+    unless the block is unimodular).
     """
-    return _block_duals(space, _duality_blocks(space), duality_pairings(space))
-
-
-# A monomial x_I y^q as the plain pair (I, q): the keys of ``handle_duality``.
-Key = Tuple[Tuple[int, ...], int]
+    pairs = duality_pairings(space)
+    duals: Dict[Monomial, SymClass] = {}
+    for rows, cols in _duality_blocks(space):
+        inverse = invert_unimodular(
+            tuple(tuple(pairs[r].get(c, 0) for c in cols) for r in rows))
+        for a, coeffs in zip(cols, inverse):
+            duals[a] = SymClass(space,
+                                {b: v for b, v in zip(rows, coeffs) if v})
+    return duals
 
 
 def _odd_inversions(seq) -> int:
@@ -463,19 +449,20 @@ def disjoint_inverse_entry(p: int, L: int, u: int, x: int) -> int:
 
 
 @lru_cache(maxsize=_SPACE_CACHE_SIZE)
-def handle_duality(space: SymSpace) -> Tuple[Dict[Key, Dict[Key, int]],
-                                             Dict[Key, Dict[Key, int]]]:
+def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
+                                             Dict[tuple, Dict[tuple, int]]]:
     """Pairings and duals on the Gram blocks of Sym^m of a split surface
     whose monomials hold all of C = (c_0..c_{N-1}) or all of D, in closed
     form.
 
-    Returns (pairs, duals) on (indices, q) keys: pairs[a] is {b: <a, b>}
-    over the nonzero pairings of a, and duals[a] is the dual a*, with
-    <a*, b> = delta_{ab}, as {b: coefficient}.  On these monomials they
-    equal ``duality_pairings`` and ``dual_basis``.  Each such monomial is
-    C (or D) joined to a core monomial x_K y^q with |K| + q <= m - N, and
-    these are exactly the blocks the handle diagonal reaches.  With no
-    handles every block of the space is reached.
+    Returns (pairs, duals) on plain (indices, q) tuples, which a
+    ``Monomial`` equals: pairs[a] is {b: <a, b>} over the nonzero pairings
+    of a, and duals[a] is the dual a*, with <a*, b> = delta_{ab}, as
+    {b: coefficient}.  On these monomials they equal ``duality_pairings``
+    and the terms of ``dual_basis``.  Each such monomial is C (or D)
+    joined to a core monomial x_K y^q with |K| + q <= m - N, and these are
+    exactly the blocks the handle diagonal reaches.  With no handles every
+    block of the space is reached.
 
     *Blocks.*  Write a monomial as x_{U + S} y^q, with U the indices whose
     partner is absent and S a set of whole partner pairs.  Two monomials
@@ -547,8 +534,8 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[Key, Dict[Key, int]],
                     for head in heads:
                         members[head + U, h] = [((head + idx, q), eps, mask)
                                                 for idx, q, eps, mask in block]
-    pairs: Dict[Key, Dict[Key, int]] = {}
-    duals: Dict[Key, Dict[Key, int]] = {}
+    pairs: Dict[tuple, Dict[tuple, int]] = {}
+    duals: Dict[tuple, Dict[tuple, int]] = {}
     for (U, h), rows in members.items():
         k = len(U) - N
         L = min(h, n - k - h, g - k)

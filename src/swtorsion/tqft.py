@@ -179,30 +179,26 @@ def kappa_trace(P: Presentation, n: int) -> int:
     sends x_J to the sum over I of det A[I, J] x_I.  So the diagonal is
     det A[D u K, C u K] at each of the n - |K| + 1 monomials x_{D u K} y^q,
     and the trace sums (-1)^{N + |K|} (n - |K| + 1) det A[D u K, C u K]
-    over |K| <= n: one restricted minor per subset, with no symmetric
-    power, no pencil of ``trace_kappa_series`` and no column of
-    ``kappa_matrix`` formed.
+    over |K| <= n (``_minor_sums`` over (1 - t)^2): one restricted minor
+    per subset, with no symmetric power, no pencil of
+    ``trace_kappa_series`` and no column of ``kappa_matrix`` formed.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _diagonal_trace(_minor_sums(P, n), P.handles, n)
+    return _over_square(_minor_sums(P, n), n)[n]
 
 
 def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
-    """q_k = sum over |K| = k of det A[D u K, C u K], for k <= min(nmax, 2g):
-    the minors ``kappa_trace`` weighs, each computed once."""
+    """(-1)^{N + k} sum over |K| = k of det A[D u K, C u K] for
+    k <= min(nmax, 2g), each minor computed once: the coefficients of
+    ``torsion.signed_pencil``, summed subset by subset."""
     N = P.handles
     mat = P.monodromy.mat
     C, D = tuple(range(N)), tuple(range(N, 2 * N))
-    return tuple(sum(det_int(submatrix(mat, D + K, C + K))
-                     for K in combinations(range(2 * N, len(mat)), k))
+    return tuple((-1) ** (N + k)
+                 * sum(det_int(submatrix(mat, D + K, C + K))
+                       for K in combinations(range(2 * N, len(mat)), k))
                  for k in range(min(nmax, 2 * P.genus) + 1))
-
-
-def _diagonal_trace(q: Tuple[int, ...], N: int, n: int) -> int:
-    """Tr kappa_n = sum_k (-1)^{N + k} (n - k + 1) q_k over k <= n."""
-    return sum((-(n - k + 1) if (N + k) & 1 else n - k + 1) * q[k]
-               for k in range(min(n + 1, len(q))))
 
 
 def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
@@ -212,14 +208,13 @@ def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
                  for n in range(nmax + 1))
 
 
-def _trace_series(A: MappingClass, N: int, nmax: int) -> Tuple[int, ...]:
-    """Coefficients n = 0..nmax of (-1)^N p(-t) / (1 - t)^2, with the
-    numerator from the Bareiss pencil ``torsion.signed_pencil``.  Zeta's
-    route (b) runs it at N = 0, det(1 - tA) / (1 - t)^2, so it shares no
-    code with ``newton_pencil``, which ``zeta_series`` checks against it,
-    or with zeta's route (a).
+def _trace_series(A: MappingClass, nmax: int) -> Tuple[int, ...]:
+    """Coefficients n = 0..nmax of det(1 - tA) / (1 - t)^2, with the
+    numerator from the Bareiss pencil ``torsion.signed_pencil`` at N = 0:
+    zeta's route (b).  It shares no code with ``newton_pencil``, which
+    ``zeta_series`` checks against it, or with zeta's route (a).
     """
-    return _over_square(signed_pencil(A.mat, N), nmax)
+    return _over_square(signed_pencil(A.mat, 0), nmax)
 
 
 def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
@@ -263,7 +258,7 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
         for k > n.  The explicit s_{n+1} must equal that recurrence.  The
         exponential z is the Newton recurrence
         m z_m = sum_{k=1..m} (2 - tr A^k) z_{m-k};
-    (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series`` at N = 0.
+    (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series``.
     The two share no code, and both run on every call: a division with a
     remainder, a trace off the recurrence or a disagreement of the kmax + 1
     coefficients raises ``CrossCheckError``.  Neither reads
@@ -310,7 +305,7 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
                 "zeta cross-check failed: the exponential of the fixed point "
                 f"counts is not integral at t^{m}")
         z.append(q)
-    via_det = _trace_series(A, 0, kmax)
+    via_det = _trace_series(A, kmax)
     if tuple(z) != via_det:
         raise CrossCheckError("zeta cross-check failed: the exponential and "
                               "the determinant expansions of the fixed point "
@@ -324,8 +319,8 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     det(1 - tA) / (1 - t)^2, with det(1 - tA) from the power-sum kernel
     ``newton_pencil`` at N = 0, where delta = 1 and T = A: the route the
     ``zeta`` command prints, at most ceil(min(kmax, G) / 2) - 1 products
-    of size 2G.  Every call checks it against ``_trace_series`` at N = 0,
-    the Bareiss pencil ``signed_pencil``, which shares no code with the
+    of size 2G.  Every call checks it against ``_trace_series``, the
+    Bareiss pencil ``signed_pencil`` at N = 0, which shares no code with the
     kernel.  A remainder in the kernel's Newton division or a disagreement
     raises ``CrossCheckError``.  The exponential of the fixed point counts,
     ``_zeta_of_mapping_class``, is left to ``rhs_series``, the side of
@@ -339,7 +334,7 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     except AssertionError as e:
         raise CrossCheckError(f"zeta cross-check failed: {e} in the "
                               "power-sum kernel of det(1 - tA)") from None
-    if coeffs != _trace_series(A, 0, kmax):
+    if coeffs != _trace_series(A, kmax):
         raise CrossCheckError("zeta cross-check failed: the power-sum and the "
                               "Bareiss pencils of det(1 - tA) disagree")
     return TruncSeries(kmax, coeffs)
@@ -397,8 +392,9 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     (``trace_kappa_series``, through ``newton_pencil``), the graded trace
     read from the diagonal of kappa_n (``kappa_trace``) and the series
     coefficient must agree exactly; mismatches are recorded, not raised.
-    The diagonal route sums each restricted minor once, by subset size,
-    for all rows.  The series side, ``rhs_series``, runs the Morse
+    The diagonal route sums each restricted minor once, by subset size
+    and signed (``_minor_sums``), and reads every row from those sums
+    over (1 - t)^2.  The series side, ``rhs_series``, runs the Morse
     determinant and ``_zeta_of_mapping_class``: the exponential of the
     fixed point counts with its own integrality and Cayley-Hamilton checks,
     and its cross-check against the Bareiss pencil ``signed_pencil`` at
@@ -410,12 +406,10 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
         raise ValueError("nmax must be nonnegative")
     rhs = rhs_series(P, nmax)
     direct = trace_kappa_series(P, nmax)
-    q = _minor_sums(P, nmax)
-    rows = []
-    for n in range(nmax + 1):
-        rows.append(VerificationRow(n, direct[n],
-                                    _diagonal_trace(q, P.handles, n), rhs[n]))
-    return VerificationReport(P, tuple(rows))
+    diagonal = _over_square(_minor_sums(P, nmax), nmax)
+    return VerificationReport(P, tuple(
+        VerificationRow(n, direct[n], diagonal[n], rhs[n])
+        for n in range(nmax + 1)))
 
 
 def compute_b1(P: Presentation) -> int:

@@ -24,6 +24,37 @@ def presentation_sample(count: int, seed: int, *, gmax=2, hmax=2, cap=3,
     return out
 
 
+def interpolate(values) -> tuple:
+    """Coefficients of the polynomial of degree < len(values) that takes
+    values[k] at s = k, by forward differences in the falling-factorial basis:
+    the general pencil the palindromic ``linalg.det_pencil`` is checked
+    against.
+
+    The coefficients are asserted to be integers.  The Stirling numbers
+    relate the falling-factorial and monomial bases with integer matrices,
+    so the polynomial is integral exactly when every k-th forward
+    difference at 0 is divisible by k!, and the work stays in ints.
+    """
+    coeffs = [0] * len(values)
+    falling = [1]  # coefficients of s (s - 1) .. (s - k + 1)
+    diffs = list(values)
+    factorial = 1
+    for k in range(len(values)):
+        if k:
+            factorial *= k
+        q, r = divmod(diffs[0], factorial)
+        if r:
+            raise AssertionError("interpolated polynomial is not integral")
+        for i, c in enumerate(falling):
+            coeffs[i] += q * c
+        shifted = [0] + falling
+        for i, c in enumerate(falling):
+            shifted[i] -= k * c
+        falling = shifted
+        diffs = [y - x for x, y in zip(diffs, diffs[1:])]
+    return tuple(coeffs)
+
+
 def rational_exp(log_coeffs) -> tuple:
     """Coefficients of exp(a) for a truncated series a with zero constant
     term, over Fraction: the reference the integer routes are checked

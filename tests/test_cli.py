@@ -196,8 +196,8 @@ def test_zeta_cross_check_failure_exits_one(tmp_path, capsys, monkeypatch,
     write_presentation(generate_fixture(1, 1, 12, 5), str(path))
     honest = tqft._trace_series
 
-    def off_by_one(A, N, nmax):
-        coeffs = list(honest(A, N, nmax))
+    def off_by_one(A, nmax):
+        coeffs = list(honest(A, nmax))
         coeffs[-1] += 1
         return tuple(coeffs)
 
@@ -449,6 +449,56 @@ def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
         in_turn.append((code, out.encode()))
     assert in_turn == alone
     assert len({out for _, out in alone}) == len(commands)
+
+
+# Routes that only the tests, the demos and the benchmark's traced replay
+# run, and that no command may reach.
+REFERENCE_ROUTES = (
+    "kappa_matrix", "kappa_trace", "descend_map", "ascend_map",
+    "induced_endomorphism", "apply_induced", "_lambda_image", "graded_trace",
+    "lefschetz_number", "wedge_class", "contract_class", "graph_class",
+    "product_evaluate", "gram_matrix", "duality_pairings", "dual_basis",
+    "duality_pair", "pair_monomials", "top_evaluate", "invert_unimodular",
+    "invert_rational", "char_series", "exterior_power_trace",
+    "torsion_coefficient_direct")
+
+
+def test_commands_call_no_reference_route(tmp_path, capsys, monkeypatch):
+    # with every reference route raising, in every module that binds it,
+    # and the caches cold, each command prints and exits as it does
+    # unpatched; the fixtures have N = 0, det A[D, C] = 0 and
+    # det A[D, C] != 0
+    commands = []
+    for g, N, words in ((3, 0, 40), (2, 1, 2), (2, 2, 52)):
+        path = str(tmp_path / f"{g}-{N}-{words}.json")
+        write_presentation(generate_fixture(g, N, words, 1), path)
+        commands.append(["b1", path])
+        for command, flag, value in (("zeta", "--kmax", "8"),
+                                     ("torsion", "--kmax", "8"),
+                                     ("sw", "--nmax", "4"),
+                                     ("verify", "--nmax", "3"),
+                                     ("intersect", "--n", "2")):
+            args = [command, path, flag, value]
+            commands += [args, args + ["--format", "json"]]
+    expected = [run_cli(args, capsys)[:2] for args in commands]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command ran a reference route")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "swtorsion" or name.startswith("swtorsion.")]
+    for module in modules:
+        for obj in list(vars(module).values()):
+            getattr(obj, "cache_clear", lambda: None)()
+    patched = set()
+    for module in modules:
+        for name in REFERENCE_ROUTES:
+            if name in vars(module):
+                monkeypatch.setattr(module, name, refuse)
+                patched.add(name)
+    monkeypatch.setattr(surface.MappingClass, "inverse", refuse)
+    assert patched == set(REFERENCE_ROUTES)
+    assert [run_cli(args, capsys)[:2] for args in commands] == expected
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

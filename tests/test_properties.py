@@ -13,24 +13,22 @@ from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
 from swtorsion.linalg import (det_int, det_pencil, det_rational,
                              identity_matrix, independent_columns,
-                             interpolate, invert_rational,
-                             invert_unimodular, mat_mul,
+                             invert_rational, invert_unimodular, mat_mul,
                              perm_parity, rank_int, submatrix, transpose)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, is_symplectic, random_symplectic
-from swtorsion.sympower import (Monomial, SymClass, SymSpace,
-                                disjoint_inverse_entry, dual_basis,
+from swtorsion.sympower import (SymSpace, disjoint_inverse_entry, dual_basis,
                                 duality_pairings, enumerate_basis,
                                 graded_trace, handle_duality, pair_monomials)
 from swtorsion import torsion
 from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
                                torsion_coefficient_direct,
                                torsion_representative)
-from swtorsion.tqft import (Presentation, _trace_series,
+from swtorsion.tqft import (Presentation, _minor_sums, _trace_series,
                             _zeta_of_mapping_class, compute_b1, kappa_matrix,
                             kappa_trace, trace_kappa_series,
                             verify_main_identity, zeta_series)
-from conftest import make_presentation, rational_exp
+from conftest import interpolate, make_presentation, rational_exp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -162,12 +160,15 @@ def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
     # about the core genus n = g - 1, exactly for b1 > 1 and up to an affine
     # term for b1 = 1.  p is read from the full interpolation, since
     # signed_pencil solves for half of it and is palindromic by construction.
+    # The signed pencil is also the minor sums of verify's diagonal route,
+    # summed subset by subset.
     g, N = P.genus, P.handles
     p = full_pencil(P.monodromy.mat, N)
     assert len(p) == 2 * g + 1
     assert p == p[::-1]
-    assert list(signed_pencil(P.monodromy.mat, N)) == [
-        -c if (k + N) & 1 else c for k, c in enumerate(p)]
+    signed = signed_pencil(P.monodromy.mat, N)
+    assert list(signed) == [-c if (k + N) & 1 else c for k, c in enumerate(p)]
+    assert _minor_sums(P, 2 * g) == signed
     traces = trace_kappa_series(P, max(2 * g - 2, 0))
     gap = [traces[n] - traces[2 * g - 2 - n] for n in range(2 * g - 1)]
     if compute_b1(P) > 1:
@@ -207,8 +208,9 @@ def test_pencils_take_their_structural_width():
 @st.composite
 def pencil_matrices(draw):
     """(A, N) with core genus g <= 6, N <= 4 handles and a transvection word
-    of 0-68 letters; the short words often leave det A[D, C] = 0."""
-    g, N = draw(st.integers(0, 6)), draw(st.integers(0, 4))
+    of 0-68 letters; the short words often leave det A[D, C] = 0.  The
+    genus is drawn uniformly, so large genus is not left to a few draws."""
+    g, N = draw(st.sampled_from(range(7))), draw(st.integers(0, 4))
     surface = SurfaceModel(g + N, (N, g))
     A = random_symplectic(surface, draw(st.integers(0, 68)),
                           draw(st.integers(0, 2 ** 32)))
@@ -217,8 +219,10 @@ def pencil_matrices(draw):
 
 @PROPERTY
 @given(pencil_matrices())
+@example((make_presentation(2, 2, 52, 1).monodromy.mat, 2))
 def test_newton_pencil_equals_the_bareiss_pencil(case):
-    # every truncation top = 0..2g + 1, and the whole pencil
+    # every truncation top = 0..2g + 1, and the whole pencil; the derandomized
+    # draws hold no g = 2, so one g = 2 case is given
     mat, N = case
     full = signed_pencil(mat, N)
     assert newton_pencil(mat, N) == full
@@ -252,7 +256,6 @@ def test_palindromic_pencil_rejects_a_non_integral_solution():
     # det(1 + s 0) = 1 is not palindromic of degree 6: the palindromic
     # polynomial through its values at s = 0..3 is not integral
     zero = tuple((0,) * 6 for _ in range(6))
-    assert det_pencil(identity_matrix(6), zero) == (1,)
     with pytest.raises(AssertionError, match="not integral"):
         det_pencil(identity_matrix(6), zero, 6)
     with pytest.raises(ValueError, match="even"):
@@ -260,7 +263,7 @@ def test_palindromic_pencil_rejects_a_non_integral_solution():
 
 
 @PROPERTY
-@given(st.integers(0, 6), st.integers(0, 40), st.integers(0, 2 ** 32),
+@given(st.sampled_from(range(7)), st.integers(0, 40), st.integers(0, 2 ** 32),
        st.integers(0, 40))
 def test_zeta_equals_the_exponential_of_the_fixed_point_counts(G, words, seed,
                                                                kmax):
@@ -293,7 +296,7 @@ def test_zeta_routes_agree(G, words, seed, kmax):
     for k in {kmax, 0, max(2 * G - 1, 0), 2 * G, 2 * G + 1, 2 * G + 2}:
         kernel = zeta_series(A, k).coeffs
         assert kernel == _zeta_of_mapping_class(A, k).coeffs
-        assert kernel == _trace_series(A, 0, k)
+        assert kernel == _trace_series(A, k)
 
 
 @PROPERTY
@@ -519,19 +522,6 @@ def test_series_det_equals_leibniz(case):
     assert series_det(entries, order) == leibniz_det(entries, order)
 
 
-@st.composite
-def matrix_pencils(draw):
-    """Pairs (m0, m1) of n x n integer matrices, n <= 5; in half of them
-    some rows of m1 are zero, which lowers the degree bound."""
-    n = draw(st.integers(0, 5))
-    entries = st.integers(-4, 4)
-    m0 = tuple(tuple(draw(entries) for _ in range(n)) for _ in range(n))
-    sparse = draw(st.booleans())
-    m1 = tuple(tuple(0 for _ in range(n)) if sparse and draw(st.booleans())
-               else tuple(draw(entries) for _ in range(n)) for _ in range(n))
-    return m0, m1
-
-
 def fraction_interpolate(values):
     """Forward differences in the falling-factorial basis, accumulated as
     Fraction and checked for integrality at the end."""
@@ -572,19 +562,6 @@ def test_interpolate_rejects_a_half_integral_polynomial():
         interpolate([0, 0, 1])
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(matrix_pencils())
-def test_det_pencil_equals_determinant_at_every_point(pencil):
-    m0, m1 = pencil
-    coeffs = det_pencil(m0, m1)
-    deg = sum(1 for row in m1 if any(row))
-    assert len(coeffs) == deg + 1
-    for s in range(-3, deg + 4):
-        value = det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
-                              for r0, r1 in zip(m0, m1)))
-        assert sum(c * s ** k for k, c in enumerate(coeffs)) == value
-
-
 @st.composite
 def sym_spaces(draw, gmax=3, nmax=4):
     """Sym^n of a split surface (N, G - N) with G <= gmax and n <= nmax."""
@@ -621,17 +598,14 @@ def handle_spaces(draw):
 
 def assert_handle_duality_is_the_full_duality(space, touched):
     """``handle_duality`` holds exactly the monomials ``touched``, and on
-    them, read back as monomials, it equals the full duality."""
+    them it equals the full duality: its plain (indices, q) tuples equal
+    the monomials of the same fields."""
     pairs, duals = handle_duality(space)
-    key = {m: (m.indices, m.q) for m in touched}
-    assert pairs.keys() == duals.keys() == set(key.values())
+    assert pairs.keys() == duals.keys() == set(touched)
     full_pairs, full_duals = duality_pairings(space), dual_basis(space)
     for m in touched:
-        assert {Monomial(*b): v for b, v in pairs[key[m]].items()} == \
-            full_pairs[m]
-        assert SymClass(space, {Monomial(*b): v
-                                for b, v in duals[key[m]].items()}) == \
-            full_duals[m]
+        assert pairs[m] == full_pairs[m]
+        assert duals[m] == full_duals[m].terms
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -47,6 +47,13 @@ def test_enumerate_basis_torus():
     assert enumerate_basis(space) == (
         mono(()), mono((), 1), mono((0,)), mono((1,)))
     assert space.dim == 4
+    # a monomial is its (indices, q) key, and only a valid one is built
+    assert Monomial((0, 2), 1) == ((0, 2), 1)
+    assert hash(Monomial((0, 2), 1)) == hash(((0, 2), 1))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Monomial((2, 1), 0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        Monomial((), -1)
 
 
 def test_dimension_and_betti_profile():

@@ -182,8 +182,8 @@ def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
     P = make_presentation(1, 1, 12, 5)
     honest = tqft._trace_series
 
-    def off_by_one(A, N, nmax):
-        coeffs = list(honest(A, N, nmax))
+    def off_by_one(A, nmax):
+        coeffs = list(honest(A, nmax))
         coeffs[2] += 1
         return tuple(coeffs)
 
