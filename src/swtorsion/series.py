@@ -74,18 +74,11 @@ class TruncSeries:
         return TruncSeries(self.order, [-a for a in self.coeffs])
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        """Cauchy product truncated at the common order."""
+        """Cauchy product truncated at the common order: ``_dot`` of one
+        pair of coefficient tuples."""
         self._check_order(other)
-        n = self.order
-        out = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncSeries(n, out)
+        return TruncSeries(self.order,
+                           _dot((self.coeffs,), (other.coeffs,), self.order))
 
     def shift_down(self, k: int) -> "TruncSeries":
         """Exact division by t^k; the low k coefficients must vanish."""

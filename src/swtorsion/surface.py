@@ -21,6 +21,7 @@ import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Optional, Union
 
 from .linalg import (as_matrix, det_int, det_pencil, identity_matrix, mat_mul,
@@ -211,8 +212,6 @@ def exterior_power_trace(A: MappingClass, j: int) -> int:
     n = A.surface.rank
     if not 0 <= j <= n:
         raise ValueError("exterior power out of range")
-    from itertools import combinations
-
     total = 0
     for S in combinations(range(n), j):
         total += det_int(submatrix(A.mat, S, S))
@@ -237,39 +236,30 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     return TruncSeries(order, [-c if j & 1 else c for j, c in enumerate(ext)])
 
 
-def _transvection(surface: SurfaceModel, v: tuple, direction: int) -> tuple:
-    """Matrix of x -> x + direction * <x, v> v (columns are images)."""
-    n = surface.rank
-    cols = []
-    for k, pair in enumerate(surface.pair_vector(v)):
-        cols.append(tuple((1 if i == k else 0) + direction * pair * v[i]
-                          for i in range(n)))
-    return transpose(as_matrix(cols))
-
-
 def random_symplectic(surface: Union[SurfaceModel, int], word_length: int,
                       seed: int) -> MappingClass:
     """Deterministic product of elementary symplectic transvections.
 
     The generating set consists of the transvections x -> x +- <x, v> v for
     v a basis vector or a sum of two basis vectors.  A bare integer genus
-    means the unsplit surface of that genus.
+    means the unsplit surface of that genus.  Right multiplication by one
+    changes only the columns p(i), i in the support of v: column p(i) gains
+    +-<e_p(i), e_i> (mat v), with p and the sign from ``_signed_partners``.
     """
     if isinstance(surface, int):
         surface = SurfaceModel(surface)
     if word_length < 0:
         raise ValueError("word length must be nonnegative")
     n = surface.rank
-    mat = identity_matrix(n)
-    if n == 0 or word_length == 0:
-        return MappingClass(surface, mat)
-    vecs = [tuple(1 if i == k else 0 for i in range(n)) for k in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            vecs.append(tuple(1 if t in (i, j) else 0 for t in range(n)))
+    cols = [list(col) for col in identity_matrix(n)]
+    supports = [(k,) for k in range(n)] + list(combinations(range(n), 2))
     rng = random.Random(seed)
-    for _ in range(word_length):
-        v = rng.choice(vecs)
+    for _ in range(word_length if n else 0):
+        support = rng.choice(supports)
         direction = rng.choice((1, -1))
-        mat = mat_mul(mat, _transvection(surface, v, direction))
-    return MappingClass(surface, mat)
+        image = [sum(col) for col in zip(*(cols[i] for i in support))]
+        for i in support:
+            p, s = surface._signed_partners[i]
+            step = -direction * s
+            cols[p] = [a + step * b for a, b in zip(cols[p], image)]
+    return MappingClass(surface, transpose(cols))

@@ -276,14 +276,8 @@ def induced_endomorphism(A: MappingClass, n: int) -> SymEndo:
     of the surface, so y is fixed and only the exterior algebra of H^1 moves.
     """
     space = SymSpace(A.surface, n)
-
-    def image(m: Monomial) -> SymClass:
-        out: Dict[Monomial, int] = {}
-        for idx, co in _lambda_image(A.mat, m.indices):
-            out[Monomial(idx, m.q)] = co
-        return SymClass(space, out)
-
-    return SymEndo.from_function(space, image)
+    return SymEndo.from_function(
+        space, lambda m: apply_induced(A, SymClass.monomial(space, m)))
 
 
 def apply_induced(A: MappingClass, alpha: SymClass) -> SymClass:

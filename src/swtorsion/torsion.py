@@ -260,10 +260,8 @@ def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
                  for k, c in enumerate(det_pencil(m0, m1, len(mat) - 2 * N)))
 
 
-def newton_pencil(mat: tuple, N: int,
-                  top: Optional[int] = None) -> Tuple[int, ...]:
-    """``signed_pencil(mat, N)[:top + 1]`` from power sums (all 2g + 1
-    coefficients when ``top`` is None).
+def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:
+    """``signed_pencil(mat, N)[:top + 1]`` from power sums.
 
     Let Q = A[D u X, C u X] and E_X the 0/1 diagonal on X.  Taking s out
     of the X rows of the pencil matrix gives p(s) = s^2g det(Q + E_X / s).
@@ -291,10 +289,10 @@ def newton_pencil(mat: tuple, N: int,
     products for T (none at N = 0) and ceil(w/2) - 1 powers of T, against
     g + 1 Bareiss determinants of size 2g + N in ``signed_pencil``.
     """
-    if top is not None and top < 0:
+    if top < 0:
         raise ValueError("top must be nonnegative")
     g2 = len(mat) - 2 * N
-    size = g2 + 1 if top is None else min(top + 1, g2 + 1)
+    size = min(top + 1, g2 + 1)
     w = min(size - 1, g2 // 2)
     X = range(2 * N, len(mat))
     if N == 0:

@@ -18,7 +18,7 @@ subset of the core classes, from the closed form of ascend after descend
 ``verify_main_identity`` runs both.  ``zeta_series`` reads det(1 - tA)
 from the same kernel at N = 0 and checks it, on every call, against the
 Bareiss pencil ``torsion.signed_pencil`` at N = 0.  The rhs of ``verify``
-expands the zeta function from the traces of A^k instead
+reads det(1 - tA) from the traces of A^k by its own Newton pass instead
 (``_zeta_of_mapping_class``, checked against the same Bareiss pencil), so
 it shares no code with the kernel that the lhs reads.
 ``kappa_matrix`` assembles every column through ``descend_map``,
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import List, Optional, Tuple
 
 from .linalg import det_int, identity_matrix, mat_mul, rank_int, submatrix
@@ -202,10 +202,10 @@ def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
 
 
 def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
-    """Coefficients n = 0..nmax of signed(t) / (1 - t)^2."""
-    return tuple(sum((n - k + 1) * signed[k]
-                     for k in range(min(n + 1, len(signed))))
-                 for n in range(nmax + 1))
+    """Coefficients n = 0..nmax of signed(t) / (1 - t)^2: dividing by
+    1 - t is a running sum, so two running sums."""
+    low = list(signed[:nmax + 1])
+    return tuple(accumulate(accumulate(low + [0] * (nmax + 1 - len(low)))))
 
 
 def _trace_series(A: MappingClass, nmax: int) -> Tuple[int, ...]:
@@ -248,20 +248,22 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
     power-sum kernel; the route ``rhs_series``, and so ``verify``, runs.
 
     (a) exp of sum (2 - tr A^k) t^k / k, the signed fixed point count of
-        the iterates, in plain integers.  With n = 2G the size of A, the
-        traces s_k = tr A^k for k <= t = min(kmax, n + 1) are sums over i, j
-        of A^ceil(k/2)[i][j] A^floor(k/2)[j][i], so only A^1 .. A^ceil(t/2)
-        (at most A^{G+1}) are formed, by integer matrix products.  Past
-        k = n the traces follow from Cayley-Hamilton: Newton's identities
-        j c_j = -sum_{i=1..j} s_i c_{j-i} give the coefficients c_1 .. c_n
-        of det(1 - tA) from s_1 .. s_n, and s_k = -sum_{j=1..n} c_j s_{k-j}
-        for k > n.  The explicit s_{n+1} must equal that recurrence.  The
-        exponential z is the Newton recurrence
-        m z_m = sum_{k=1..m} (2 - tr A^k) z_{m-k};
+        the iterates, is det(1 - tA) / (1 - t)^2 with
+        det(1 - tA) = exp(-sum tr A^k t^k / k).  With n = 2G the size of
+        A, the traces s_k = tr A^k for k <= t = min(kmax, n + 1) are sums
+        over i, j of A^ceil(k/2)[i][j] A^floor(k/2)[j][i], so only
+        A^1 .. A^ceil(t/2) (at most A^{G+1}) are formed, by integer matrix
+        products.  Newton's identities j c_j = -sum_{i=1..j} s_i c_{j-i}
+        give the coefficients c_j of det(1 - tA) for j <= min(kmax, n),
+        and at j = n + 1, where c_{n+1} = 0 by Cayley-Hamilton, the sum
+        must vanish.  The zeta function is c over (1 - t)^2, a unit in
+        Z[[t]], so it is integral exactly when c is;
     (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series``.
-    The two share no code, and both run on every call: a division with a
-    remainder, a trace off the recurrence or a disagreement of the kmax + 1
-    coefficients raises ``CrossCheckError``.  Neither reads
+    The two numerators share no code (both divide through ``_over_square``,
+    which the tests check against the rational exponential), and both run
+    on every call: a division with a remainder, tr A^{n+1} off the
+    recurrence or a disagreement of the kmax + 1 coefficients raises
+    ``CrossCheckError``.  Neither reads
     ``newton_pencil``, which the trace side of ``verify`` reads, so the two
     sides of the trace identity stay independent.  The Lefschetz numbers of
     the induced maps on the symmetric powers are a further route, which the
@@ -275,40 +277,27 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
         powers.append(mat_mul(powers[-1], M))
     flat = [[x for row in p for x in row] for p in powers]
     flat_t = [[x for col in zip(*p) for x in col] for p in powers]
-    traces = [n] + [sum(map(operator.mul, flat[(k + 1) // 2], flat_t[k // 2]))
-                    for k in range(1, top + 1)]
-    if kmax > n:
-        c = [1]
-        for j in range(1, n + 1):
-            q, r = divmod(-sum(map(operator.mul, traces[1:j + 1],
-                                   reversed(c))), j)
-            if r:
+    traces = [sum(map(operator.mul, flat[(k + 1) // 2], flat_t[k // 2]))
+              for k in range(1, top + 1)]
+    c = [1]
+    for j in range(1, top + 1):
+        newton = -sum(map(operator.mul, traces, reversed(c)))
+        if j > n:
+            if newton:
                 raise CrossCheckError(
-                    "zeta cross-check failed: Newton's identities give a "
-                    f"non-integral coefficient of det(1 - tA) at t^{j}")
-            c.append(q)
-        c = c[1:]
-        for k in range(n + 1, kmax + 1):
-            recurred = -sum(map(operator.mul, c, reversed(traces[k - n:k])))
-            if k > n + 1:
-                traces.append(recurred)
-            elif recurred != traces[k]:
-                raise CrossCheckError(
-                    f"zeta cross-check failed: tr A^{k} is off the "
+                    f"zeta cross-check failed: tr A^{j} is off the "
                     "Cayley-Hamilton recurrence of the lower traces")
-    counts = [2 - s for s in traces[1:]]
-    z = [1]
-    for m in range(1, kmax + 1):
-        q, r = divmod(sum(map(operator.mul, counts, reversed(z))), m)
+            break
+        q, r = divmod(newton, j)
         if r:
             raise CrossCheckError(
-                "zeta cross-check failed: the exponential of the fixed point "
-                f"counts is not integral at t^{m}")
-        z.append(q)
+                "zeta cross-check failed: Newton's identities give "
+                f"det(1 - tA) a coefficient that is not integral at t^{j}")
+        c.append(q)
     via_det = _trace_series(A, kmax)
-    if tuple(z) != via_det:
-        raise CrossCheckError("zeta cross-check failed: the exponential and "
-                              "the determinant expansions of the fixed point "
+    if _over_square(c, kmax) != via_det:
+        raise CrossCheckError("zeta cross-check failed: the trace and the "
+                              "determinant expansions of the fixed point "
                               "series disagree")
     return TruncSeries(kmax, via_det)
 
@@ -322,9 +311,9 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     of size 2G.  Every call checks it against ``_trace_series``, the
     Bareiss pencil ``signed_pencil`` at N = 0, which shares no code with the
     kernel.  A remainder in the kernel's Newton division or a disagreement
-    raises ``CrossCheckError``.  The exponential of the fixed point counts,
-    ``_zeta_of_mapping_class``, is left to ``rhs_series``, the side of
-    ``verify`` that must not read the kernel.
+    raises ``CrossCheckError``.  Route (a), ``_zeta_of_mapping_class``, is
+    left to ``rhs_series``, the side of ``verify`` that must not read the
+    kernel.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -345,14 +334,14 @@ def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
 
     The torsion is ``morse_torsion``, the determinant of the Morse matrix,
     not the pencil ratio of ``torsion_representative``, and the zeta
-    function is ``_zeta_of_mapping_class``, the exponential of the fixed
-    point counts checked against the Bareiss pencil, not ``zeta_series``:
-    the trace, that ratio and ``zeta_series`` all read ``newton_pencil``,
-    so only these routes keep this side independent of the trace.  The
-    Morse matrix carries one factor of t per handle, so the product
-    zeta * det starts at t^N; coefficient n of the trace identity is
-    coefficient n + N of that product.  The shift is exact: the low
-    coefficients vanish identically.
+    function is ``_zeta_of_mapping_class``, det(1 - tA) from the traces
+    of A^k over (1 - t)^2, checked against the Bareiss pencil, not
+    ``zeta_series``: the trace, that ratio and ``zeta_series`` all read
+    ``newton_pencil``, so only these routes keep this side independent of
+    the trace.  The Morse matrix carries one factor of t per handle, so
+    the product zeta * det starts at t^N; coefficient n of the trace
+    identity is coefficient n + N of that product.  The shift is exact:
+    the low coefficients vanish identically.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -395,9 +384,9 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     The diagonal route sums each restricted minor once, by subset size
     and signed (``_minor_sums``), and reads every row from those sums
     over (1 - t)^2.  The series side, ``rhs_series``, runs the Morse
-    determinant and ``_zeta_of_mapping_class``: the exponential of the
-    fixed point counts with its own integrality and Cayley-Hamilton checks,
-    and its cross-check against the Bareiss pencil ``signed_pencil`` at
+    determinant and ``_zeta_of_mapping_class``: Newton's identities on the
+    traces of A^k, with their own integrality and Cayley-Hamilton checks,
+    and their cross-check against the Bareiss pencil ``signed_pencil`` at
     N = 0.  Neither reads ``newton_pencil``, which the pencil route does.
     The assembled ``kappa_matrix`` is the reference route for the diagonal
     and is not run.
@@ -423,8 +412,6 @@ def compute_b1(P: Presentation) -> int:
     """
     G = P.genus + P.handles
     N = P.handles
-    if G == 0:
-        return 1
     A = P.monodromy.mat
     dropped = tuple(tuple(A[i][j] - (1 if i == j else 0) for j in range(2 * G))
                     for i in range(N, 2 * G))

@@ -335,12 +335,10 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
     calls = []
     honest = torsion.newton_pencil
 
-    def counted(mat, N, top=None):
+    def counted(mat, N, top):
         before = len(products)
         out = honest(mat, N, top)
-        g = len(mat) // 2 - N
-        calls.append((g if top is None else min(top, g),
-                      len(products) - before))
+        calls.append((min(top, len(mat) // 2 - N), len(products) - before))
         return out
 
     monkeypatch.setattr(torsion, "mat_mul", counting_mul)

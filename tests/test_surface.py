@@ -1,8 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
 
+from swtorsion import surface
 from swtorsion.linalg import det_int, identity_matrix
 from swtorsion.series import TruncSeries
 from swtorsion.surface import (CohClass, MappingClass, SurfaceModel,
@@ -164,6 +166,35 @@ def test_random_symplectic_closure_and_determinism():
             B = random_symplectic(s, 8, seed)
             assert A.mat == B.mat
             assert is_symplectic(A.mat, s)
+
+
+# sha256 over repr(random_symplectic(SurfaceModel(G, (N, G - N)), words,
+# seed).mat) for G <= 6, every split N, words 0, 1, 5, 36, 68 and seeds 0-2,
+# recorded from the product of dense transvection matrices that the column
+# updates replace: every fixture keeps its bytes.
+FIXTURE_DIGEST = "48b32f8db66ca5c718df78d85be5ae49772eee82209d294475e0e47c4d1c461d"
+
+
+def test_random_symplectic_matrices_are_pinned():
+    digest = hashlib.sha256()
+    for G in range(7):
+        for N in range(G + 1):
+            for words in (0, 1, 5, 36, 68):
+                for seed in range(3):
+                    A = random_symplectic(SurfaceModel(G, (N, G - N)), words,
+                                          seed)
+                    digest.update(repr(A.mat).encode())
+    assert digest.hexdigest() == FIXTURE_DIGEST
+
+
+def test_random_symplectic_forms_no_matrix_product(monkeypatch):
+    # each transvection is a column update, not a product with its matrix
+    def forbidden(a, b):
+        raise AssertionError("random_symplectic multiplied two matrices")
+
+    monkeypatch.setattr(surface, "mat_mul", forbidden)
+    for s in (SurfaceModel(2), SurfaceModel(3, (2, 1))):
+        assert is_symplectic(random_symplectic(s, 12, 4).mat, s)
 
 
 def test_inverse_and_compose():
