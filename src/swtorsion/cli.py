@@ -102,9 +102,22 @@ def _emit(rows: List[dict], header: List[str], fmt: str, out) -> None:
             out.write("\t".join(str(row[h]) for h in header) + "\n")
 
 
-def _series_rows(series) -> List[dict]:
-    return [{"k": k, "coefficient": str(c)}
-            for k, c in enumerate(series.coeffs)]
+def _emit_series(series, fmt: str, out) -> None:
+    """Print the coefficients of a series exactly.  Torsion coefficients
+    grow exponentially in k, past Python's cap on the digits of
+    ``str(int)`` (4,300 since 3.11 and 3.10.7; 0 means no cap), so the cap
+    is lifted while they print and restored after: ``load_presentation``
+    still reads input under it, and an over-long literal stays malformed."""
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        rows = [{"k": k, "coefficient": str(c)}
+                for k, c in enumerate(series.coeffs)]
+        _emit(rows, ["k", "coefficient"], fmt, out)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,15 +214,13 @@ def _dispatch(args, out) -> int:
     if args.command == "zeta":
         if args.kmax < 0:
             raise InputError("--kmax must be nonnegative")
-        rows = _series_rows(zeta_series(P, args.kmax))
-        _emit(rows, ["k", "coefficient"], args.format, out)
+        _emit_series(zeta_series(P, args.kmax), args.format, out)
         return 0
 
     if args.command == "torsion":
         if args.kmax < P.handles:
             raise InputError("--kmax must be at least the handle count")
-        rows = _series_rows(torsion_representative(P, args.kmax))
-        _emit(rows, ["k", "coefficient"], args.format, out)
+        _emit_series(torsion_representative(P, args.kmax), args.format, out)
         return 0
 
     if args.command == "sw":

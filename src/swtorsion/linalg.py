@@ -2,9 +2,12 @@
 
 Matrices are immutable tuples of row tuples.  One fraction-free (Bareiss)
 elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
-and column basis.  Rational input is scaled to integers row by row first,
-so ``fractions.Fraction`` appears only in results.  Nothing here ever
-touches a float.
+and column basis.  The one exception is ``det_one_minus_t``, which reads
+the whole polynomial det(1 - tA) from one division-free Berkowitz pass:
+zeta's route (b), kept apart from the Bareiss pencils and from
+``torsion.newton_pencil``.  Rational input is scaled to integers row by
+row first, so ``fractions.Fraction`` appears only in results.  Nothing
+here ever touches a float.
 """
 from __future__ import annotations
 
@@ -98,6 +101,38 @@ def det_int(a: tuple) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination."""
     pivots, sign, last = _bareiss([list(row) for row in a])
     return sign * last if len(pivots) == len(a) else 0
+
+
+def det_one_minus_t(a: tuple) -> Tuple[int, ...]:
+    """Coefficients of det(1 - t a), lowest degree first, for any square
+    integer matrix a (the empty one gives (1,)).
+
+    det(1 - t a) = t^n det(1/t - a), so these are the coefficients of the
+    characteristic polynomial det(x - a), highest power first.  Berkowitz's
+    division-free algorithm (Inf. Process. Lett. 18, 1984) builds them
+    from the trailing blocks: with the block from row r on written
+    [[a_rr, R], [C, B]], its characteristic polynomial is the lower
+    triangular Toeplitz matrix with first column (1, -a_rr, -R C, -R B C,
+    .., -R B^{s-1} C), s the size of B, times that of B.  That is about
+    n^4 / 4 integer products and no division, Bareiss elimination or
+    matrix product; ``series.series_det`` runs the same recursion over
+    truncated series.
+    """
+    n = len(a)
+    poly = [1]
+    for r in range(n - 1, -1, -1):
+        row = a[r]
+        R = row[r + 1:]
+        B = [a[i][r + 1:] for i in range(r + 1, n)]
+        v = [a[i][r] for i in range(r + 1, n)]
+        column = [1, -row[r]]
+        for k in range(n - r - 1):
+            if k:
+                v = [sum(map(operator.mul, b, v)) for b in B]
+            column.append(-sum(map(operator.mul, R, v)))
+        poly = [sum(map(operator.mul, column[i::-1], poly))
+                for i in range(n - r + 1)]
+    return tuple(poly)
 
 
 def det_pencil(m0: tuple, m1: tuple,

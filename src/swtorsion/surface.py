@@ -225,9 +225,10 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     ``linalg.det_pencil(1, A)``.  A is symplectic, so det(1 + sA) is
     reciprocal of degree 2G (``torsion.signed_pencil`` at N = 0) and
     G + 1 Bareiss determinants give it.  Zeta's route (b) reads the same
-    polynomial through ``torsion.signed_pencil`` at N = 0, and the trace,
-    torsion and zeta commands through ``torsion.newton_pencil``; this function
-    is its stand-alone form for callers holding a bare mapping class.
+    polynomial from one Berkowitz pass (``linalg.det_one_minus_t``), and the
+    trace, torsion and zeta commands through ``torsion.newton_pencil``; this
+    function, the Bareiss route, is the tests' third witness and the
+    stand-alone form for callers holding a bare mapping class.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

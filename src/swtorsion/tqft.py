@@ -16,11 +16,11 @@ reads the diagonal of kappa_n, one restricted minor of the monodromy per
 subset of the core classes, from the closed form of ascend after descend
 (a fixed partial permutation of the handle-wedge monomials).
 ``verify_main_identity`` runs both.  ``zeta_series`` reads det(1 - tA)
-from the same kernel at N = 0 and checks it, on every call, against the
-Bareiss pencil ``torsion.signed_pencil`` at N = 0.  The rhs of ``verify``
-reads det(1 - tA) from the traces of A^k by its own Newton pass instead
-(``_zeta_of_mapping_class``, checked against the same Bareiss pencil), so
-it shares no code with the kernel that the lhs reads.
+from the same kernel at N = 0 and checks it, on every call, against one
+Berkowitz pass ``linalg.det_one_minus_t`` (zeta's route (b)).  The rhs of
+``verify`` reads det(1 - tA) from the traces of A^k by its own Newton pass
+instead (``_zeta_of_mapping_class``, checked against the same Berkowitz
+pass), so it shares no code with the kernel that the lhs reads.
 ``kappa_matrix`` assembles every column through ``descend_map``,
 ``ascend_map`` and the full Lambda(A) image and is the reference route for
 the diagonal, run by the tests and the benchmark's traced replay.
@@ -32,12 +32,13 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import List, Optional, Tuple
 
-from .linalg import det_int, identity_matrix, mat_mul, rank_int, submatrix
+from .linalg import (det_int, det_one_minus_t, identity_matrix, mat_mul,
+                     rank_int, submatrix)
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
                        contract_class, wedge_class)
-from .torsion import morse_torsion, newton_pencil, signed_pencil
+from .torsion import morse_torsion, newton_pencil
 
 
 @dataclass(frozen=True)
@@ -210,11 +211,12 @@ def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
 
 def _trace_series(A: MappingClass, nmax: int) -> Tuple[int, ...]:
     """Coefficients n = 0..nmax of det(1 - tA) / (1 - t)^2, with the
-    numerator from the Bareiss pencil ``torsion.signed_pencil`` at N = 0:
-    zeta's route (b).  It shares no code with ``newton_pencil``, which
-    ``zeta_series`` checks against it, or with zeta's route (a).
+    numerator from one Berkowitz pass ``linalg.det_one_minus_t``: zeta's
+    route (b).  It forms no matrix product and no Bareiss determinant, so
+    it shares no code with ``newton_pencil``, which ``zeta_series`` checks
+    against it, or with zeta's route (a).
     """
-    return _over_square(signed_pencil(A.mat, 0), nmax)
+    return _over_square(det_one_minus_t(A.mat), nmax)
 
 
 def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
@@ -258,7 +260,8 @@ def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
         and at j = n + 1, where c_{n+1} = 0 by Cayley-Hamilton, the sum
         must vanish.  The zeta function is c over (1 - t)^2, a unit in
         Z[[t]], so it is integral exactly when c is;
-    (b) det(1 - tA) / (1 - t)^2, which is ``_trace_series``.
+    (b) det(1 - tA) / (1 - t)^2 by one Berkowitz pass, which is
+        ``_trace_series``.
     The two numerators share no code (both divide through ``_over_square``,
     which the tests check against the rational exponential), and both run
     on every call: a division with a remainder, tr A^{n+1} off the
@@ -308,10 +311,10 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     det(1 - tA) / (1 - t)^2, with det(1 - tA) from the power-sum kernel
     ``newton_pencil`` at N = 0, where delta = 1 and T = A: the route the
     ``zeta`` command prints, at most ceil(min(kmax, G) / 2) - 1 products
-    of size 2G.  Every call checks it against ``_trace_series``, the
-    Bareiss pencil ``signed_pencil`` at N = 0, which shares no code with the
-    kernel.  A remainder in the kernel's Newton division or a disagreement
-    raises ``CrossCheckError``.  Route (a), ``_zeta_of_mapping_class``, is
+    of size 2G.  Every call checks it against ``_trace_series``, one
+    Berkowitz pass over A, which shares no code with the kernel.  A
+    remainder in the kernel's Newton division or a disagreement raises
+    ``CrossCheckError``.  Route (a), ``_zeta_of_mapping_class``, is
     left to ``rhs_series``, the side of ``verify`` that must not read the
     kernel.
     """
@@ -335,7 +338,7 @@ def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
     The torsion is ``morse_torsion``, the determinant of the Morse matrix,
     not the pencil ratio of ``torsion_representative``, and the zeta
     function is ``_zeta_of_mapping_class``, det(1 - tA) from the traces
-    of A^k over (1 - t)^2, checked against the Bareiss pencil, not
+    of A^k over (1 - t)^2, checked against the Berkowitz pass, not
     ``zeta_series``: the trace, that ratio and ``zeta_series`` all read
     ``newton_pencil``, so only these routes keep this side independent of
     the trace.  The Morse matrix carries one factor of t per handle, so
@@ -386,8 +389,9 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     over (1 - t)^2.  The series side, ``rhs_series``, runs the Morse
     determinant and ``_zeta_of_mapping_class``: Newton's identities on the
     traces of A^k, with their own integrality and Cayley-Hamilton checks,
-    and their cross-check against the Bareiss pencil ``signed_pencil`` at
-    N = 0.  Neither reads ``newton_pencil``, which the pencil route does.
+    and their cross-check against the Berkowitz pass
+    ``linalg.det_one_minus_t``.  Neither reads ``newton_pencil``, which the
+    pencil route does.
     The assembled ``kappa_matrix`` is the reference route for the diagonal
     and is not run.
     """

@@ -213,7 +213,8 @@ def test_zeta_cross_check_failure_exits_one(tmp_path, capsys, monkeypatch,
 def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, shift):
     # zeta reads det(1 - tA) from newton_pencil at N = 0 (G = 4, kmax = 40),
     # whose one product is T^2 = A^2.  Lowering A^2[1][1] by 2 keeps the
-    # Newton divisions exact, and the Bareiss pencil rejects the result;
+    # Newton divisions exact, and route (b), the Berkowitz pass, rejects
+    # the result;
     # shifts 1, 3 and 5 leave a remainder in the kernel.  Both exit 1 with
     # one line on stderr.
     path = tmp_path / "p.json"
@@ -242,6 +243,47 @@ def test_torsion_output(tmp_path, capsys):
     assert code == 0
     rows = [line.split("\t") for line in out.strip().split("\n")[1:]]
     assert [r[1] for r in rows] == ["0", "-1", "0", "1", "0"]
+
+
+def read_decimal(text):
+    """The integer a decimal string spells, read 1,000 digits at a time,
+    so that Python's cap on the digits ``int(str)`` reads does not apply."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def test_torsion_prints_exact_coefficients_past_the_digit_limit(tmp_path,
+                                                                capsys):
+    # torsion coefficients grow exponentially in k: at kmax = 2000 the last
+    # one here has 4,795 digits, past the 4,300 that str(int) allows by
+    # default.  The CLI lifts the cap only while it prints, so the cap is
+    # back afterwards and an over-long input literal is still malformed.
+    P = generate_fixture(1, 2, 20, 1)
+    path = tmp_path / "big.json"
+    write_presentation(P, str(path))
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    for fmt in ("tsv", "json"):
+        code, out, err = run_cli(["torsion", str(path), "--kmax", "2000",
+                                  "--format", fmt], capsys)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            printed = [row["coefficient"] for row in json.loads(out)]
+        else:
+            lines = out.splitlines()
+            assert lines[0] == "k\tcoefficient"
+            printed = [line.split("\t")[1] for line in lines[1:]]
+        assert max(map(len, printed)) > 4300
+        assert ([read_decimal(x) for x in printed]
+                == list(torsion.torsion_representative(P, 2000).coeffs))
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    long = tmp_path / "long.json"
+    long.write_text('{"genus": ' + "1" * 5000 + "}")
+    code, _, err = run_cli(["validate", str(long)], capsys)
+    assert code == 2 and "integer literal too long" in err
 
 
 def test_series_commands_json_bytes(tmp_path, capsys):

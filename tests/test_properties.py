@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from swtorsion.cli import load_presentation, write_presentation
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
-from swtorsion.linalg import (det_int, det_pencil, det_rational,
-                             identity_matrix, independent_columns,
+from swtorsion.linalg import (det_int, det_one_minus_t, det_pencil,
+                             det_rational, identity_matrix, independent_columns,
                              invert_rational, invert_unimodular, mat_mul,
                              perm_parity, rank_int, submatrix, transpose)
 from swtorsion.series import TruncSeries, series_det
@@ -426,6 +426,32 @@ def rational_matrices(draw):
 def test_determinants_equal_leibniz_sum(a, q):
     assert det_int(a) == leibniz(a)
     assert det_rational(q) == leibniz(q)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_matrices(square=True))
+@example(())
+def test_berkowitz_equals_the_interpolated_determinant(a):
+    # det(1 + s a) has degree at most n, so of the 2n + 1 interpolated
+    # coefficients the top n vanish; det(1 - t a) is it at s = -t.  The
+    # matrices are not symplectic, so no palindromy helps either side.
+    n = len(a)
+    full = interpolate([det_int(tuple(
+        tuple(int(i == j) + s * x for j, x in enumerate(row))
+        for i, row in enumerate(a))) for s in range(2 * n + 1)])
+    assert full[n + 1:] == (0,) * n
+    assert det_one_minus_t(a) == tuple(-c if k & 1 else c
+                                       for k, c in enumerate(full[:n + 1]))
+
+
+@PROPERTY
+@given(pencil_matrices())
+@example(((), 0))
+def test_berkowitz_equals_the_bareiss_pencil_on_symplectic_matrices(case):
+    # zeta's route (b) against the Bareiss pencil at N = 0 that it replaced;
+    # det(1 + sA) is palindromic for A symplectic in the split basis too
+    mat, _ = case
+    assert det_one_minus_t(mat) == signed_pencil(mat, 0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

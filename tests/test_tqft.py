@@ -198,8 +198,8 @@ def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
     # At kmax = 3 the one product formed is A^2, and it enters only
     # tr A^3 = sum_ij A^2[i][j] A[j][i].  Lowering A^2[1][0] by `shift`
     # lowers tr A^3 by shift * A[0][1] = shift.  Since kmax = 3 > 2G = 2,
-    # tr A^3 is the first trace past 2G, so both shifts are caught by the
-    # Cayley-Hamilton check before the exponential is formed; the remainder
+    # the Newton pass stops at j = 2G + 1 = 3, where its sum must vanish, so
+    # both shifts are caught by the Cayley-Hamilton check; the remainder
     # and disagreement checks are exercised at G = 2 by
     # test_zeta_checks_the_first_trace_past_2g.
     A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
@@ -220,14 +220,16 @@ def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
 
 @pytest.mark.parametrize("shift", [1, 3])
 def test_zeta_checks_the_first_trace_past_2g(monkeypatch, shift):
-    # Route (a) reads tr A^k explicitly up to k = 2G + 1 and the rest from
-    # Cayley-Hamilton.  Lowering A^2[1][1] by `shift` lowers tr A^3 by
-    # shift * A[1][1].  At G = 1 (2G = 2) and kmax = 5, tr A^3 is the first
-    # trace past 2G, and its check fires first.  At kmax = 2 no product is
-    # formed.  At G = 2 and kmax = 3 no trace is extrapolated and
-    # B[1][1] = 2, so 3 z_3 gains 2 * shift: shift 1 leaves a remainder in
-    # the exponential, and shift 3 divides exactly into a wrong z_3 that
-    # the determinant expansion rejects.
+    # Route (a) forms tr A^k for k <= min(kmax, 2G + 1) only, runs Newton's
+    # identities on them up to t^{min(kmax, 2G)}, and at kmax > 2G checks
+    # that the Newton sum at j = 2G + 1 vanishes.  Lowering A^2[1][1] by
+    # `shift` lowers tr A^3 by shift * A[1][1].  At G = 1 (2G = 2) and
+    # kmax = 5, j = 3 is that Cayley-Hamilton step, and its check fires.  At
+    # kmax = 2 no product is formed.  At G = 2 and kmax = 3, j = 3 is an
+    # ordinary Newton step and B[1][1] = 2, so the Newton sum 3 c_3 of
+    # det(1 - tB) gains 2 * shift: shift 1 leaves a remainder at t^3, and
+    # shift 3 divides exactly into a wrong c_3 that route (b), the Berkowitz
+    # pass, rejects.
     A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
     B = MappingClass(SurfaceModel(2), [[1, 0, 0, 0], [0, 2, 0, 1],
                                        [0, 0, 1, 0], [0, 1, 0, 1]])
@@ -253,9 +255,10 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
     # route (a) forms at most A^{G+1}, so G products, at any kmax; a
     # palindromic pencil of degree 2w takes w + 1 determinants; zeta_series
     # runs no route (a): the kernel at N = 0 forms T^2 .. T^ceil(w/2) of
-    # T = A, w = min(kmax, G), and its check is route (b)'s G + 1
-    # determinants
-    calls = {"mat_mul": 0, "det_int": 0, "kernel_mul": 0}
+    # T = A, w = min(kmax, G), and its check is route (b), one Berkowitz
+    # pass with no determinant and no Bareiss pencil
+    calls = {"mat_mul": 0, "det_int": 0, "kernel_mul": 0, "berkowitz": 0,
+             "signed_pencil": 0}
 
     def counting(name, fn):
         def wrapped(*args):
@@ -277,13 +280,19 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
     assert calls["det_int"] == 6
     monkeypatch.setattr(torsion, "mat_mul",
                         counting("kernel_mul", torsion.mat_mul))
+    monkeypatch.setattr(torsion, "signed_pencil",
+                        counting("signed_pencil", torsion.signed_pencil))
+    monkeypatch.setattr(tqft, "det_one_minus_t",
+                        counting("berkowitz", tqft.det_one_minus_t))
     for g, N, kmax in ((0, 4, 40), (6, 0, 40), (5, 0, 3), (2, 0, 0)):
         G = g + N
-        calls.update(mat_mul=0, det_int=0, kernel_mul=0)
+        calls.update(mat_mul=0, det_int=0, kernel_mul=0, berkowitz=0,
+                     signed_pencil=0)
         zeta_series(make_presentation(g, N, 40, 1), kmax)
         assert calls["mat_mul"] == 0
         assert calls["kernel_mul"] <= max(-(-min(kmax, G) // 2) - 1, 0)
-        assert calls["det_int"] == G + 1
+        assert calls["det_int"] == calls["signed_pencil"] == 0
+        assert calls["berkowitz"] == 1
 
 
 def test_verify_computes_each_restricted_minor_once(monkeypatch):
