@@ -4,10 +4,10 @@ Matrices are immutable tuples of row tuples.  One fraction-free (Bareiss)
 elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
 and column basis.  The one exception is ``det_one_minus_t``, which reads
 the whole polynomial det(1 - tA) from one division-free Berkowitz pass:
-zeta's route (b), kept apart from the Bareiss pencils and from
-``torsion.newton_pencil``.  Rational input is scaled to integers row by
-row first, so ``fractions.Fraction`` appears only in results.  Nothing
-here ever touches a float.
+the zeta check and the zeta function of ``verify``'s rhs, kept apart from
+the Bareiss pencils and from ``torsion.newton_pencil``.  Rational input is
+scaled to integers row by row first, so ``fractions.Fraction`` appears
+only in results.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 

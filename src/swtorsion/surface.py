@@ -224,11 +224,12 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     det(1 + sA) = sum_j s^j tr Lambda^j A is the pencil
     ``linalg.det_pencil(1, A)``.  A is symplectic, so det(1 + sA) is
     reciprocal of degree 2G (``torsion.signed_pencil`` at N = 0) and
-    G + 1 Bareiss determinants give it.  Zeta's route (b) reads the same
-    polynomial from one Berkowitz pass (``linalg.det_one_minus_t``), and the
-    trace, torsion and zeta commands through ``torsion.newton_pencil``; this
-    function, the Bareiss route, is the tests' third witness and the
-    stand-alone form for callers holding a bare mapping class.
+    G + 1 Bareiss determinants give it.  The zeta check and ``verify``'s
+    rhs read the same polynomial from one Berkowitz pass
+    (``linalg.det_one_minus_t``), and the trace, torsion and zeta commands
+    through ``torsion.newton_pencil``; this function, the Bareiss route, is
+    the tests' third witness and the stand-alone form for callers holding a
+    bare mapping class.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

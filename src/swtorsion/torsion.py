@@ -12,9 +12,10 @@ Every pencil has two forms.  ``newton_pencil``, the one production reads,
 takes the Schur complement of A[D, C] and Newton's identities on the
 traces of its powers; it falls back to ``signed_pencil`` when A[D, C] is
 singular.  ``signed_pencil`` takes g + 1 Bareiss determinants; it is that
-fallback and the reference the tests check the kernel against.  Zeta's
-route (b), which ``tqft.zeta_series`` checks the kernel against on every
-call, is neither: it is the Berkowitz pass ``linalg.det_one_minus_t``.
+fallback and the reference the tests check the kernel against.  The route
+that ``tqft.zeta_series`` checks the kernel against on every call, and
+that ``verify``'s rhs reads, is neither: it is the Berkowitz pass
+``linalg.det_one_minus_t``.
 """
 from __future__ import annotations
 

@@ -17,23 +17,20 @@ subset of the core classes, from the closed form of ascend after descend
 (a fixed partial permutation of the handle-wedge monomials).
 ``verify_main_identity`` runs both.  ``zeta_series`` reads det(1 - tA)
 from the same kernel at N = 0 and checks it, on every call, against one
-Berkowitz pass ``linalg.det_one_minus_t`` (zeta's route (b)).  The rhs of
-``verify`` reads det(1 - tA) from the traces of A^k by its own Newton pass
-instead (``_zeta_of_mapping_class``, checked against the same Berkowitz
-pass), so it shares no code with the kernel that the lhs reads.
+Berkowitz pass ``linalg.det_one_minus_t``.  The rhs of ``verify`` reads
+det(1 - tA) from that Berkowitz pass alone, so it shares no code with the
+kernel that the lhs reads.
 ``kappa_matrix`` assembles every column through ``descend_map``,
 ``ascend_map`` and the full Lambda(A) image and is the reference route for
 the diagonal, run by the tests and the benchmark's traced replay.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import List, Optional, Tuple
 
-from .linalg import (det_int, det_one_minus_t, identity_matrix, mat_mul,
-                     rank_int, submatrix)
+from .linalg import det_int, det_one_minus_t, rank_int, submatrix
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
@@ -211,10 +208,10 @@ def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
 
 def _trace_series(A: MappingClass, nmax: int) -> Tuple[int, ...]:
     """Coefficients n = 0..nmax of det(1 - tA) / (1 - t)^2, with the
-    numerator from one Berkowitz pass ``linalg.det_one_minus_t``: zeta's
-    route (b).  It forms no matrix product and no Bareiss determinant, so
-    it shares no code with ``newton_pencil``, which ``zeta_series`` checks
-    against it, or with zeta's route (a).
+    numerator from one Berkowitz pass ``linalg.det_one_minus_t``.  It forms
+    no matrix product and no Bareiss determinant, so it shares no code with
+    ``newton_pencil``: ``zeta_series`` checks the kernel against it, and
+    ``rhs_series`` reads the zeta function from it.
     """
     return _over_square(det_one_minus_t(A.mat), nmax)
 
@@ -245,66 +242,6 @@ class CrossCheckError(RuntimeError):
     on stderr and exits 1."""
 
 
-def _zeta_of_mapping_class(A: MappingClass, kmax: int) -> TruncSeries:
-    """Zeta function of the monodromy flow, expanded two ways without the
-    power-sum kernel; the route ``rhs_series``, and so ``verify``, runs.
-
-    (a) exp of sum (2 - tr A^k) t^k / k, the signed fixed point count of
-        the iterates, is det(1 - tA) / (1 - t)^2 with
-        det(1 - tA) = exp(-sum tr A^k t^k / k).  With n = 2G the size of
-        A, the traces s_k = tr A^k for k <= t = min(kmax, n + 1) are sums
-        over i, j of A^ceil(k/2)[i][j] A^floor(k/2)[j][i], so only
-        A^1 .. A^ceil(t/2) (at most A^{G+1}) are formed, by integer matrix
-        products.  Newton's identities j c_j = -sum_{i=1..j} s_i c_{j-i}
-        give the coefficients c_j of det(1 - tA) for j <= min(kmax, n),
-        and at j = n + 1, where c_{n+1} = 0 by Cayley-Hamilton, the sum
-        must vanish.  The zeta function is c over (1 - t)^2, a unit in
-        Z[[t]], so it is integral exactly when c is;
-    (b) det(1 - tA) / (1 - t)^2 by one Berkowitz pass, which is
-        ``_trace_series``.
-    The two numerators share no code (both divide through ``_over_square``,
-    which the tests check against the rational exponential), and both run
-    on every call: a division with a remainder, tr A^{n+1} off the
-    recurrence or a disagreement of the kmax + 1 coefficients raises
-    ``CrossCheckError``.  Neither reads
-    ``newton_pencil``, which the trace side of ``verify`` reads, so the two
-    sides of the trace identity stay independent.  The Lefschetz numbers of
-    the induced maps on the symmetric powers are a further route, which the
-    tests check against.
-    """
-    M = A.mat
-    n = len(M)
-    top = min(kmax, n + 1)
-    powers = [identity_matrix(n), M]
-    while len(powers) <= (top + 1) // 2:
-        powers.append(mat_mul(powers[-1], M))
-    flat = [[x for row in p for x in row] for p in powers]
-    flat_t = [[x for col in zip(*p) for x in col] for p in powers]
-    traces = [sum(map(operator.mul, flat[(k + 1) // 2], flat_t[k // 2]))
-              for k in range(1, top + 1)]
-    c = [1]
-    for j in range(1, top + 1):
-        newton = -sum(map(operator.mul, traces, reversed(c)))
-        if j > n:
-            if newton:
-                raise CrossCheckError(
-                    f"zeta cross-check failed: tr A^{j} is off the "
-                    "Cayley-Hamilton recurrence of the lower traces")
-            break
-        q, r = divmod(newton, j)
-        if r:
-            raise CrossCheckError(
-                "zeta cross-check failed: Newton's identities give "
-                f"det(1 - tA) a coefficient that is not integral at t^{j}")
-        c.append(q)
-    via_det = _trace_series(A, kmax)
-    if _over_square(c, kmax) != via_det:
-        raise CrossCheckError("zeta cross-check failed: the trace and the "
-                              "determinant expansions of the fixed point "
-                              "series disagree")
-    return TruncSeries(kmax, via_det)
-
-
 def zeta_series(P, kmax: int) -> TruncSeries:
     """Zeta function of a presentation's monodromy (or a bare mapping class).
 
@@ -314,9 +251,8 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     of size 2G.  Every call checks it against ``_trace_series``, one
     Berkowitz pass over A, which shares no code with the kernel.  A
     remainder in the kernel's Newton division or a disagreement raises
-    ``CrossCheckError``.  Route (a), ``_zeta_of_mapping_class``, is
-    left to ``rhs_series``, the side of ``verify`` that must not read the
-    kernel.
+    ``CrossCheckError``.  ``rhs_series``, the side of ``verify`` that must
+    not read the kernel, reads the Berkowitz pass alone.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
@@ -327,8 +263,9 @@ def zeta_series(P, kmax: int) -> TruncSeries:
         raise CrossCheckError(f"zeta cross-check failed: {e} in the "
                               "power-sum kernel of det(1 - tA)") from None
     if coeffs != _trace_series(A, kmax):
-        raise CrossCheckError("zeta cross-check failed: the power-sum and the "
-                              "Bareiss pencils of det(1 - tA) disagree")
+        raise CrossCheckError("zeta cross-check failed: the power-sum kernel "
+                              "and the Berkowitz pass disagree on "
+                              "det(1 - tA)")
     return TruncSeries(kmax, coeffs)
 
 
@@ -337,20 +274,21 @@ def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
 
     The torsion is ``morse_torsion``, the determinant of the Morse matrix,
     not the pencil ratio of ``torsion_representative``, and the zeta
-    function is ``_zeta_of_mapping_class``, det(1 - tA) from the traces
-    of A^k over (1 - t)^2, checked against the Berkowitz pass, not
-    ``zeta_series``: the trace, that ratio and ``zeta_series`` all read
-    ``newton_pencil``, so only these routes keep this side independent of
-    the trace.  The Morse matrix carries one factor of t per handle, so
-    the product zeta * det starts at t^N; coefficient n of the trace
-    identity is coefficient n + N of that product.  The shift is exact:
-    the low coefficients vanish identically.
+    function is ``_trace_series``, det(1 - tA) from one Berkowitz pass over
+    (1 - t)^2, not ``zeta_series``: the trace, that ratio and
+    ``zeta_series`` all read ``newton_pencil``, so only these routes keep
+    this side independent of the trace.  A wrong zeta function changes
+    the rows, and ``verify`` reports them as mismatches.  The Morse matrix
+    carries one factor of t per handle, so the product zeta * det starts
+    at t^N; coefficient n of the trace identity is coefficient n + N of
+    that product.  The shift is exact: the low coefficients vanish
+    identically.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     N = P.handles
     order = nmax + N
-    product = (_zeta_of_mapping_class(P.monodromy, order)
+    product = (TruncSeries(order, _trace_series(P.monodromy, order))
                * morse_torsion(P, order))
     return product.shift_down(N)
 
@@ -387,11 +325,9 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     The diagonal route sums each restricted minor once, by subset size
     and signed (``_minor_sums``), and reads every row from those sums
     over (1 - t)^2.  The series side, ``rhs_series``, runs the Morse
-    determinant and ``_zeta_of_mapping_class``: Newton's identities on the
-    traces of A^k, with their own integrality and Cayley-Hamilton checks,
-    and their cross-check against the Berkowitz pass
-    ``linalg.det_one_minus_t``.  Neither reads ``newton_pencil``, which the
-    pencil route does.
+    determinant and one Berkowitz pass ``linalg.det_one_minus_t`` for the
+    zeta function, so it shares no code with either trace route: it reads
+    neither ``newton_pencil`` and its Bareiss fallback nor ``det_int``.
     The assembled ``kappa_matrix`` is the reference route for the diagonal
     and is not run.
     """

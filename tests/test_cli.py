@@ -192,29 +192,36 @@ def test_zeta_sphere_coefficients(tmp_path, capsys):
                                            ("verify", "--nmax")])
 def test_zeta_cross_check_failure_exits_one(tmp_path, capsys, monkeypatch,
                                             command, flag):
+    # zeta compares every coefficient with the Berkowitz pass and refuses to
+    # print; verify's rhs reads the Berkowitz pass alone, so a wrong
+    # coefficient that a row reads (coefficient n + N, n <= nmax) shows as
+    # a mismatch, with nothing on stderr
     path = tmp_path / "p.json"
     write_presentation(generate_fixture(1, 1, 12, 5), str(path))
     honest = tqft._trace_series
 
     def off_by_one(A, nmax):
         coeffs = list(honest(A, nmax))
-        coeffs[-1] += 1
+        coeffs[2] += 1
         return tuple(coeffs)
 
     monkeypatch.setattr(tqft, "_trace_series", off_by_one)
     code, out, err = run_cli([command, str(path), flag, "4"], capsys)
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: zeta cross-check failed: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    if command == "zeta":
+        assert out == ""
+        assert err.startswith("error: zeta cross-check failed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+    else:
+        assert "MISMATCH" in out
+        assert err == ""
 
 
 @pytest.mark.parametrize("shift", [1, 2, 3, 5])
 def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, shift):
     # zeta reads det(1 - tA) from newton_pencil at N = 0 (G = 4, kmax = 40),
     # whose one product is T^2 = A^2.  Lowering A^2[1][1] by 2 keeps the
-    # Newton divisions exact, and route (b), the Berkowitz pass, rejects
-    # the result;
+    # Newton divisions exact, and the Berkowitz pass rejects the result;
     # shifts 1, 3 and 5 leave a remainder in the kernel.  Both exit 1 with
     # one line on stderr.
     path = tmp_path / "p.json"

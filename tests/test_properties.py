@@ -25,9 +25,9 @@ from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
                                torsion_coefficient_direct,
                                torsion_representative)
 from swtorsion.tqft import (Presentation, _minor_sums, _trace_series,
-                            _zeta_of_mapping_class, compute_b1, kappa_matrix,
-                            kappa_trace, trace_kappa_series,
-                            verify_main_identity, zeta_series)
+                            compute_b1, kappa_matrix, kappa_trace, rhs_series,
+                            trace_kappa_series, verify_main_identity,
+                            zeta_series)
 from conftest import interpolate, make_presentation, rational_exp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -267,9 +267,9 @@ def test_palindromic_pencil_rejects_a_non_integral_solution():
        st.integers(0, 40))
 def test_zeta_equals_the_exponential_of_the_fixed_point_counts(G, words, seed,
                                                                kmax):
-    # the integer exponential of _zeta_of_mapping_class (route (a), which
-    # verify runs) and the power-sum kernel of zeta_series against the
-    # exponential over Fraction, with every A^k a full product
+    # the Berkowitz pass that verify's rhs reads (_trace_series) and the
+    # power-sum kernel of zeta_series against the exponential of the signed
+    # fixed point counts over Fraction, with every A^k a full product
     A = random_symplectic(G, words, seed)
     traces, power = [], identity_matrix(2 * G)
     for _ in range(kmax):
@@ -277,7 +277,7 @@ def test_zeta_equals_the_exponential_of_the_fixed_point_counts(G, words, seed,
         traces.append(sum(power[i][i] for i in range(2 * G)))
     want = rational_exp(
         [0] + [Fraction(2 - t, k) for k, t in enumerate(traces, 1)])
-    assert _zeta_of_mapping_class(A, kmax).coeffs == want
+    assert _trace_series(A, kmax) == want
     assert zeta_series(A, kmax).coeffs == want
 
 
@@ -288,14 +288,14 @@ def test_zeta_equals_the_exponential_of_the_fixed_point_counts(G, words, seed,
 @example(3, 68, 7, 40)
 @example(6, 68, 1, 40)
 def test_zeta_routes_agree(G, words, seed, kmax):
-    # the power-sum kernel that zeta prints, the exponential of the fixed
-    # point counts that verify's rhs runs and the Bareiss pencil that both
-    # check against, at the drawn kmax and at every order around 2G + 1,
-    # where route (a) stops forming traces and checks Cayley-Hamilton
+    # the power-sum kernel that zeta prints, verify's rhs at N = 0 (the
+    # Berkowitz pass times the Morse determinant of no handles) and the
+    # Berkowitz pass alone, at the drawn kmax and at every order around
+    # 2G + 1, where the characteristic polynomial ends
     A = random_symplectic(G, words, seed)
     for k in {kmax, 0, max(2 * G - 1, 0), 2 * G, 2 * G + 1, 2 * G + 2}:
         kernel = zeta_series(A, k).coeffs
-        assert kernel == _zeta_of_mapping_class(A, k).coeffs
+        assert kernel == rhs_series(Presentation(G, 0, A), k).coeffs
         assert kernel == _trace_series(A, k)
 
 
@@ -448,7 +448,7 @@ def test_berkowitz_equals_the_interpolated_determinant(a):
 @given(pencil_matrices())
 @example(((), 0))
 def test_berkowitz_equals_the_bareiss_pencil_on_symplectic_matrices(case):
-    # zeta's route (b) against the Bareiss pencil at N = 0 that it replaced;
+    # the Berkowitz pass against the Bareiss pencil at N = 0 it replaced;
     # det(1 + sA) is palindromic for A symplectic in the split basis too
     mat, _ = case
     assert det_one_minus_t(mat) == signed_pencil(mat, 0)

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -14,11 +15,11 @@ import swtorsion
 from swtorsion import linalg, sympower, torsion, tqft
 from swtorsion.torsion import (morse_differential_matrix, morse_torsion,
                                signed_pencil, torsion_representative)
-from swtorsion.tqft import (Presentation, _zeta_of_mapping_class, ascend_map,
-                            compute_b1, descend_map, kappa_matrix, rhs_series,
-                            sw_table, trace_kappa_coefficient,
-                            trace_kappa_series, validate_presentation,
-                            verify_main_identity, zeta_series)
+from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
+                            kappa_matrix, rhs_series, sw_table,
+                            trace_kappa_coefficient, trace_kappa_series,
+                            validate_presentation, verify_main_identity,
+                            zeta_series)
 from conftest import make_presentation, presentation_sample, rational_exp
 
 ROT = [[0, -1], [1, 0]]  # c -> d, d -> -c on the one-handle sphere
@@ -135,7 +136,7 @@ def test_trace_paths_agree():
 
 
 def test_trace_series_is_zeta_at_large_genus():
-    # N = 0: the trace series is the zeta function, here by its route (a),
+    # N = 0: the trace series is the zeta function, here by its definition,
     # exp of sum (2 - tr A^k) t^k / k, which never forms a minor
     P = make_presentation(12, 0, 120, 12)
     nmax = 30
@@ -193,71 +194,12 @@ def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
         zeta_series(P, 4)
 
 
-@pytest.mark.parametrize("shift", [1, 3])
-def test_zeta_raises_when_a_power_is_off(monkeypatch, shift):
-    # At kmax = 3 the one product formed is A^2, and it enters only
-    # tr A^3 = sum_ij A^2[i][j] A[j][i].  Lowering A^2[1][0] by `shift`
-    # lowers tr A^3 by shift * A[0][1] = shift.  Since kmax = 3 > 2G = 2,
-    # the Newton pass stops at j = 2G + 1 = 3, where its sum must vanish, so
-    # both shifts are caught by the Cayley-Hamilton check; the remainder
-    # and disagreement checks are exercised at G = 2 by
-    # test_zeta_checks_the_first_trace_past_2g.
-    A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
-    honest = tqft.mat_mul
-
-    def perturbed(a, b):
-        rows = [list(r) for r in honest(a, b)]
-        rows[1][0] -= shift
-        return tuple(map(tuple, rows))
-
-    assert _zeta_of_mapping_class(A, 3) == TruncSeries(3, [1, -1, -2, -3])
-    monkeypatch.setattr(tqft, "mat_mul", perturbed)
-    with pytest.raises(RuntimeError,
-                       match="^zeta cross-check failed: tr A\\^3 is off the "
-                             "Cayley-Hamilton recurrence"):
-        _zeta_of_mapping_class(A, 3)
-
-
-@pytest.mark.parametrize("shift", [1, 3])
-def test_zeta_checks_the_first_trace_past_2g(monkeypatch, shift):
-    # Route (a) forms tr A^k for k <= min(kmax, 2G + 1) only, runs Newton's
-    # identities on them up to t^{min(kmax, 2G)}, and at kmax > 2G checks
-    # that the Newton sum at j = 2G + 1 vanishes.  Lowering A^2[1][1] by
-    # `shift` lowers tr A^3 by shift * A[1][1].  At G = 1 (2G = 2) and
-    # kmax = 5, j = 3 is that Cayley-Hamilton step, and its check fires.  At
-    # kmax = 2 no product is formed.  At G = 2 and kmax = 3, j = 3 is an
-    # ordinary Newton step and B[1][1] = 2, so the Newton sum 3 c_3 of
-    # det(1 - tB) gains 2 * shift: shift 1 leaves a remainder at t^3, and
-    # shift 3 divides exactly into a wrong c_3 that route (b), the Berkowitz
-    # pass, rejects.
-    A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
-    B = MappingClass(SurfaceModel(2), [[1, 0, 0, 0], [0, 2, 0, 1],
-                                       [0, 0, 1, 0], [0, 1, 0, 1]])
-    honest = tqft.mat_mul
-    low = _zeta_of_mapping_class(A, 2)
-
-    def perturbed(a, b):
-        rows = [list(r) for r in honest(a, b)]
-        rows[1][1] -= shift
-        return tuple(map(tuple, rows))
-
-    monkeypatch.setattr(tqft, "mat_mul", perturbed)
-    with pytest.raises(tqft.CrossCheckError, match="Cayley-Hamilton"):
-        _zeta_of_mapping_class(A, 5)
-    assert _zeta_of_mapping_class(A, 2) == low
-    with pytest.raises(tqft.CrossCheckError,
-                       match="not integral at t\\^3" if shift == 1
-                       else "expansions .* disagree"):
-        _zeta_of_mapping_class(B, 3)
-
-
 def test_zeta_and_pencil_cost_guard(monkeypatch):
-    # route (a) forms at most A^{G+1}, so G products, at any kmax; a
-    # palindromic pencil of degree 2w takes w + 1 determinants; zeta_series
-    # runs no route (a): the kernel at N = 0 forms T^2 .. T^ceil(w/2) of
-    # T = A, w = min(kmax, G), and its check is route (b), one Berkowitz
-    # pass with no determinant and no Bareiss pencil
-    calls = {"mat_mul": 0, "det_int": 0, "kernel_mul": 0, "berkowitz": 0,
+    # a palindromic pencil of degree 2w takes w + 1 determinants; the
+    # kernel at N = 0 forms T^2 .. T^ceil(w/2) of T = A, w = min(kmax, G),
+    # and zeta's check is one Berkowitz pass with no determinant and no
+    # Bareiss pencil; verify reads det(1 - tA) from one Berkowitz pass
+    calls = {"det_int": 0, "kernel_mul": 0, "berkowitz": 0,
              "signed_pencil": 0}
 
     def counting(name, fn):
@@ -266,11 +208,7 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(tqft, "mat_mul", counting("mat_mul", tqft.mat_mul))
     monkeypatch.setattr(linalg, "det_int", counting("det_int", linalg.det_int))
-    P = make_presentation(0, 4, 40, 1)
-    _zeta_of_mapping_class(P.monodromy, 40)
-    assert 0 < calls["mat_mul"] <= 4
     for g, N in ((3, 2), (0, 3), (4, 0)):
         calls["det_int"] = 0
         signed_pencil(make_presentation(g, N, 30, 2).monodromy.mat, N)
@@ -286,12 +224,14 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
                         counting("berkowitz", tqft.det_one_minus_t))
     for g, N, kmax in ((0, 4, 40), (6, 0, 40), (5, 0, 3), (2, 0, 0)):
         G = g + N
-        calls.update(mat_mul=0, det_int=0, kernel_mul=0, berkowitz=0,
-                     signed_pencil=0)
+        calls.update(det_int=0, kernel_mul=0, berkowitz=0, signed_pencil=0)
         zeta_series(make_presentation(g, N, 40, 1), kmax)
-        assert calls["mat_mul"] == 0
         assert calls["kernel_mul"] <= max(-(-min(kmax, G) // 2) - 1, 0)
         assert calls["det_int"] == calls["signed_pencil"] == 0
+        assert calls["berkowitz"] == 1
+    for g, N, nmax in ((2, 1, 3), (0, 3, 4), (3, 0, 8)):
+        calls["berkowitz"] = 0
+        assert verify_main_identity(make_presentation(g, N, 20, 3), nmax).passed
         assert calls["berkowitz"] == 1
 
 
@@ -382,7 +322,9 @@ def test_verify_reads_the_diagonal_without_the_matrix(monkeypatch):
 
 def test_trace_identity_runs_the_morse_determinant(monkeypatch):
     # the pencil torsion shares newton_pencil with the trace pencil, so the
-    # right-hand side must come from the Morse matrix to stay independent
+    # right-hand side must come from the Morse matrix to stay independent;
+    # and it reads none of the lhs routes: the kernel, its Bareiss fallback
+    # and the minor sums of the diagonal raise while it runs
     def forbidden(*args):
         raise AssertionError("the trace identity read the pencil torsion")
 
@@ -397,12 +339,27 @@ def test_trace_identity_runs_the_morse_determinant(monkeypatch):
         return honest(P, kmax)
 
     monkeypatch.setattr(torsion, "morse_differential_matrix", counted)
-    for g, N in ((1, 1), (1, 2), (0, 3), (2, 0)):
-        P = make_presentation(g, N, 14, 9)
+    cases = [make_presentation(g, N, 14, 9)
+             for g, N in ((1, 1), (1, 2), (0, 3), (2, 0))]
+    expected = []
+    for P in cases:
         assert verify_main_identity(P, 3).passed
-        assert rhs_series(P, 3).coeffs == trace_kappa_series(P, 3)
-        assert orders == [3 + N] * 2
+        expected.append(rhs_series(P, 3))
+        assert expected[-1].coeffs == trace_kappa_series(P, 3)
+        assert orders == [3 + P.handles] * 2
         orders.clear()
+
+    def lhs_only(*args):
+        raise AssertionError("the rhs read a route of the lhs")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "swtorsion" or name.startswith("swtorsion.")]
+    for module in modules:
+        for name in ("newton_pencil", "signed_pencil", "det_int",
+                     "_minor_sums"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, lhs_only)
+    assert [rhs_series(P, 3) for P in cases] == expected
 
 
 def test_ascend_after_descend_is_the_handle_wedge_permutation():
