@@ -7,8 +7,9 @@ Presentations are JSON documents::
 with the monodromy given row-major as the pullback action on H^1 in the
 split basis (c_0..c_{N-1}, d_0..d_{N-1}, x_0..x_{2g-1}).  Tables print as
 TSV with a header row by default; ``--format json`` mirrors the same fields.
-Exit codes: 0 success or verification pass, 1 verification mismatch or a
-failed internal cross-check, 2 malformed input.
+Exit codes: 0 success or verification pass, 1 verification mismatch, a
+failed internal cross-check or a remainder in a kernel's exact division,
+2 malformed input.
 """
 from __future__ import annotations
 
@@ -66,18 +67,11 @@ def load_presentation(path: str) -> Presentation:
     return P
 
 
-def presentation_document(P: Presentation) -> dict:
-    doc = {}
-    if P.name is not None:
-        doc["name"] = P.name
-    doc["genus"] = P.genus
-    doc["handles"] = P.handles
-    doc["monodromy"] = [list(row) for row in P.monodromy.mat]
-    return doc
-
-
 def write_presentation(P: Presentation, path: str) -> None:
-    text = json.dumps(presentation_document(P), indent=2) + "\n"
+    doc = {} if P.name is None else {"name": P.name}
+    doc.update(genus=P.genus, handles=P.handles,
+               monodromy=[list(row) for row in P.monodromy.mat])
+    text = json.dumps(doc, indent=2) + "\n"
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -120,6 +114,17 @@ def _emit_series(series, fmt: str, out) -> None:
             sys.set_int_max_str_digits(cap)
 
 
+# The commands that print a table or a series, in --help order: the integer
+# flag each one requires and its help line.
+_TABLE_COMMANDS = {
+    "sw": ("nmax", "averaged Seiberg-Witten table"),
+    "zeta": ("kmax", "zeta function of the monodromy"),
+    "torsion": ("kmax", "Morse-complex torsion representative"),
+    "verify": ("nmax", "check the trace identity"),
+    "intersect": ("n", "graph-diagonal intersection number"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swtorsion",
@@ -127,36 +132,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "invariants of compression-body presentations M(g, N, h).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_fmt(p):
-        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-
     p = sub.add_parser("validate", help="check a presentation file")
     p.add_argument("file")
 
-    p = sub.add_parser("sw", help="averaged Seiberg-Witten table")
-    p.add_argument("file")
-    p.add_argument("--nmax", type=int, required=True)
-    add_fmt(p)
-
-    p = sub.add_parser("zeta", help="zeta function of the monodromy")
-    p.add_argument("file")
-    p.add_argument("--kmax", type=int, required=True)
-    add_fmt(p)
-
-    p = sub.add_parser("torsion", help="Morse-complex torsion representative")
-    p.add_argument("file")
-    p.add_argument("--kmax", type=int, required=True)
-    add_fmt(p)
-
-    p = sub.add_parser("verify", help="check the trace identity")
-    p.add_argument("file")
-    p.add_argument("--nmax", type=int, required=True)
-    add_fmt(p)
-
-    p = sub.add_parser("intersect", help="graph-diagonal intersection number")
-    p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    add_fmt(p)
+    for command, (flag, text) in _TABLE_COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("file")
+        p.add_argument(f"--{flag}", type=int, required=True)
+        p.add_argument("--format", choices=("tsv", "json"), default="tsv")
 
     p = sub.add_parser("b1", help="first Betti number of the presentation")
     p.add_argument("file")
@@ -185,7 +168,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CrossCheckError as e:
+    except (CrossCheckError, AssertionError) as e:
+        # two routes disagreed, or an exact division in a kernel left a
+        # remainder
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -211,21 +196,22 @@ def _dispatch(args, out) -> int:
         out.write(f"{compute_b1(P)}\n")
         return 0
 
+    flag = _TABLE_COMMANDS[args.command][0]
+    value = getattr(args, flag)
+    if args.command == "torsion" and value < P.handles:
+        raise InputError("--kmax must be at least the handle count")
+    if value < 0:
+        raise InputError(f"--{flag} must be nonnegative")
+
     if args.command == "zeta":
-        if args.kmax < 0:
-            raise InputError("--kmax must be nonnegative")
         _emit_series(zeta_series(P, args.kmax), args.format, out)
         return 0
 
     if args.command == "torsion":
-        if args.kmax < P.handles:
-            raise InputError("--kmax must be at least the handle count")
         _emit_series(torsion_representative(P, args.kmax), args.format, out)
         return 0
 
     if args.command == "sw":
-        if args.nmax < 0:
-            raise InputError("--nmax must be nonnegative")
         table = sw_table(P, args.nmax)
         rows = [{"n": r.n, "m": r.m, "value": r.value} for r in table.rows]
         if args.format == "json":
@@ -238,8 +224,6 @@ def _dispatch(args, out) -> int:
         return 0
 
     if args.command == "verify":
-        if args.nmax < 0:
-            raise InputError("--nmax must be nonnegative")
         report = verify_main_identity(P, args.nmax)
         rows = [{"n": r.n, "lhs": r.lhs, "rhs": r.rhs,
                  "match": "match" if r.match else "MISMATCH"}
@@ -247,17 +231,13 @@ def _dispatch(args, out) -> int:
         _emit(rows, ["n", "lhs", "rhs", "match"], args.format, out)
         return 0 if report.passed else 1
 
-    if args.command == "intersect":
-        if args.n < 0:
-            raise InputError("--n must be nonnegative")
-        value = intersection_number(P, args.n)
-        check = trace_kappa_coefficient(P, args.n)
-        rows = [{"n": args.n, "intersection": value, "trace": check,
-                 "match": "match" if value == check else "MISMATCH"}]
-        _emit(rows, ["n", "intersection", "trace", "match"], args.format, out)
-        return 0 if value == check else 1
-
-    raise InputError(f"unknown command {args.command!r}")
+    # intersect, the last command in the table
+    value = intersection_number(P, args.n)
+    check = trace_kappa_coefficient(P, args.n)
+    rows = [{"n": args.n, "intersection": value, "trace": check,
+             "match": "match" if value == check else "MISMATCH"}]
+    _emit(rows, ["n", "intersection", "trace", "match"], args.format, out)
+    return 0 if value == check else 1
 
 
 if __name__ == "__main__":

@@ -2,12 +2,14 @@
 
 Matrices are immutable tuples of row tuples.  One fraction-free (Bareiss)
 elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
-and column basis.  The one exception is ``det_one_minus_t``, which reads
-the whole polynomial det(1 - tA) from one division-free Berkowitz pass:
-the zeta check and the zeta function of ``verify``'s rhs, kept apart from
-the Bareiss pencils and from ``torsion.newton_pencil``.  Rational input is
-scaled to integers row by row first, so ``fractions.Fraction`` appears
-only in results.  Nothing here ever touches a float.
+and column basis, and ``signed_pencil``, the library's one determinant
+pencil in Bareiss form, takes g + 1 of those determinants.  The one
+exception is ``det_one_minus_t``, which reads the whole polynomial
+det(1 - tA) from one division-free Berkowitz pass: the zeta check and the
+zeta function of ``verify``'s rhs, kept apart from ``signed_pencil`` and
+from ``torsion.newton_pencil``.  Rational input is scaled to integers row
+by row first, so ``fractions.Fraction`` appears only in results.  Nothing
+here ever touches a float.
 """
 from __future__ import annotations
 
@@ -135,27 +137,45 @@ def det_one_minus_t(a: tuple) -> Tuple[int, ...]:
     return tuple(poly)
 
 
-def det_pencil(m0: tuple, m1: tuple,
-               palindromic_degree: int) -> Tuple[int, ...]:
-    """Coefficients of det(m0 + s m1) in s, lowest degree first, for a
-    pencil that the caller asserts is palindromic of degree 2w =
-    ``palindromic_degree``: of degree at most 2w with p_k = p_{2w-k}.
+def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
+    """Coefficients in t of (-1)^N p(-t), lowest degree first, for the
+    matrix of a symplectic A with N handles.
 
-    Every pencil of this library is of that form, with 2w fixed by the
-    shape of the problem (see ``torsion.signed_pencil``).  The w + 1
-    Bareiss determinants at s = 0..w determine p, and
-    ``_solve_palindromic`` recovers it exactly.  The tests check it
-    against the interpolation of all 2w + 1 values.
+    Here C, D are the first N and the next N basis classes, X the other 2g,
+    and p(s) = sum over subsets I of X of s^|I| det A[D u I, C u I].  With
+    Q the block of A on rows D u X and columns C u X, p(s) is the pencil
+    det [[Q_DC, Q_DX], [s Q_XC, 1 + s Q_XX]]: choosing in each X row
+    either s Q or the unit leaves the minors s^|I| det Q[D u I, C u I].
+    The same expansion gives t^N (-1)^N p(-t) = det (1 - tA)[D u X, C u X];
+    at N = 0 the coefficients are those of det(1 - tA).
+
+    p is palindromic of degree 2g, p_k = +p_{2g-k}, so the g + 1 Bareiss
+    determinants at s = 0..g determine it, and ``_solve_palindromic``
+    recovers it exactly.  Write R = D u I, S = C u I and X' = X minus I.
+    Jacobi's complementary-minor identity for B = A^-1, with det A = 1,
+    gives det A[R, S] = (-1)^{sum R + sum S} det B[D u X', C u X'] (the
+    complements of S and R).  B is the signed partner transpose of
+    ``surface.MappingClass.inverse``, B[i][j] = s_i s_j A[p(j)][p(i)], and
+    p maps C onto D in order and X' onto p(X'), so the minor of B is
+    det A[D u p(X'), C u p(X')] times the signs s_i of its rows and columns:
+    those of X' appear twice, s = +1 on C and -1 on D, which leaves (-1)^N.
+    The index sum is sum D + sum C + 2 sum I = N^2 + 2 (0 + .. + N - 1),
+    also N mod 2.  The two signs cancel, and I -> p(X minus I) is a
+    bijection from the k-subsets of X to its (2g - k)-subsets.  The tests
+    check the result against the interpolation of all 2g + 1 values.
     """
-    def value(s: int) -> int:
-        return det_int(tuple(tuple(a + s * b for a, b in zip(r0, r1))
-                             for r0, r1 in zip(m0, m1)))
+    rows = range(N, len(mat))
+    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
 
-    w, odd = divmod(palindromic_degree, 2)
-    if odd or w < 0:
-        raise ValueError("a palindromic degree must be even and nonnegative")
-    half = _solve_palindromic([value(s) for s in range(w + 1)])
-    return tuple(half + half[-2::-1])
+    def value(s: int) -> int:
+        return det_int(tuple(
+            tuple(mat[r][c] if a < N else s * mat[r][c] + int(a == b)
+                  for b, c in enumerate(cols)) for a, r in enumerate(rows)))
+
+    g = len(mat) // 2 - N
+    half = _solve_palindromic([value(s) for s in range(g + 1)])
+    return tuple(-c if (k + N) & 1 else c
+                 for k, c in enumerate(half + half[-2::-1]))
 
 
 def _solve_palindromic(values: Sequence[int]) -> list:

@@ -14,6 +14,7 @@ and the products J v are read off it.
 A mapping class is stored as the pullback action on H^1: column j of the
 matrix is the image of basis class j.  The pushforward on homology, where
 needed, is the inverse matrix under the Poincare duality identification.
+``char_series`` reads det(1 - tA) as ``linalg.signed_pencil`` at N = 0.
 """
 from __future__ import annotations
 
@@ -24,8 +25,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
-from .linalg import (as_matrix, det_int, det_pencil, identity_matrix, mat_mul,
-                     mat_vec, submatrix, transpose)
+from .linalg import (as_matrix, det_int, identity_matrix, mat_mul, mat_vec,
+                     signed_pencil, submatrix, transpose)
 from .series import TruncSeries
 
 
@@ -221,21 +222,17 @@ def exterior_power_trace(A: MappingClass, j: int) -> int:
 def char_series(A: MappingClass, order: int) -> TruncSeries:
     """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A.
 
-    det(1 + sA) = sum_j s^j tr Lambda^j A is the pencil
-    ``linalg.det_pencil(1, A)``.  A is symplectic, so det(1 + sA) is
-    reciprocal of degree 2G (``torsion.signed_pencil`` at N = 0) and
-    G + 1 Bareiss determinants give it.  The zeta check and ``verify``'s
-    rhs read the same polynomial from one Berkowitz pass
-    (``linalg.det_one_minus_t``), and the trace, torsion and zeta commands
-    through ``torsion.newton_pencil``; this function, the Bareiss route, is
-    the tests' third witness and the stand-alone form for callers holding a
-    bare mapping class.
+    This is ``linalg.signed_pencil`` at N = 0: A is symplectic, so
+    det(1 + sA) is reciprocal of degree 2G and G + 1 Bareiss determinants
+    give it.  The zeta check and ``verify``'s rhs read the same polynomial
+    from one Berkowitz pass (``linalg.det_one_minus_t``), and the trace,
+    torsion and zeta commands through ``torsion.newton_pencil``; this
+    function, the Bareiss route, is the tests' third witness and the
+    stand-alone form for callers holding a bare mapping class.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    n = A.surface.rank
-    ext = det_pencil(identity_matrix(n), A.mat, n)[:order + 1]
-    return TruncSeries(order, [-c if j & 1 else c for j, c in enumerate(ext)])
+    return TruncSeries(order, signed_pencil(A.mat, 0)[:order + 1])
 
 
 def random_symplectic(surface: Union[SurfaceModel, int], word_length: int,

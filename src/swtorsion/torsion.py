@@ -10,9 +10,10 @@ is the direct sum over compositions and permutations, run by the tests.
 
 Every pencil has two forms.  ``newton_pencil``, the one production reads,
 takes the Schur complement of A[D, C] and Newton's identities on the
-traces of its powers; it falls back to ``signed_pencil`` when A[D, C] is
-singular.  ``signed_pencil`` takes g + 1 Bareiss determinants; it is that
-fallback and the reference the tests check the kernel against.  The route
+traces of its powers; it falls back to ``linalg.signed_pencil`` when
+A[D, C] is singular.  ``signed_pencil``, which takes g + 1 Bareiss
+determinants and is imported here, is that fallback and the reference
+the tests check the kernel against.  The route
 that ``tqft.zeta_series`` checks the kernel against on every call, and
 that ``verify``'s rhs reads, is neither: it is the Berkowitz pass
 ``linalg.det_one_minus_t``.
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .linalg import (_bareiss, det_pencil, det_rational, identity_matrix,
+from .linalg import (_bareiss, det_rational, identity_matrix,
                      independent_columns, mat_mul, mat_vec, perm_parity,
-                     transpose)
+                     signed_pencil, transpose)
 from .series import TruncSeries, series_det
 from .surface import pairing
 
@@ -226,40 +227,6 @@ def morse_differential_matrix(P, kmax: int) -> MorseMatrix:
                 c.append(x)
     return MorseMatrix(N, kmax, tuple(tuple(TruncSeries(kmax, c) for c in row)
                                       for row in coeffs))
-
-
-def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
-    """Coefficients in t of (-1)^N p(-t), lowest degree first.
-
-    Here C, D are the first N and the next N basis classes, X the other 2g,
-    and p(s) = sum over subsets I of X of s^|I| det A[D u I, C u I].  With
-    Q the block of A on rows D u X and columns C u X, p(s) is the pencil
-    det([[Q_DC, Q_DX], [0, 1]] + s [[0, 0], [Q_XC, Q_XX]]) (expand
-    det(B + E_X) into the minors complementary to the unit diagonal).  The
-    same expansion gives t^N (-1)^N p(-t) = det (1 - tA)[D u X, C u X]; at
-    N = 0 the coefficients are those of det(1 - tA).
-
-    p is palindromic of degree 2g, p_k = +p_{2g-k}, so ``det_pencil``
-    takes g + 1 Bareiss determinants.  Write R = D u I, S = C u I and X' =
-    X minus I.  Jacobi's complementary-minor identity for B = A^-1, with
-    det A = 1, gives det A[R, S] = (-1)^{sum R + sum S} det B[D u X', C u X']
-    (the complements of S and R).  B is the signed partner transpose of
-    ``MappingClass.inverse``, B[i][j] = s_i s_j A[p(j)][p(i)], and p maps
-    C onto D in order and X' onto p(X'), so the minor of B is
-    det A[D u p(X'), C u p(X')] times the signs s_i of its rows and columns:
-    those of X' appear twice, s = +1 on C and -1 on D, which leaves (-1)^N.
-    The index sum is sum D + sum C + 2 sum I = N^2 + 2 (0 + .. + N - 1),
-    also N mod 2.  The two signs cancel, and I -> p(X minus I) is a
-    bijection from the k-subsets of X to its (2g - k)-subsets.
-    """
-    rows = range(N, len(mat))
-    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
-    m0 = tuple(tuple(mat[r][c] if a < N else int(a == b)
-                     for b, c in enumerate(cols)) for a, r in enumerate(rows))
-    m1 = tuple(tuple(0 if a < N else mat[r][c] for c in cols)
-               for a, r in enumerate(rows))
-    return tuple(-c if (k + N) & 1 else c
-                 for k, c in enumerate(det_pencil(m0, m1, len(mat) - 2 * N)))
 
 
 def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:

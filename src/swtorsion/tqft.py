@@ -189,7 +189,7 @@ def kappa_trace(P: Presentation, n: int) -> int:
 def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
     """(-1)^{N + k} sum over |K| = k of det A[D u K, C u K] for
     k <= min(nmax, 2g), each minor computed once: the coefficients of
-    ``torsion.signed_pencil``, summed subset by subset."""
+    ``linalg.signed_pencil``, summed subset by subset."""
     N = P.handles
     mat = P.monodromy.mat
     C, D = tuple(range(N)), tuple(range(N, 2 * N))
@@ -222,7 +222,7 @@ def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
     Tr kappa_n sums (-1)^{|I| + N} det A[D u I, C u I] over the monomials
     x_I y^q of Sym^n of the core surface; q takes n - |I| + 1 values, so
     sum_n Tr kappa_n t^n = (-1)^N p(-t) / (1 - t)^2 with p as in
-    ``torsion.signed_pencil``.  Only p_0 .. p_nmax enter, and
+    ``linalg.signed_pencil``.  Only p_0 .. p_nmax enter, and
     ``torsion.newton_pencil`` reads them from the traces of at most
     T^ceil(nmax/2) for a 2g x 2g Schur complement T.  At N = 0 this is
     the zeta function.

@@ -27,7 +27,7 @@ def presentation_sample(count: int, seed: int, *, gmax=2, hmax=2, cap=3,
 def interpolate(values) -> tuple:
     """Coefficients of the polynomial of degree < len(values) that takes
     values[k] at s = k, by forward differences in the falling-factorial basis:
-    the general pencil the palindromic ``linalg.det_pencil`` is checked
+    the general pencil the palindromic ``linalg.signed_pencil`` is checked
     against.
 
     The coefficients are asserted to be integers.  The Stirling numbers

@@ -217,15 +217,28 @@ def test_zeta_cross_check_failure_exits_one(tmp_path, capsys, monkeypatch,
         assert err == ""
 
 
-@pytest.mark.parametrize("shift", [1, 2, 3, 5])
-def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, shift):
+KERNEL_COMMANDS = {"zeta": ["--kmax", "40"], "sw": ["--nmax", "4"],
+                   "torsion": ["--kmax", "24"], "verify": ["--nmax", "3"],
+                   "intersect": ["--n", "2"]}
+
+
+@pytest.mark.parametrize("command, shift", [
+    pytest.param(command, shift,
+                 id=str(shift) if command == "zeta" else f"{command}-{shift}")
+    for command in KERNEL_COMMANDS for shift in (1, 2, 3, 5)])
+def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, command,
+                                       shift):
     # zeta reads det(1 - tA) from newton_pencil at N = 0 (G = 4, kmax = 40),
     # whose one product is T^2 = A^2.  Lowering A^2[1][1] by 2 keeps the
     # Newton divisions exact, and the Berkowitz pass rejects the result;
-    # shifts 1, 3 and 5 leave a remainder in the kernel.  Both exit 1 with
-    # one line on stderr.
+    # shifts 1, 3 and 5 leave a remainder in the kernel.  The other four
+    # commands read the Schur pencil of `gen --g 2 --handles 2 --words 52
+    # --seed 1` (det A[D, C] != 0), where every shift of a product leaves a
+    # remainder in the division by det A[D, C].  All exit 1 with one line
+    # on stderr and nothing on stdout.
+    fixture = (0, 4, 40, 1) if command == "zeta" else (2, 2, 52, 1)
     path = tmp_path / "p.json"
-    write_presentation(generate_fixture(0, 4, 40, 1), str(path))
+    write_presentation(generate_fixture(*fixture), str(path))
     honest = torsion.mat_mul
 
     def perturbed(a, b):
@@ -234,12 +247,36 @@ def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, shift):
         return tuple(map(tuple, rows))
 
     monkeypatch.setattr(torsion, "mat_mul", perturbed)
-    code, out, err = run_cli(["zeta", str(path), "--kmax", "40"], capsys)
+    code, out, err = run_cli([command, str(path)] + KERNEL_COMMANDS[command],
+                             capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: zeta cross-check failed: ")
-    assert ("disagree" in err) == (shift == 2)
+    if command == "zeta":
+        assert err.startswith("error: zeta cross-check failed: ")
+        assert ("disagree" in err) == (shift == 2)
+    else:
+        assert err == "error: pencil coefficient is not integral\n"
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["sw", "--nmax", "-1"], "nonnegative"),
+    (["zeta", "--kmax", "-1"], "nonnegative"),
+    (["torsion", "--kmax", "-1"], "at least the handle count"),
+    (["torsion", "--kmax", "1"], "at least the handle count"),
+    (["verify", "--nmax", "-1"], "nonnegative"),
+    (["intersect", "--n", "-1"], "nonnegative")],
+    ids=["sw", "zeta", "torsion-negative", "torsion-one", "verify",
+         "intersect"])
+def test_table_commands_reject_an_argument_below_their_bound(tmp_path, capsys,
+                                                             argv, bound):
+    # torsion needs at least the handle count (here 2), the others a
+    # nonnegative value; the file loads first, and nothing is printed
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(1, 2, 8, 1), str(path))
+    code, out, err = run_cli([argv[0], str(path)] + argv[1:], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {argv[1]} must be {bound}\n"
 
 
 def test_torsion_output(tmp_path, capsys):
@@ -362,7 +399,7 @@ def test_torsion_without_handles_forms_no_pencil(tmp_path, capsys,
 def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
                                                       monkeypatch):
     # det A[D, C] = -3762 here, so every pencil of sw, torsion and intersect
-    # comes from the Schur complement: no det_pencil, and at most
+    # comes from the Schur complement: no signed_pencil, and at most
     # ceil(w/2) + 1 products per newton_pencil call, w = min(top, g)
     P = generate_fixture(3, 2, 52, 1)
     assert det_int(submatrix(P.monodromy.mat, (2, 3), (0, 1))) == -3762
@@ -373,7 +410,7 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
         raise AssertionError("a command ran the Bareiss pencil")
 
     for module in (linalg, surface, torsion):
-        monkeypatch.setattr(module, "det_pencil", forbidden)
+        monkeypatch.setattr(module, "signed_pencil", forbidden)
     products = []
     honest_mul = torsion.mat_mul
 

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from swtorsion.cli import load_presentation, write_presentation
 from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
                                     intersection_number, product_evaluate)
-from swtorsion.linalg import (det_int, det_one_minus_t, det_pencil,
-                             det_rational, identity_matrix, independent_columns,
+from swtorsion.linalg import (det_int, det_one_minus_t, det_rational,
+                             identity_matrix, independent_columns,
                              invert_rational, invert_unimodular, mat_mul,
                              perm_parity, rank_int, submatrix, transpose)
 from swtorsion.series import TruncSeries, series_det
@@ -183,9 +183,9 @@ ZERO_CORE_ROW = ((1, 1, 10, 174), (1, 2, 9, 266), (2, 1, 8, 32), (1, 3, 10, 44))
 
 
 def test_pencils_take_their_structural_width():
-    # the width of signed_pencil is 2g and that of char_series 2G, whatever
-    # the rows of m1 are: short words, the identity (words = 0), g = 0,
-    # N = 0..3, and the fixtures whose m1 has a zero core row
+    # the width of signed_pencil is 2g, and 2G at N = 0 (char_series),
+    # whatever the rows of m1 are: short words, the identity (words = 0),
+    # g = 0, N = 0..3, and the fixtures whose m1 has a zero core row
     cases = [(g, N, words, seed) for g in range(4) for N in range(4)
              for words in range(4) for seed in (1, 2)] + list(ZERO_CORE_ROW)
     for g, N, words, seed in cases:
@@ -197,7 +197,8 @@ def test_pencils_take_their_structural_width():
         full = interpolate([det_int(tuple(
             tuple(int(i == j) + s * x for j, x in enumerate(row))
             for i, row in enumerate(mat))) for s in range(n + 1)])
-        assert det_pencil(identity_matrix(n), mat, n) == full
+        assert signed_pencil(mat, 0) == tuple(
+            -c if k & 1 else c for k, c in enumerate(full))
     for g, N, words, seed in ZERO_CORE_ROW:
         mat = make_presentation(g, N, words, seed).monodromy.mat
         cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
@@ -255,11 +256,8 @@ def test_newton_pencil_falls_back_on_a_singular_handle_block(
 def test_palindromic_pencil_rejects_a_non_integral_solution():
     # det(1 + s 0) = 1 is not palindromic of degree 6: the palindromic
     # polynomial through its values at s = 0..3 is not integral
-    zero = tuple((0,) * 6 for _ in range(6))
     with pytest.raises(AssertionError, match="not integral"):
-        det_pencil(identity_matrix(6), zero, 6)
-    with pytest.raises(ValueError, match="even"):
-        det_pencil(identity_matrix(6), zero, 5)
+        signed_pencil(((0,) * 6,) * 6, 0)
 
 
 @PROPERTY
