@@ -66,16 +66,17 @@ class ProductClass:
         return len(self.terms)
 
 
-def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple]]:
-    """The space Sym^{n+N} and the terms (a, b, coefficient) of the
-    diagonal class on (indices, q) keys.
+def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple],
+                                                     dict, dict]:
+    """The space Sym^{n+N}, the terms (a, b, coefficient) of the diagonal
+    class on (indices, q) keys, and the (pairs, duals) of
+    ``handle_duality`` that they were read from.
 
     For each core monomial beta, a is c_0^..^c_{N-1}^beta and b runs over
-    the dual of d_0^..^d_{N-1}^beta, read from ``handle_duality``.  The
-    handle indices precede every shifted core index, so a wedge is the
-    plain concatenation with sign +1.  The keys of ``handle_duality`` that
-    start with C are exactly these a, one per core monomial, so no two
-    terms share a key.
+    the dual of d_0^..^d_{N-1}^beta.  The handle indices precede every
+    shifted core index, so a wedge is the plain concatenation with sign +1.
+    The keys of ``handle_duality`` that start with C are exactly these a,
+    one per core monomial, so no two terms share a key.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -86,7 +87,7 @@ def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple]]:
     terms = [(a, b, coeff)
              for a in pairs if a[0][:N] == C
              for b, coeff in duals[D + a[0][N:], a[1]].items()]
-    return space, terms
+    return space, terms, pairs, duals
 
 
 def diagonal_class(P: Presentation, n: int) -> ProductClass:
@@ -98,7 +99,7 @@ def diagonal_class(P: Presentation, n: int) -> ProductClass:
     repeated factor.  Built from the same (indices, q) terms that
     ``intersection_number`` pairs (``_diagonal_terms``), as monomials.
     """
-    space, terms = _diagonal_terms(P, n)
+    space, terms, _, _ = _diagonal_terms(P, n)
     return ProductClass(space, {(Monomial(*a), Monomial(*b)): coeff
                                 for a, b, coeff in terms})
 
@@ -199,8 +200,7 @@ def intersection_number(P: Presentation, n: int) -> int:
     check; collapsing it would turn this route into the restricted-minor
     trace formula that ``kappa_trace`` already runs.
     """
-    space, terms = _diagonal_terms(P, n)
-    pairs, duals = handle_duality(space)
+    _, terms, pairs, duals = _diagonal_terms(P, n)
     # holders[c, k, q]: the a of k indices and y power q whose dual holds c
     holders: Dict[tuple, List[Tuple[Tuple[int, ...], int]]] = {}
     for (cols, q), dual in duals.items():

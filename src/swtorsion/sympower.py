@@ -7,6 +7,8 @@ indices and tracks the transposition sign, so coefficients stay exact
 integers.  A ``Monomial`` is the tuple (I, q) itself, so it equals, hashes
 and sorts as that key; ``handle_duality``, the one production route, builds
 plain (I, q) tuples, and the reference routes read them unconverted.
+Nothing is cached per space: each call builds the basis, pairings or duals
+it reads, and a caller that reads them twice keeps its own result.
 
 Degrees: deg(x_I y^q) = |I| + 2q; the sign of a monomial in graded traces is
 (-1)^{|I|}.
@@ -79,17 +81,6 @@ class SymSpace:
                 and all(0 <= i < 2 * self.G for i in m.indices))
 
 
-# Bound of the caches keyed by SymSpace.  Of the commands only intersect
-# touches a space: one ``handle_duality`` entry for Sym^{n+N} of the split
-# surface, built from keys alone, never the basis of Sym^n of the core or of
-# the whole Sym^{n+N}; verify, sw, zeta and torsion touch none.  That entry
-# is keyed by the space alone, so a warm process reuses it across every
-# monodromy of one shape.  The rest serves the reference routes that the
-# tests and the traced benchmark replay run.
-_SPACE_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def enumerate_basis(space: SymSpace) -> Tuple[Monomial, ...]:
     """All monomials with |I| + q <= n, ordered by |I|, then I, then q."""
     out: List[Monomial] = []
@@ -100,11 +91,6 @@ def enumerate_basis(space: SymSpace) -> Tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
-def basis_index(space: SymSpace) -> Dict[Monomial, int]:
-    return {m: i for i, m in enumerate(enumerate_basis(space))}
-
-
 class SymClass:
     """Finite integer combination of monomials in a fixed SymSpace."""
 
@@ -113,14 +99,12 @@ class SymClass:
     def __init__(self, space: SymSpace, terms: Optional[Dict[Monomial, int]] = None):
         self.space = space
         self.terms: Dict[Monomial, int] = {}
-        if terms:
-            for m, c in terms.items():
-                if c == 0:
-                    continue
-                if not space.contains(m):
-                    raise ValueError(f"monomial {m} exceeds the space bound")
-                self.terms[m] = self.terms.get(m, 0) + c
-            self.terms = {m: c for m, c in self.terms.items() if c != 0}
+        for m, c in (terms or {}).items():
+            if c == 0:
+                continue
+            if not space.contains(m):
+                raise ValueError(f"monomial {m} exceeds the space bound")
+            self.terms[m] = c
 
     @classmethod
     def zero(cls, space: SymSpace) -> "SymClass":
@@ -217,8 +201,10 @@ def contract_class(c: CohClass, alpha: SymClass) -> SymClass:
 
 
 # Reference routes only: no command reaches it.  Keyed by the whole matrix,
-# so it hits only within one call on one monodromy, where the recursion
-# reuses the images of shorter prefixes; the bound keeps memory flat.
+# so it hits only on one monodromy: the recursion reuses the images of
+# shorter prefixes, the monomials x_I y^q of one I share one image, and so
+# do the kappa_n for successive n.  Without it ``test_trace_paths_agree``
+# runs about 1.7 times as long.  The bound keeps memory flat.
 @lru_cache(maxsize=4096)
 def _lambda_image(mat: tuple, indices: Tuple[int, ...]) -> tuple:
     """Expansion of the wedge of columns ``indices`` of mat in the monomial basis.
@@ -256,17 +242,6 @@ class SymEndo:
     def from_function(cls, space: SymSpace,
                       f: Callable[[Monomial], SymClass]) -> "SymEndo":
         return cls(space, tuple(f(m) for m in enumerate_basis(space)))
-
-    def matrix(self) -> tuple:
-        """Dense integer matrix in the enumerate_basis ordering (rows first)."""
-        basis = enumerate_basis(self.space)
-        index = basis_index(self.space)
-        d = len(basis)
-        rows = [[0] * d for _ in range(d)]
-        for j, col in enumerate(self.columns):
-            for m, c in col.terms.items():
-                rows[index[m]][j] = c
-        return tuple(tuple(r) for r in rows)
 
 
 def induced_endomorphism(A: MappingClass, n: int) -> SymEndo:
@@ -388,7 +363,6 @@ def _duality_blocks(space: SymSpace):
         yield tuple(rows), tuple(cols)
 
 
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def duality_pairings(space: SymSpace) -> Dict[Monomial, Dict[Monomial, int]]:
     """For each basis monomial a, its nonzero pairings {b: <a, b>}.
 
@@ -407,7 +381,6 @@ def gram_matrix(space: SymSpace) -> tuple:
     return tuple(tuple(pairs[a].get(b, 0) for b in basis) for a in basis)
 
 
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def dual_basis(space: SymSpace) -> Dict[Monomial, SymClass]:
     """For each basis monomial a, the class a* with <a*, b> = delta_{ab}.
 
@@ -442,7 +415,6 @@ def disjoint_inverse_entry(p: int, L: int, u: int, x: int) -> int:
     return -coeff if (L - u + x) & 1 else coeff
 
 
-@lru_cache(maxsize=_SPACE_CACHE_SIZE)
 def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
                                              Dict[tuple, Dict[tuple, int]]]:
     """Pairings and duals on the Gram blocks of Sym^m of a split surface

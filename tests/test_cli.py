@@ -541,10 +541,11 @@ REFERENCE_ROUTES = (
     "kappa_matrix", "kappa_trace", "descend_map", "ascend_map",
     "induced_endomorphism", "apply_induced", "_lambda_image", "graded_trace",
     "lefschetz_number", "wedge_class", "contract_class", "graph_class",
-    "product_evaluate", "gram_matrix", "duality_pairings", "dual_basis",
-    "duality_pair", "pair_monomials", "top_evaluate", "invert_unimodular",
-    "invert_rational", "char_series", "exterior_power_trace",
-    "torsion_coefficient_direct")
+    "product_evaluate", "diagonal_class", "gram_matrix", "duality_pairings",
+    "dual_basis", "duality_pair", "pair_monomials", "top_evaluate",
+    "invert_unimodular", "invert_rational", "char_series",
+    "exterior_power_trace", "torsion_coefficient_direct", "enumerate_basis",
+    "_duality_blocks", "SymEndo")
 
 
 def test_commands_call_no_reference_route(tmp_path, capsys, monkeypatch):

@@ -139,7 +139,6 @@ def test_intersection_number_builds_only_the_handle_blocks(monkeypatch):
         guarded = refuse_big(getattr(sympower, name))
         for module in (sympower, intersection):
             monkeypatch.setattr(module, name, guarded)
-    sympower.handle_duality.cache_clear()
     assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
 
 
@@ -173,8 +172,21 @@ def test_intersection_number_pairs_and_inverts_nothing(monkeypatch, g, N, n):
                          (linalg, "invert_unimodular"),
                          (Monomial, "__init__")):
         monkeypatch.setattr(module, name, refuse)
-    sympower.handle_duality.cache_clear()
     assert intersection_number(P, n) == expected
+
+
+@pytest.mark.parametrize("g, N, n", [(3, 0, 3), (2, 2, 2), (1, 3, 2)])
+def test_intersection_number_builds_the_duality_once(monkeypatch, g, N, n):
+    P = make_presentation(g, N, 40, 2)
+    built = []
+
+    def counting(space):
+        built.append(space)
+        return sympower.handle_duality(space)
+
+    monkeypatch.setattr(intersection, "handle_duality", counting)
+    assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
+    assert built == [SymSpace(P.surface, n + N)]
 
 
 def test_handle_dual_conversion_identity():
