@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from math import comb, lcm, prod
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 
 def as_matrix(rows) -> tuple:
@@ -105,9 +105,10 @@ def det_int(a: tuple) -> int:
     return sign * last if len(pivots) == len(a) else 0
 
 
-def det_one_minus_t(a: tuple) -> Tuple[int, ...]:
+def det_one_minus_t(a: tuple, top: Optional[int] = None) -> Tuple[int, ...]:
     """Coefficients of det(1 - t a), lowest degree first, for any square
-    integer matrix a (the empty one gives (1,)).
+    integer matrix a (the empty one gives (1,)); with ``top``, only those
+    up to t^top.
 
     det(1 - t a) = t^n det(1/t - a), so these are the coefficients of the
     characteristic polynomial det(x - a), highest power first.  Berkowitz's
@@ -118,22 +119,26 @@ def det_one_minus_t(a: tuple) -> Tuple[int, ...]:
     .., -R B^{s-1} C), s the size of B, times that of B.  That is about
     n^4 / 4 integer products and no division, Bareiss elimination or
     matrix product; ``series.series_det`` runs the same recursion over
-    truncated series.
+    truncated series.  Coefficient i of a Toeplitz product reads only the
+    entries up to i of both factors, so at order ``top`` each Krylov
+    column stops at R B^{top-2} C and each product at t^top.
     """
     n = len(a)
+    size = n + 1 if top is None else min(n, top) + 1
     poly = [1]
     for r in range(n - 1, -1, -1):
         row = a[r]
         R = row[r + 1:]
         B = [a[i][r + 1:] for i in range(r + 1, n)]
         v = [a[i][r] for i in range(r + 1, n)]
+        length = min(n - r + 1, size)
         column = [1, -row[r]]
-        for k in range(n - r - 1):
+        for k in range(length - 2):
             if k:
                 v = [sum(map(operator.mul, b, v)) for b in B]
             column.append(-sum(map(operator.mul, R, v)))
         poly = [sum(map(operator.mul, column[i::-1], poly))
-                for i in range(n - r + 1)]
+                for i in range(length)]
     return tuple(poly)
 
 

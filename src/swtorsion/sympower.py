@@ -472,8 +472,17 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
 
     No pairing is evaluated and no block inverted.  The tests hold both
     closed forms against ``duality_pairings``, ``dual_basis`` and
-    ``invert_unimodular``.  The cost follows about twice
-    dim H^*(Sym^{m-N}) of the core surface.
+    ``invert_unimodular``.
+
+    *Cost.*  The rows of (U, h) are the first entries, by |S|, of one list
+    per core unpaired set U, so each index tuple, sign eps and mask is
+    built once per U and sliced for every h, and both heads reuse it.  The
+    key's c and partner key come from one inversion count of p(U), and one
+    inverse table serves every block with the same (|U|, L).  So a call
+    takes one sign per pair (U, S) with |S| <= min((m - N - |U|)/2, P) and
+    one per U, whatever N and h.  What is left is writing the pairs and
+    duals: about twice dim H^*(Sym^{m-N}) of the core surface monomials,
+    and the squared block sizes in entries.
     """
     partner = space.surface.partner
     N, g = space.surface.split
@@ -481,41 +490,61 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
     heads = (tuple(range(N)), tuple(range(N, 2 * N))) if N else ((),)
     core_pairs = [(i, partner(i)) for i in range(2 * N, 2 * space.G)
                   if i < partner(i)]
-    # members[U, h]: the rows keyed (U, |U| + 2h) as (key, eps, bit mask
-    # of S).  The head precedes every core index, so eps reads the core.
+    # members[key, h]: the rows keyed (key, |key| + 2h) as ((indices, q),
+    # eps, bit mask of S); info[key]: (partner key, c(key), k).
     members: Dict[tuple, List[tuple]] = {}
+    info: Dict[tuple, tuple] = {}
     for k in range(min(g, n) + 1):
         for chosen in combinations(range(g), k):
             free = [j for j in range(g) if j not in chosen]
             for ends in product(*(core_pairs[j] for j in chosen)):
                 U = tuple(sorted(ends))
+                # The rows of every h, sorted by |S|: those of (U, h) are
+                # the first cut[L].  The head precedes every core index, so
+                # eps reads the core.
+                family, cut = [], []
+                for s in range(min((n - k) // 2, g - k) + 1):
+                    for S in combinations(free, s):
+                        flat = tuple(t for j in S for t in core_pairs[j])
+                        family.append((tuple(sorted(U + flat)), s,
+                                       -1 if _odd_inversions(U + flat) else 1,
+                                       sum(1 << j for j in S)))
+                    cut.append(len(family))
+                # c(head + U): the head's images are the other head, sorted
+                # and below the core, and D turns all N of its pairs.
+                images = tuple(map(partner, U))
+                odd = (_odd_inversions(images) + (N + k) * (N + k - 1) // 2
+                       + sum(u > v for u, v in zip(U, images)))
+                image_key = tuple(sorted(images))
+                keys = []
+                for turn, head in enumerate(heads):
+                    info[head + U] = (heads[-1 - turn] + image_key,
+                                      -1 if (odd + turn * N) & 1 else 1, k)
+                    keys.append((head + U, [(head + idx, s, eps, mask)
+                                            for idx, s, eps, mask in family]))
                 for h in range(n - k + 1):
-                    block = []
-                    for s in range(min(h, n - k - h, g - k) + 1):
-                        for S in combinations(free, s):
-                            flat = tuple(t for j in S for t in core_pairs[j])
-                            eps = -1 if _odd_inversions(U + flat) else 1
-                            block.append((tuple(sorted(U + flat)), h - s, eps,
-                                          sum(1 << j for j in S)))
-                    for head in heads:
-                        members[head + U, h] = [((head + idx, q), eps, mask)
-                                                for idx, q, eps, mask in block]
+                    rows = cut[min(h, n - k - h, g - k)]
+                    for key, fam in keys:
+                        members[key, h] = [((idx, h - s), eps, mask)
+                                           for idx, s, eps, mask in fam[:rows]]
     pairs: Dict[tuple, Dict[tuple, int]] = {}
     duals: Dict[tuple, Dict[tuple, int]] = {}
-    for (U, h), rows in members.items():
-        k = len(U) - N
+    # Z^{-1} on the sets of at most L of the g - k free pairs, by (u, x)
+    inverses: Dict[tuple, Dict[tuple, int]] = {}
+    for (key, h), rows in members.items():
+        image_key, c, k = info[key]
         L = min(h, n - k - h, g - k)
-        images = tuple(map(partner, U))
-        odd = (_odd_inversions(images) + len(U) * (len(U) - 1) // 2
-               + sum(u > v for u, v in zip(U, images)))
-        c = -1 if odd & 1 else 1
-        cols = members[tuple(sorted(images)), n - k - h]
+        cols = members[image_key, n - k - h]
         for r, eps, mask in rows:
             pairs[r] = {b: c * eps * e for b, e, m in cols if not mask & m}
-        inverse = {(u, x): c * disjoint_inverse_entry(g - k, L, u, x)
-                   for u in range(L + 1) for x in range(u + 1)}
+        inverse = inverses.get((k, L))
+        if inverse is None:
+            inverse = inverses[k, L] = {
+                (u, x): disjoint_inverse_entry(g - k, L, u, x)
+                for u in range(L + 1) for x in range(u + 1)}
         for b, e, m in cols:
-            duals[b] = {r: e * eps * v for r, eps, mask in rows
+            ce = c * e
+            duals[b] = {r: ce * eps * v for r, eps, mask in rows
                         if (v := inverse.get(((mask | m).bit_count(),
                                               (mask & m).bit_count())))}
     return pairs, duals

@@ -208,12 +208,12 @@ def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
 
 def _trace_series(A: MappingClass, nmax: int) -> Tuple[int, ...]:
     """Coefficients n = 0..nmax of det(1 - tA) / (1 - t)^2, with the
-    numerator from one Berkowitz pass ``linalg.det_one_minus_t``.  It forms
-    no matrix product and no Bareiss determinant, so it shares no code with
-    ``newton_pencil``: ``zeta_series`` checks the kernel against it, and
-    ``rhs_series`` reads the zeta function from it.
+    numerator from one Berkowitz pass ``linalg.det_one_minus_t``, stopped
+    at t^nmax.  It forms no matrix product and no Bareiss determinant, so
+    it shares no code with ``newton_pencil``: ``zeta_series`` checks the
+    kernel against it, and ``rhs_series`` reads the zeta function from it.
     """
-    return _over_square(det_one_minus_t(A.mat), nmax)
+    return _over_square(det_one_minus_t(A.mat, nmax), nmax)
 
 
 def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:

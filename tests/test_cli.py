@@ -1,17 +1,23 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import swtorsion
 from swtorsion import linalg, series, surface, torsion, tqft
 from swtorsion.cli import (generate_fixture, load_presentation, main,
                            write_presentation)
-from swtorsion.linalg import det_int, submatrix
+from swtorsion.linalg import det_int, mat_mul, submatrix
 from swtorsion.series import TruncSeries
+from swtorsion.surface import SurfaceModel, random_symplectic
+from swtorsion.tqft import SYMPLECTIC_PROBLEM
 
 
 def run_cli(args, capsys):
@@ -122,6 +128,143 @@ def test_validate_rejects_non_string_name(tmp_path, capsys):
         code, out, err = run_cli([command, str(path)], capsys)
         assert code == 2 and out == ""
         assert "name" in err
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70)
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS, lambda inner: (st.lists(inner, max_size=4)
+                                 | st.dictionaries(st.text(max_size=6), inner,
+                                                   max_size=4)),
+    max_leaves=12)
+# The expected outcome when only the symplectic condition can fail: exit 0,
+# or exit 2 naming that condition.
+SHAPED = "shaped"
+
+
+@st.composite
+def symplectic_documents(draw):
+    """A valid presentation of g + N <= 3, as a dict, with its matrix as a
+    list of row lists: a transvection word, sheared by a huge multiple of
+    one partner pair half the time (I + k E[i, p(i)] is symplectic)."""
+    N = draw(st.integers(0, 3))
+    g = draw(st.integers(0, 3 - N))
+    surface = SurfaceModel(g + N, (N, g))
+    mat = random_symplectic(surface, draw(st.integers(0, 12)),
+                            draw(st.integers(0, 2 ** 32))).mat
+    size = len(mat)
+    if size and draw(st.booleans()):
+        i = draw(st.integers(0, size - 1))
+        k = draw(st.sampled_from((-1, 1))) * 10 ** draw(st.integers(20, 1200))
+        p = surface.partner(i)
+        shear = tuple(tuple(int(r == c) + k * (r == i and c == p)
+                            for c in range(size)) for r in range(size))
+        mat = mat_mul(mat, shear)
+    return {"genus": g, "handles": N, "monodromy": [list(r) for r in mat]}
+
+
+@st.composite
+def contract_documents(draw):
+    """(text of a presentation file, expected exit code or SHAPED or None):
+    wrong types and nesting, wrong sizes, non-symplectic and
+    near-symplectic matrices, and huge integers."""
+    doc = draw(symplectic_documents())
+    mat = doc["monodromy"]
+    size = len(mat)
+    kind = draw(st.sampled_from((
+        "valid", "any", "field", "missing", "name", "entry", "rows",
+        "columns", "huge_shape", "random", "near", "long_literal", "deep")))
+    expected = 2
+    if kind == "valid":
+        expected = 0
+    elif kind == "any":
+        doc, expected = draw(JSON_VALUES), None
+    elif kind == "field":
+        # genus or handles of a wrong type, negative or bool
+        field = draw(st.sampled_from(("genus", "handles")))
+        doc[field] = draw(JSON_VALUES.filter(
+            lambda v: not isinstance(v, int) or isinstance(v, bool))
+            | st.integers(-2 ** 70, -1))
+    elif kind == "missing":
+        del doc[draw(st.sampled_from(("genus", "handles", "monodromy")))]
+    elif kind == "name":
+        # null is no name, as when the field is absent
+        doc["name"] = draw(JSON_VALUES.filter(
+            lambda v: v is not None and not isinstance(v, str)))
+    elif kind == "entry" and size:
+        row = mat[draw(st.integers(0, size - 1))]
+        row[draw(st.integers(0, size - 1))] = draw(JSON_VALUES.filter(
+            lambda v: not isinstance(v, int) or isinstance(v, bool)))
+    elif kind == "rows":
+        if size and draw(st.booleans()):
+            del mat[draw(st.integers(0, size - 1))]
+        else:
+            mat.append([0] * size)
+    elif kind == "columns" and size:
+        row = mat[draw(st.integers(0, size - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(1)
+    elif kind == "huge_shape":
+        field = draw(st.sampled_from(("genus", "handles")))
+        doc[field] += 10 ** draw(st.integers(1, 1200))
+    elif kind == "random":
+        doc["monodromy"] = [[draw(st.integers(-3, 3)) for _ in range(size)]
+                            for _ in range(size)]
+        expected = SHAPED
+    elif kind == "near" and size:
+        row = mat[draw(st.integers(0, size - 1))]
+        row[draw(st.integers(0, size - 1))] += draw(st.sampled_from((-1, 1)))
+        expected = SHAPED
+    elif kind == "long_literal" and size:
+        # a matrix entry around Python's 4,300-digit cap on int parsing
+        mat[0][0] = "LONG"
+        text = json.dumps(doc).replace(
+            '"LONG"', "9" * draw(st.sampled_from((4300, 4301, 5000))), 1)
+        return text, None
+    elif kind == "deep":
+        depth = draw(st.sampled_from((10, 1000, 100000)))
+        return "[" * depth + "]" * depth, 2
+    else:
+        expected = 0
+    return json.dumps(doc), expected
+
+
+def run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(contract_documents())
+@example(('{"genus": 0, "handles": 0, "monodromy": []}', 0))
+@example(("[1, 2]", 2))
+def test_validate_and_b1_keep_the_input_contract(case):
+    # Every document exits 0, or 2 with exactly one "error:" line and empty
+    # stdout; a traceback would raise out of main.  Both commands load the
+    # file alike, so they agree on the exit code and the diagnostic.
+    text, expected = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        (code, out, err), (b1_code, b1_out, b1_err) = (
+            run_in_process([command, path]) for command in ("validate", "b1"))
+    assert (code, err) == (b1_code, b1_err)
+    if code == 0:
+        assert err == "" and out == "valid\n"
+        assert int(b1_out) >= 0
+    else:
+        assert code == 2 and out == b1_out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    if expected == SHAPED:
+        assert code == 0 or SYMPLECTIC_PROBLEM in err
+    elif expected is not None:
+        assert code == expected, err
 
 
 def test_validate_accepts_good_file(tmp_path, capsys):

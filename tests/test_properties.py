@@ -442,6 +442,19 @@ def test_berkowitz_equals_the_interpolated_determinant(a):
                                        for k, c in enumerate(full[:n + 1]))
 
 
+def test_truncated_berkowitz_is_a_prefix_of_the_full_pass():
+    # stopping the Krylov columns and the Toeplitz products at t^top
+    # changes none of the coefficients up to t^top
+    rng = random.Random(25)
+    for _ in range(120):
+        n = rng.randrange(9)
+        a = tuple(tuple(rng.randint(-9, 9) for _ in range(n))
+                  for _ in range(n))
+        full = det_one_minus_t(a)
+        for top in range(n + 3):
+            assert det_one_minus_t(a, top) == full[:top + 1]
+
+
 @PROPERTY
 @given(pencil_matrices())
 @example(((), 0))
@@ -632,17 +645,40 @@ def assert_handle_duality_is_the_full_duality(space, touched):
         assert duals[m] == full_duals[m].terms
 
 
+def handle_touched(space):
+    """The monomials whose handle part is all of C or all of D."""
+    N = space.surface.split[0]
+    C, D = set(range(N)), set(range(N, 2 * N))
+    return {m for m in enumerate_basis(space)
+            if set(m.indices) & (C | D) in (C, D)}
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(handle_spaces())
 def test_handle_duality_equals_the_full_duality_on_its_blocks(space):
     N, g = space.surface.split
-    # the handle part of a touched monomial is all of C or all of D
-    C, D = set(range(N)), set(range(N, 2 * N))
-    touched = {m for m in enumerate_basis(space)
-               if set(m.indices) & (C | D) in (C, D)}
+    touched = handle_touched(space)
     core = SymSpace(SurfaceModel(g), space.n - N)
     assert len(touched) == 2 * core.dim
     assert_handle_duality_is_the_full_duality(space, touched)
+
+
+@pytest.mark.parametrize("N", range(4))
+def test_handle_duality_equals_the_full_duality_on_a_grid(N):
+    # Core degree n up to 5 reaches what handle_spaces (n <= 3) does not:
+    # the cap L = g - k < h on the pair sets of a block, at (g, N, n) =
+    # (1, 1, 5) and (2, 2, 5) for instance, and core classes U with three
+    # or more y powers h, whose blocks are prefixes of one row list.
+    capped = 0
+    for g in range(5 - N):
+        for n in range(6):
+            space = SymSpace(SurfaceModel(g + N, (N, g)), n + N)
+            assert_handle_duality_is_the_full_duality(space,
+                                                      handle_touched(space))
+            capped += any(g - k < min(h, n - k - h)
+                          for k in range(min(g, n) + 1)
+                          for h in range(n - k + 1))
+    assert capped
 
 
 @pytest.mark.parametrize("g", range(5))

@@ -1,10 +1,12 @@
 import importlib
 import pkgutil
 import random
+from math import comb
 
 import pytest
 
 import swtorsion
+from swtorsion import sympower
 from swtorsion.linalg import det_int
 from swtorsion.series import TruncSeries, geometric_inverse_square
 from swtorsion.surface import (MappingClass, SurfaceModel, char_series,
@@ -12,8 +14,9 @@ from swtorsion.surface import (MappingClass, SurfaceModel, char_series,
 from swtorsion.sympower import (Monomial, SymClass, SymSpace, apply_induced,
                                 contract_class, dual_basis, duality_pair,
                                 enumerate_basis, graded_trace, gram_matrix,
-                                induced_endomorphism, lefschetz_number,
-                                pair_monomials, top_evaluate, wedge_class)
+                                handle_duality, induced_endomorphism,
+                                lefschetz_number, pair_monomials,
+                                top_evaluate, wedge_class)
 
 T1 = SurfaceModel(1)
 SPLIT2 = SurfaceModel(2, (1, 1))
@@ -300,6 +303,33 @@ def test_gram_unimodular():
             for n in range(0, 4):
                 P = gram_matrix(SymSpace(surface, n))
                 assert abs(det_int(P)) == 1
+
+
+def test_handle_duality_signs_each_core_row_once(monkeypatch):
+    # One sign per core unpaired set U, for c(U), and one per pair set S of
+    # its row list, |S| <= min((n - |U|) / 2, g - |U|): the same at N = 0
+    # and N = 2, and not once per y power h.
+    calls = []
+    honest = sympower._odd_inversions
+
+    def counting(seq):
+        calls.append(seq)
+        return honest(seq)
+
+    monkeypatch.setattr(sympower, "_odd_inversions", counting)
+
+    def signs(g, N, n):
+        calls.clear()
+        handle_duality(SymSpace(SurfaceModel(g + N, (N, g)), n + N))
+        return len(calls)
+
+    for g in range(5):
+        for n in range(6):
+            rows = sum(comb(g, k) * 2 ** k
+                       * (1 + sum(comb(g - k, s) for s
+                                  in range(min((n - k) // 2, g - k) + 1)))
+                       for k in range(min(g, n) + 1))
+            assert signs(g, 0, n) == signs(g, 2, n) == rows
 
 
 def test_every_cache_is_bounded():
