@@ -4,26 +4,23 @@ Everything is exact arithmetic: truncated integer power series, integer
 symplectic lattices, the MacDonald monomial model for the cohomology of
 symmetric powers of a surface, Morse-complex torsion, the TQFT trace of the
 monodromy endomorphism, and the graph-diagonal intersection reformulation.
+
+The production modules, which the commands run, are imported here.  The
+reference routes of ``__all__`` live in ``swtorsion.reference`` and are
+resolved on first access (PEP 562), so importing the package or running a
+command never loads them.
 """
 from .series import TruncSeries
-from .surface import (CohClass, MappingClass, SurfaceModel, char_series,
-                      exterior_power_trace, is_symplectic, pairing,
-                      random_symplectic)
-from .sympower import (Monomial, SymClass, SymEndo, SymSpace, contract_class,
-                       dual_basis, duality_pair, enumerate_basis, graded_trace,
-                       induced_endomorphism, lefschetz_number, top_evaluate,
-                       wedge_class)
-from .torsion import (MorseMatrix, RelPerm, VolumedComplex, collapse_perm,
-                      complex_torsion, enumerate_relative_perms,
-                      morse_differential_matrix, morse_torsion,
-                      torsion_coefficient_direct, torsion_representative)
+from .surface import (CohClass, MappingClass, SurfaceModel, is_symplectic,
+                      pairing, random_symplectic)
+from .sympower import Monomial, SymSpace
+from .torsion import (MorseMatrix, morse_differential_matrix, morse_torsion,
+                      torsion_representative)
 from .tqft import (CrossCheckError, Presentation, SWRow, SWTable,
-                   VerificationReport, VerificationRow, ascend_map,
-                   compute_b1, descend_map, kappa_matrix, kappa_trace,
+                   VerificationReport, VerificationRow, compute_b1,
                    rhs_series, sw_table, trace_kappa_coefficient,
                    validate_presentation, verify_main_identity, zeta_series)
-from .intersection import (ProductClass, diagonal_class, graph_class,
-                           intersection_number, product_evaluate)
+from .intersection import intersection_number
 
 __version__ = "0.1.0"
 
@@ -45,3 +42,11 @@ __all__ = [
     "ProductClass", "diagonal_class", "graph_class", "product_evaluate",
     "intersection_number",
 ]
+
+
+def __getattr__(name: str):
+    # A name of __all__ that is not bound above is a reference route.
+    if name in __all__:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -23,47 +23,33 @@ pairs or dualises holds all of the c's or all of the d's, and
 ``sympower.handle_duality`` writes just those blocks down in closed form,
 on plain (indices, q) tuples, without evaluating a pairing or inverting a
 block.  The production route builds no ``Monomial``, ``SymClass`` or
-``ProductClass``; ``diagonal_class`` wraps the same terms as monomials.
-``graph_class`` plus ``product_evaluate`` over the full ``duality_pairings``
-and ``dual_basis`` (each pairing through ``pair_monomials``, each block
-inverted by ``invert_unimodular``) is the materialised reference route: it
-expands Lambda(A) on every basis monomial, and its monomials equal the
-(indices, q) tuples.  The tests, demo 04 and the benchmark's traced replay
-still call it; no production path does.
+``ProductClass``.  The materialised reference route lives in
+``swtorsion.reference``: ``diagonal_class`` wraps the same terms
+(``_diagonal_terms``) as monomials, and ``graph_class`` plus
+``product_evaluate`` (through ``_pair_against``, shared with this module)
+expand Lambda(A) on every basis monomial over the full duality.  The
+tests, demo 04 and the benchmark's traced replay call it; no command does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from .linalg import det_int, submatrix
-from .sympower import (Monomial, SymClass, SymSpace, apply_induced,
-                       dual_basis, duality_pairings, enumerate_basis,
-                       handle_duality)
+from .sympower import SymSpace, handle_duality
 from .tqft import Presentation
 
 
-@dataclass(frozen=True)
-class ProductClass:
-    """Integer combination of monomial pairs in Sym^m x Sym^m."""
+# Reference routes that the benchmark's tracer reads from this module; they
+# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
+# item 5 retires the tracer's replay and deletes this forwarder.
+_FORWARDED = frozenset({"diagonal_class", "graph_class", "product_evaluate"})
 
-    space: SymSpace
-    terms: Tuple[Tuple[Monomial, Monomial, int], ...]
 
-    def __init__(self, space: SymSpace, terms: Dict[Tuple[Monomial, Monomial], int]):
-        object.__setattr__(self, "space", space)
-        cleaned = []
-        for (a, b), c in terms.items():
-            if c == 0:
-                continue
-            if not (space.contains(a) and space.contains(b)):
-                raise ValueError("monomial exceeds the space bound")
-            cleaned.append((a, b, c))
-        cleaned.sort()
-        object.__setattr__(self, "terms", tuple(cleaned))
-
-    def __len__(self) -> int:
-        return len(self.terms)
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple],
@@ -90,48 +76,6 @@ def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple],
     return space, terms, pairs, duals
 
 
-def diagonal_class(P: Presentation, n: int) -> ProductClass:
-    """Dual of the handle-torus diagonal in Sym^{n+N} x Sym^{n+N}.
-
-    Sums over the middle-surface monomial basis.  Extending the sum over
-    every split-basis monomial of power n would change nothing: a monomial
-    containing a handle class kills either the c wedge or the d wedge by a
-    repeated factor.  Built from the same (indices, q) terms that
-    ``intersection_number`` pairs (``_diagonal_terms``), as monomials.
-    """
-    space, terms, _, _ = _diagonal_terms(P, n)
-    return ProductClass(space, {(Monomial(*a), Monomial(*b)): coeff
-                                for a, b, coeff in terms})
-
-
-def graph_class(P: Presentation, n: int) -> ProductClass:
-    """Dual of the monodromy graph in Sym^{n+N} x Sym^{n+N}.
-
-    The diagonal dual sum_a (-1)^{deg a} a* x a pushed through the inverse
-    of the homology pushforward; with the monodromy stored as the pullback
-    on H^1 that twist is the induced action of the stored matrix.
-
-    Reference route only: it stores every product term (about 283,000 at
-    Sym dimension 1268), while ``intersection_number`` reads the few it
-    needs as restricted minors.  Called by the tests, demo 04 and the
-    benchmark's traced replay.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    space = SymSpace(P.surface, n + P.handles)
-    duals = dual_basis(space)
-    A = P.monodromy
-    terms: Dict[Tuple[Monomial, Monomial], int] = {}
-    for a in enumerate_basis(space):
-        sign = -1 if a.degree & 1 else 1
-        twisted = apply_induced(A, SymClass.monomial(space, a))
-        for lm, lc in duals[a].terms.items():
-            for rm, rc in twisted.terms.items():
-                key = (lm, rm)
-                terms[key] = terms.get(key, 0) + sign * lc * rc
-    return ProductClass(space, terms)
-
-
 def _pair_against(terms, pairs: Dict[tuple, Dict[tuple, int]],
                   coefficient: Callable[[tuple, tuple], int]) -> int:
     """Cup product of the product class with the terms (a, b, coefficient)
@@ -156,20 +100,6 @@ def _pair_against(terms, pairs: Dict[tuple, Dict[tuple, int]],
                 if cv:
                     total += weight * be * cv
     return total
-
-
-def product_evaluate(u: ProductClass, v: ProductClass) -> int:
-    """Evaluate the cup product of two product classes on the fundamental class.
-
-    With v indexed by (c, e), the cost is linear in the term counts.
-    Together with ``graph_class`` this is the materialised reference route
-    for ``intersection_number``.
-    """
-    if u.space != v.space:
-        raise ValueError("product classes live over different powers")
-    v_terms = {(c, e): cv for c, e, cv in v.terms}
-    return _pair_against(u.terms, duality_pairings(u.space),
-                         lambda c, e: v_terms.get((c, e), 0))
 
 
 def intersection_number(P: Presentation, n: int) -> int:

@@ -7,15 +7,15 @@ pencil in Bareiss form, takes g + 1 of those determinants.  The one
 exception is ``det_one_minus_t``, which reads the whole polynomial
 det(1 - tA) from one division-free Berkowitz pass: the zeta check and the
 zeta function of ``verify``'s rhs, kept apart from ``signed_pencil`` and
-from ``torsion.newton_pencil``.  Rational input is scaled to integers row
-by row first, so ``fractions.Fraction`` appears only in results.  Nothing
-here ever touches a float.
+from ``torsion.newton_pencil``.  The rational and unimodular routes on the
+same kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
+``independent_columns``) are reference routes in ``swtorsion.reference``.
+Nothing here ever touches a float.
 """
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb
 from typing import Optional, Sequence, Tuple
 
 
@@ -90,13 +90,6 @@ def _bareiss(m: list, jordan: bool = False) -> Tuple[list, int, int]:
         if r == rows:
             break
     return pivots, sign, prev
-
-
-def _integer_rows(a: tuple) -> Tuple[list, list]:
-    """Each row of a times the lcm s_i of its denominators, and the s_i."""
-    scales = [lcm(*(x.denominator for x in row)) for row in a]
-    return [[x.numerator * (s // x.denominator) for x in row]
-            for row, s in zip(a, scales)], scales
 
 
 def det_int(a: tuple) -> int:
@@ -242,64 +235,6 @@ def _solve_palindromic(values: Sequence[int]) -> list:
 def rank_int(a: tuple) -> int:
     """Rank of an integer matrix: the pivot count of its Bareiss echelon."""
     return len(_bareiss([list(row) for row in a])[0])
-
-
-def det_rational(a: tuple) -> Fraction:
-    """Determinant of a rational matrix: det(S a) / det S, with S the
-    diagonal of row scales that makes S a integral."""
-    m, scales = _integer_rows(a)
-    return Fraction(det_int(m), prod(scales))
-
-
-def invert_rational(a: tuple) -> tuple:
-    """Inverse of a square matrix over the rationals.
-
-    The Jordan pass on [S a | I] leaves det (S a)^-1 on the right, and
-    a^-1 = (S a)^-1 S.  Raises ValueError on a singular input.
-    """
-    n = len(a)
-    m, scales = _integer_rows(a)
-    for i, row in enumerate(m):
-        row.extend(int(i == j) for j in range(n))
-    pivots, _, det = _bareiss(m, jordan=True)
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    return tuple(tuple(Fraction(x * s, det) for x, s in zip(row[n:], scales))
-                 for row in m)
-
-
-def invert_unimodular(a: tuple) -> tuple:
-    """Integer inverse of an integer matrix of determinant +-1.
-
-    The Jordan pass on [a | I] leaves last pivot * a^-1 on the right, and
-    the last pivot is +-det a.  An integer matrix has an integer inverse
-    exactly when that pivot is +-1, so this is also the integrality check:
-    any other input raises ValueError.
-    """
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(a)]
-    pivots, _, last = _bareiss(m, jordan=True)
-    if pivots != list(range(n)) or last not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    return tuple(tuple(last * x for x in row[n:]) for row in m)
-
-
-def independent_columns(a: tuple, rng=None) -> list:
-    """Column indices forming a basis of the column space.
-
-    Candidate pivot columns are tried in shuffled order when ``rng`` is
-    given, so callers can check that downstream results do not depend on
-    the choice of basis.
-    """
-    if not a:
-        return []
-    order = list(range(len(a[0])))
-    if rng is not None:
-        rng.shuffle(order)
-    m, _ = _integer_rows(a)
-    pivots = _bareiss([[row[c] for c in order] for row in m])[0]
-    return [order[p] for p in pivots]
 
 
 def perm_parity(p: Sequence[int]) -> int:

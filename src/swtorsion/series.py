@@ -100,11 +100,6 @@ class TruncSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def geometric_inverse_square(order: int) -> TruncSeries:
-    """1/(1-t)^2 = sum (m+1) t^m, the zeta function of the 2-sphere flow."""
-    return TruncSeries(order, [m + 1 for m in range(order + 1)])
-
-
 def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSeries:
     """Determinant of a square matrix of truncated series.
 
@@ -114,7 +109,7 @@ def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSer
     (1, -a, -RC, -RBC, -RB^2C, ..) times that of B.  An n x n matrix costs
     about n^4 / 4 truncated series products and no division, so the
     constant terms may vanish.  The work runs on the plain coefficient tuples;
-    ``torsion.torsion_coefficient_direct`` is the independent reference.
+    ``reference.torsion_coefficient_direct`` is the independent reference.
     """
     n = len(entries)
     m = []

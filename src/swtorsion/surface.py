@@ -14,7 +14,9 @@ and the products J v are read off it.
 A mapping class is stored as the pullback action on H^1: column j of the
 matrix is the image of basis class j.  The pushforward on homology, where
 needed, is the inverse matrix under the Poincare duality identification.
-``char_series`` reads det(1 - tA) as ``linalg.signed_pencil`` at N = 0.
+The reference routes to det(1 - tA) from the principal minors and the
+Bareiss pencil (``exterior_power_trace``, ``char_series``) live in
+``swtorsion.reference``.
 """
 from __future__ import annotations
 
@@ -25,9 +27,20 @@ from functools import cached_property
 from itertools import combinations
 from typing import Optional, Union
 
-from .linalg import (as_matrix, det_int, identity_matrix, mat_mul, mat_vec,
-                     signed_pencil, submatrix, transpose)
-from .series import TruncSeries
+from .linalg import as_matrix, identity_matrix, mat_mul, mat_vec, transpose
+
+
+# Reference routes that the benchmark's tracer reads from this module; they
+# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
+# item 5 retires the tracer's replay and deletes this forwarder.
+_FORWARDED = frozenset({"char_series"})
+
+
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -201,38 +214,6 @@ class MappingClass:
 
     def trace(self) -> int:
         return sum(self.mat[i][i] for i in range(len(self.mat)))
-
-
-def exterior_power_trace(A: MappingClass, j: int) -> int:
-    """Trace of the induced map on the j-th exterior power of H^1.
-
-    Computed as the sum of the C(2G, j) principal j x j minors.  This is
-    the brute-force reference for ``char_series``, which production code
-    uses instead.
-    """
-    n = A.surface.rank
-    if not 0 <= j <= n:
-        raise ValueError("exterior power out of range")
-    total = 0
-    for S in combinations(range(n), j):
-        total += det_int(submatrix(A.mat, S, S))
-    return total
-
-
-def char_series(A: MappingClass, order: int) -> TruncSeries:
-    """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A.
-
-    This is ``linalg.signed_pencil`` at N = 0: A is symplectic, so
-    det(1 + sA) is reciprocal of degree 2G and G + 1 Bareiss determinants
-    give it.  The zeta check and ``verify``'s rhs read the same polynomial
-    from one Berkowitz pass (``linalg.det_one_minus_t``), and the trace,
-    torsion and zeta commands through ``torsion.newton_pencil``; this
-    function, the Bareiss route, is the tests' third witness and the
-    stand-alone form for callers holding a bare mapping class.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    return TruncSeries(order, signed_pencil(A.mat, 0)[:order + 1])
 
 
 def random_symplectic(surface: Union[SurfaceModel, int], word_length: int,

@@ -1,12 +1,14 @@
-"""Torsion of volumed acyclic complexes and the circle-valued Morse data.
+"""The circle-valued Morse data of a presentation and its torsion.
 
-Three routes to the same torsion polynomial are implemented for the
-two-term Morse complex of a compression-body presentation.  The fast path,
+Two routes to the torsion polynomial of the two-term Morse complex of a
+compression-body presentation live here.  The fast path,
 ``torsion_representative``, is the ratio of two integer determinant
 pencils.  ``morse_torsion`` is the determinant of the N x N matrix of
 crossing series; ``rhs_series`` runs it, so ``verify`` checks the trace
-identity against the Morse complex itself.  ``torsion_coefficient_direct``
-is the direct sum over compositions and permutations, run by the tests.
+identity against the Morse complex itself.  The third,
+``torsion_coefficient_direct``, the direct sum over compositions and
+permutations, and the torsion of general volumed complexes are reference
+routes in ``swtorsion.reference``, run by the tests.
 
 Every pencil has two forms.  ``newton_pencil``, the one production reads,
 takes the Schur complement of A[D, C] and Newton's identities on the
@@ -20,175 +22,25 @@ that ``verify``'s rhs reads, is neither: it is the Berkowitz pass
 """
 from __future__ import annotations
 
-import itertools
 import operator
-import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from .linalg import (_bareiss, det_rational, identity_matrix,
-                     independent_columns, mat_mul, mat_vec, perm_parity,
-                     signed_pencil, transpose)
+from .linalg import _bareiss, identity_matrix, mat_mul, signed_pencil, transpose
 from .series import TruncSeries, series_det
-from .surface import pairing
 
 
-def _frac_matrix(rows) -> tuple:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+# Reference routes that the benchmark's tracer reads from this module; they
+# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
+# item 5 retires the tracer's replay and deletes this forwarder.
+_FORWARDED = frozenset({"torsion_coefficient_direct"})
 
 
-@dataclass(frozen=True)
-class VolumedComplex:
-    """Finite chain complex with the standard basis volume on each level.
-
-    ``ranks`` lists the chain group dimensions from the top level C_n down
-    to C_0; ``differentials[i]`` is the matrix of C_{n-i} -> C_{n-i-1}
-    (entries exact rationals, columns indexed by the source).
-    """
-
-    ranks: Tuple[int, ...]
-    differentials: Tuple[tuple, ...]
-
-    def __init__(self, ranks: Sequence[int], differentials: Iterable):
-        ranks = tuple(int(r) for r in ranks)
-        diffs = tuple(_frac_matrix(d) for d in differentials)
-        if len(diffs) != max(len(ranks) - 1, 0):
-            raise ValueError("need exactly one differential per adjacent pair")
-        for i, d in enumerate(diffs):
-            src, dst = ranks[i], ranks[i + 1]
-            if len(d) != dst or any(len(row) != src for row in d):
-                raise ValueError(f"differential {i} has the wrong shape")
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "differentials", diffs)
-        for upper, lower in zip(diffs, diffs[1:]):
-            src = len(upper[0]) if upper else 0
-            for col in range(src):
-                v = tuple(row[col] for row in upper)
-                if any(mat_vec(lower, v)):
-                    raise ValueError("differentials do not compose to zero")
-
-    @property
-    def top(self) -> int:
-        return len(self.ranks) - 1
-
-
-def complex_torsion(C: VolumedComplex, rng: Optional[random.Random] = None) -> Fraction:
-    """Torsion of a volumed complex; 0 when the complex is not acyclic.
-
-    For each level the image of the incoming differential gets a volume from
-    a chosen set of independent columns; the torsion is the alternating
-    product of the determinants comparing (incoming volume, lifted outgoing
-    volume) against the standard volume.  The result is independent of the
-    column choices, which ``rng`` can shuffle to let tests confirm that.
-    """
-    n = C.top
-    ranks = C.ranks
-    # diff_at[i]: the differential leaving level i (C_i -> C_{i-1});
-    # levels are numbered 0..n from the bottom here.
-    diff_at = {n - i: C.differentials[i] for i in range(len(C.differentials))}
-
-    chosen: dict = {}
-    rank_of: dict = {}
-    for lvl in range(1, n + 1):
-        d = diff_at[lvl]
-        cols = independent_columns(d, rng)
-        chosen[lvl] = cols
-        rank_of[lvl] = len(cols)
-    rank_of[0] = 0
-    rank_of[n + 1] = 0
-
-    # Acyclicity: dim C_i = rank(d_i) + rank(d_{i+1}) at every level.
-    for lvl in range(0, n + 1):
-        dim = ranks[n - lvl]
-        if dim != rank_of[lvl] + rank_of.get(lvl + 1, 0):
-            return Fraction(0)
-
-    result = Fraction(1)
-    for lvl in range(0, n + 1):
-        dim = ranks[n - lvl]
-        if dim == 0:
-            continue
-        block: List[List[Fraction]] = []
-        if lvl + 1 <= n:
-            d_in = diff_at[lvl + 1]
-            for c in chosen[lvl + 1]:
-                block.append([d_in[r][c] for r in range(dim)])
-        for c in chosen.get(lvl, []):
-            block.append([Fraction(1) if r == c else Fraction(0) for r in range(dim)])
-        t = det_rational(tuple(zip(*block)))
-        if t == 0:
-            raise AssertionError("volume comparison degenerated")
-        result *= t if (lvl + 1) % 2 == 0 else 1 / t
-    return result
-
-
-@dataclass(frozen=True)
-class RelPerm:
-    """Permutation of {0..s-1} whose powers carry {0..N-1} onto everything."""
-
-    s: int
-    N: int
-    perm: Tuple[int, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.N <= self.s:
-            raise ValueError("need 0 <= N <= s")
-        p = tuple(self.perm)
-        if sorted(p) != list(range(self.s)):
-            raise ValueError("not a permutation")
-        object.__setattr__(self, "perm", p)
-        if not _orbit_covers(p, self.N):
-            raise ValueError("orbit of the first N points does not cover")
-
-    @property
-    def parity(self) -> int:
-        return perm_parity(self.perm)
-
-
-def _orbit_covers(p: Tuple[int, ...], N: int) -> bool:
-    s = len(p)
-    orbit = set(range(N))
-    while True:
-        new = {p[x] for x in orbit} - orbit
-        if not new:
-            break
-        orbit |= new
-    return len(orbit) == s
-
-
-def enumerate_relative_perms(s: int, N: int) -> List[RelPerm]:
-    """All permutations of {0..s-1} propagating {0..N-1} onto the whole set."""
-    if not 0 <= N <= s:
-        raise ValueError("need 0 <= N <= s")
-    out = []
-    for p in itertools.permutations(range(s)):
-        if _orbit_covers(p, N):
-            out.append(RelPerm(s, N, p))
-    return out
-
-
-def collapse_perm(rho: RelPerm) -> Tuple[Tuple[int, ...], List[int]]:
-    """Return times and the collapsed permutation of {0..N-1}.
-
-    For each i < N, s_i is the least m > 0 with rho^m(i) < N, and the
-    collapsed permutation sends i to rho^{s_i}(i).  The return times sum
-    to s.
-    """
-    N = rho.N
-    tilde = []
-    times = []
-    for i in range(N):
-        j = rho.perm[i]
-        m = 1
-        while j >= N:
-            j = rho.perm[j]
-            m += 1
-        tilde.append(j)
-        times.append(m)
-    if N > 0 and sum(times) != rho.s:
-        raise AssertionError("return times do not exhaust the orbit")
-    return tuple(tilde), times
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -351,51 +203,3 @@ def morse_torsion(P, kmax: int) -> TruncSeries:
     ``torsion_representative``.
     """
     return series_det(morse_differential_matrix(P, kmax).entries, kmax)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` integers >= 1 summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def torsion_coefficient_direct(P, k: int) -> int:
-    """Coefficient of t^k of the torsion representative, summed directly.
-
-    Sum over compositions s_0 + ... + s_{N-1} = k with every part >= 1 and
-    over permutations of the handle labels, of the signed product of
-    pairings <A^{s_i} c_i, c_{sigma(i)}>.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    N = P.handles
-    if N == 0:
-        return 1 if k == 0 else 0
-    if k < N:
-        return 0
-    surface = P.surface
-    A = P.monodromy
-    cs = [surface.c_class(i) for i in range(N)]
-    powers = {}
-    cur = {i: cs[i] for i in range(N)}
-    for s in range(1, k - N + 2):
-        for i in range(N):
-            cur[i] = A.apply(cur[i])
-        powers[s] = {(i, j): pairing(cur[i], cs[j])
-                     for i in range(N) for j in range(N)}
-    total = 0
-    for comp in _compositions(k, N):
-        for sigma in itertools.permutations(range(N)):
-            sign = -1 if perm_parity(sigma) else 1
-            prod = sign
-            for i in range(N):
-                prod *= powers[comp[i]][(i, sigma[i])]
-                if prod == 0:
-                    break
-            total += prod
-    return total

@@ -11,7 +11,7 @@ torsion, and verifying that identity is the library's purpose.
 
 The trace has two routes.  ``trace_kappa_series`` reads it from one integer
 determinant pencil, whose low coefficients ``torsion.newton_pencil`` takes
-from the traces of powers of a 2g x 2g Schur complement; ``kappa_trace``
+from the traces of powers of a 2g x 2g Schur complement; ``_minor_sums``
 reads the diagonal of kappa_n, one restricted minor of the monodromy per
 subset of the core classes, from the closed form of ascend after descend
 (a fixed partial permutation of the handle-wedge monomials).
@@ -20,9 +20,10 @@ from the same kernel at N = 0 and checks it, on every call, against one
 Berkowitz pass ``linalg.det_one_minus_t``.  The rhs of ``verify`` reads
 det(1 - tA) from that Berkowitz pass alone, so it shares no code with the
 kernel that the lhs reads.
-``kappa_matrix`` assembles every column through ``descend_map``,
-``ascend_map`` and the full Lambda(A) image and is the reference route for
-the diagonal, run by the tests and the benchmark's traced replay.
+The assembled kappa_n and its diagonal trace (``kappa_matrix``,
+``descend_map``, ``ascend_map``, ``kappa_trace``) are reference routes in
+``swtorsion.reference``, run by the tests and the benchmark's traced
+replay.
 """
 from __future__ import annotations
 
@@ -33,9 +34,20 @@ from typing import List, Optional, Tuple
 from .linalg import det_int, det_one_minus_t, rank_int, submatrix
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
-from .sympower import (Monomial, SymClass, SymEndo, SymSpace, apply_induced,
-                       contract_class, wedge_class)
 from .torsion import morse_torsion, newton_pencil
+
+
+# Reference routes that the benchmark's tracer reads from this module; they
+# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
+# item 5 retires the tracer's replay and deletes this forwarder.
+_FORWARDED = frozenset({"kappa_matrix"})
+
+
+def __getattr__(name: str):
+    if name in _FORWARDED:
+        from . import reference
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -111,79 +123,6 @@ def validate_presentation(genus, handles, rows) -> List[str]:
             rows, SurfaceModel(genus + handles, (handles, genus))):
         problems.append(SYMPLECTIC_PROBLEM)
     return problems
-
-
-def descend_map(P: Presentation, n: int, alpha: SymClass) -> SymClass:
-    """First compression body: contract by c_0, then c_1, .. then c_{N-1},
-    kill monomials still meeting the handle classes, and read the result in
-    the basis of the middle surface."""
-    big = SymSpace(P.surface, n + P.handles)
-    if alpha.space != big:
-        raise ValueError("class is not in the expected symmetric power")
-    N = P.handles
-    cur = alpha
-    for i in range(N):
-        cur = contract_class(P.surface.c_class(i), cur)
-    small = SymSpace(P.small_surface, n)
-    out = {}
-    for m, c in cur.terms.items():
-        if any(i < 2 * N for i in m.indices):
-            continue
-        key = Monomial(tuple(i - 2 * N for i in m.indices), m.q)
-        out[key] = c
-    return SymClass(small, out)
-
-
-def ascend_map(P: Presentation, n: int, beta: SymClass) -> SymClass:
-    """Second compression body: include into the split basis and wedge the
-    handle classes so the result reads c_0 ^ .. ^ c_{N-1} ^ beta."""
-    small = SymSpace(P.small_surface, n)
-    if beta.space != small:
-        raise ValueError("class is not in the expected symmetric power")
-    N = P.handles
-    mid = SymSpace(P.surface, n)
-    lifted = SymClass(mid, {Monomial(tuple(i + 2 * N for i in m.indices), m.q): c
-                            for m, c in beta.terms.items()})
-    cur = lifted
-    for i in reversed(range(N)):
-        cur = wedge_class(P.surface.c_class(i), cur)
-    return cur
-
-
-def kappa_matrix(P: Presentation, n: int) -> SymEndo:
-    """The TQFT endomorphism of H^*(Sym^{n+N}): monodromy after wedge after
-    contraction, assembled column by column over the monomial basis."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    big = SymSpace(P.surface, n + P.handles)
-    A = P.monodromy
-
-    def column(m: Monomial) -> SymClass:
-        down = descend_map(P, n, SymClass.monomial(big, m))
-        if down.is_zero():
-            return SymClass.zero(big)
-        up = ascend_map(P, n, down)
-        return apply_induced(A, up)
-
-    return SymEndo.from_function(big, column)
-
-
-def kappa_trace(P: Presentation, n: int) -> int:
-    """Graded trace of kappa_n read from its diagonal alone.
-
-    kappa_n is Lambda(A) after ascend after descend.  Ascend after descend
-    sends d_0..d_{N-1} x_K y^q to +c_0..c_{N-1} x_K y^q for each subset K
-    of the core classes X and kills every other monomial, and Lambda(A)
-    sends x_J to the sum over I of det A[I, J] x_I.  So the diagonal is
-    det A[D u K, C u K] at each of the n - |K| + 1 monomials x_{D u K} y^q,
-    and the trace sums (-1)^{N + |K|} (n - |K| + 1) det A[D u K, C u K]
-    over |K| <= n (``_minor_sums`` over (1 - t)^2): one restricted minor
-    per subset, with no symmetric power, no pencil of
-    ``trace_kappa_series`` and no column of ``kappa_matrix`` formed.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _over_square(_minor_sums(P, n), n)[n]
 
 
 def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
@@ -320,16 +259,17 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
 
     For each n up to nmax the coefficient of the determinant pencil
     (``trace_kappa_series``, through ``newton_pencil``), the graded trace
-    read from the diagonal of kappa_n (``kappa_trace``) and the series
-    coefficient must agree exactly; mismatches are recorded, not raised.
+    read from the diagonal of kappa_n (as ``reference.kappa_trace`` reads
+    it) and the series coefficient must agree exactly; mismatches are
+    recorded, not raised.
     The diagonal route sums each restricted minor once, by subset size
     and signed (``_minor_sums``), and reads every row from those sums
     over (1 - t)^2.  The series side, ``rhs_series``, runs the Morse
     determinant and one Berkowitz pass ``linalg.det_one_minus_t`` for the
     zeta function, so it shares no code with either trace route: it reads
     neither ``newton_pencil`` and its Bareiss fallback nor ``det_int``.
-    The assembled ``kappa_matrix`` is the reference route for the diagonal
-    and is not run.
+    The assembled ``reference.kappa_matrix`` is the reference route for
+    the diagonal and is not run.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
@@ -342,13 +282,41 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
 
 
 def compute_b1(P: Presentation) -> int:
-    """First Betti number of M(g, N, h).
+    """First Betti number of M(g, N, h), as printed today; it undercounts.
 
-    Mayer-Vietoris for the two compression bodies gives
-    b_1 = 1 + (2G - N) - rank(Q (1 - A^{-1})) where Q deletes the c rows
-    and A^{-1} is the homology pushforward of the stored pullback.  Since
-    (A - 1) A^{-1} = 1 - A^{-1} and A^{-1} is invertible, that rank is
-    rank(Q (A - 1)), so A is never inverted.
+    This returns 1 + (2G - N) - rank(Q (A - 1)), where Q deletes the c
+    rows: all 2G columns enter the rank, and A is never inverted.
+
+    *The derivation, and the defect (ROADMAP item 9).*  Cut M along the
+    genus-G level.  What is left is a cobordism W from the surface to
+    itself, the two compression bodies glued along the core surface, and
+    M is W with its ends identified by h.  Each compression body kills the
+    c classes and keeps the d classes, so
+    H_1(W) = H_1(Sigma_g) + Z^N (top d's) + Z^N (bottom d's).
+    Mayer-Vietoris for the gluing gives H_1(M) = Z + coker(i_top -
+    i_bot h_*) with h_* = A^{-1} the homology pushforward of the stored
+    pullback.  On the rows of the top d classes, i_top - i_bot h_* is the
+    identity on the D columns and zero elsewhere, so those N rows
+    eliminate the D columns.  What is left is the square block
+    (1 - h_*)[D u X, C u X], and
+
+        b_1 = 1 + (2G - N) - rank B,   B = (1 - A)[D u X, C u X],
+
+    since A^{-1} = -J A^T J and the partner map swaps C u X with D u X:
+    (1 - A^{-1})[D u X, C u X] is B transposed with its rows and columns
+    signed, of the same rank.  By ``linalg.signed_pencil``,
+    t^N p~(t) = det (1 - tA)[D u X, C u X] with p~(t) = (-1)^N p(-t) the
+    numerator of ``trace_kappa_series``, so det B = p~(1).  Hence b_1 = 1
+    exactly when p~(1) != 0, and then |Tors H_1| = |p~(1)|.  p~ is
+    palindromic of degree 2g, so Tr kappa_n = p~(1) (n - g + 1) for every
+    n >= 2g - 1, and b_1 > 1 forces Tr kappa_n = 0 there.
+
+    The rank taken here also reads the D columns, so it can exceed rank B
+    and b_1 comes out too small: on c -> -c, d -> 3c - d (g = 0, N = 1,
+    (S^2 x S^1) # (S^2 x S^1)) B = 0 and b_1 = 2, but the entry
+    (A - 1)[d][d] = -2 makes this return 1.  A strict xfail pins that case;
+    ``b1`` and ``sw`` print this value until ROADMAP item 9 step 2, which
+    changes stdout, reads rank B instead.
     """
     G = P.genus + P.handles
     N = P.handles

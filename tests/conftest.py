@@ -1,7 +1,20 @@
 import random
+import sys
 from fractions import Fraction
 
+import pytest
+
+import swtorsion
 from swtorsion import Presentation, SurfaceModel, random_symplectic
+
+
+@pytest.fixture
+def without_reference(monkeypatch):
+    """Make ``swtorsion.reference`` unimportable for one test, so that a
+    production call that reached a reference route raises ImportError.
+    The names the test module imported from it stay bound."""
+    monkeypatch.setitem(sys.modules, "swtorsion.reference", None)
+    monkeypatch.delattr(swtorsion, "reference", raising=False)
 
 
 def make_presentation(g: int, handles: int, words: int, seed: int) -> Presentation:

@@ -13,18 +13,19 @@ import pytest
 
 from swtorsion.cli import main as cli_main
 from swtorsion.intersection import intersection_number
-from swtorsion.linalg import det_int, det_rational, identity_matrix, perm_parity
-from swtorsion.series import TruncSeries, geometric_inverse_square
-from swtorsion.surface import (SurfaceModel, char_series,
-                               exterior_power_trace, random_symplectic)
-from swtorsion.sympower import (Monomial, SymSpace, dual_basis,
-                                enumerate_basis, graded_trace, gram_matrix,
-                                lefschetz_number, wedge_class)
-from swtorsion.torsion import (VolumedComplex, collapse_perm, complex_torsion,
-                               enumerate_relative_perms,
-                               torsion_coefficient_direct,
-                               torsion_representative)
-from swtorsion.tqft import (Presentation, compute_b1, kappa_matrix, rhs_series,
+from swtorsion.linalg import det_int, identity_matrix, perm_parity
+from swtorsion.reference import (VolumedComplex, char_series, collapse_perm,
+                                 complex_torsion, det_rational, dual_basis,
+                                 enumerate_basis, enumerate_relative_perms,
+                                 exterior_power_trace,
+                                 geometric_inverse_square, graded_trace,
+                                 gram_matrix, kappa_matrix, lefschetz_number,
+                                 torsion_coefficient_direct, wedge_class)
+from swtorsion.series import TruncSeries
+from swtorsion.surface import SurfaceModel, random_symplectic
+from swtorsion.sympower import Monomial, SymSpace
+from swtorsion.torsion import torsion_representative
+from swtorsion.tqft import (Presentation, compute_b1, rhs_series,
                             trace_kappa_coefficient, verify_main_identity,
                             zeta_series)
 from conftest import make_presentation, presentation_sample, rational_exp

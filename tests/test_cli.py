@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import swtorsion
-from swtorsion import linalg, series, surface, torsion, tqft
-from swtorsion.cli import (generate_fixture, load_presentation, main,
-                           write_presentation)
+from swtorsion import linalg, reference, series, surface, torsion, tqft
+from swtorsion.cli import (_TABLE_COMMANDS, generate_fixture,
+                           load_presentation, main, write_presentation)
 from swtorsion.linalg import det_int, mat_mul, submatrix
 from swtorsion.series import TruncSeries
 from swtorsion.surface import SurfaceModel, random_symplectic
@@ -552,7 +552,7 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
     def forbidden(*args):
         raise AssertionError("a command ran the Bareiss pencil")
 
-    for module in (linalg, surface, torsion):
+    for module in (linalg, reference, torsion):
         monkeypatch.setattr(module, "signed_pencil", forbidden)
     products = []
     honest_mul = torsion.mat_mul
@@ -678,29 +678,36 @@ def test_commands_in_one_process_print_what_they_print_alone(tmp_path, capsys):
     assert len({out for _, out in alone}) == len(commands)
 
 
-# Routes that only the tests, the demos and the benchmark's traced replay
-# run, and that no command may reach.
-REFERENCE_ROUTES = (
-    "kappa_matrix", "kappa_trace", "descend_map", "ascend_map",
-    "induced_endomorphism", "apply_induced", "_lambda_image", "graded_trace",
-    "lefschetz_number", "wedge_class", "contract_class", "graph_class",
-    "product_evaluate", "diagonal_class", "gram_matrix", "duality_pairings",
-    "dual_basis", "duality_pair", "pair_monomials", "top_evaluate",
-    "invert_unimodular", "invert_rational", "char_series",
-    "exterior_power_trace", "torsion_coefficient_direct", "enumerate_basis",
-    "_duality_blocks", "SymEndo")
+# Run in a fresh interpreter: import the CLI, then each command in turn, and
+# print after each whether the reference module has been imported.  No
+# command may invert a mapping class either.
+_FRESH_RUN = """
+import contextlib, io, json, sys
+from swtorsion.cli import main
+from swtorsion.surface import MappingClass
+def refuse(self):
+    raise AssertionError("a command inverted a mapping class")
+MappingClass.inverse = refuse
+loaded = ["swtorsion.reference" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    loaded.append([argv[0], code, "swtorsion.reference" in sys.modules])
+print(json.dumps(loaded))
+"""
 
 
-def test_commands_call_no_reference_route(tmp_path, capsys, monkeypatch):
-    # with every reference route raising, in every module that binds it,
-    # and the caches cold, each command prints and exits as it does
-    # unpatched; the fixtures have N = 0, det A[D, C] = 0 and
-    # det A[D, C] != 0
+def test_commands_call_no_reference_route(tmp_path):
+    # no command reaches a route of swtorsion.reference, and none pays for
+    # importing it: after importing the CLI and after each of the eight
+    # commands the module is absent from sys.modules; the fixtures have
+    # N = 0, det A[D, C] = 0 and det A[D, C] != 0
     commands = []
     for g, N, words in ((3, 0, 40), (2, 1, 2), (2, 2, 52)):
         path = str(tmp_path / f"{g}-{N}-{words}.json")
-        write_presentation(generate_fixture(g, N, words, 1), path)
-        commands.append(["b1", path])
+        commands.append(["gen", "--g", str(g), "--handles", str(N), "--words",
+                         str(words), "--seed", "1", "--out", path])
+        commands += [["validate", path], ["b1", path]]
         for command, flag, value in (("zeta", "--kmax", "8"),
                                      ("torsion", "--kmax", "8"),
                                      ("sw", "--nmax", "4"),
@@ -708,25 +715,16 @@ def test_commands_call_no_reference_route(tmp_path, capsys, monkeypatch):
                                      ("intersect", "--n", "2")):
             args = [command, path, flag, value]
             commands += [args, args + ["--format", "json"]]
-    expected = [run_cli(args, capsys)[:2] for args in commands]
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("a command ran a reference route")
-
-    modules = [m for name, m in sys.modules.items()
-               if name == "swtorsion" or name.startswith("swtorsion.")]
-    for module in modules:
-        for obj in list(vars(module).values()):
-            getattr(obj, "cache_clear", lambda: None)()
-    patched = set()
-    for module in modules:
-        for name in REFERENCE_ROUTES:
-            if name in vars(module):
-                monkeypatch.setattr(module, name, refuse)
-                patched.add(name)
-    monkeypatch.setattr(surface.MappingClass, "inverse", refuse)
-    assert patched == set(REFERENCE_ROUTES)
-    assert [run_cli(args, capsys)[:2] for args in commands] == expected
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(swtorsion.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _FRESH_RUN,
+                           json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    loaded = json.loads(proc.stdout)
+    assert loaded[0] is False
+    assert loaded[1:] == [[argv[0], 0, False] for argv in commands]
+    assert {argv[0] for argv in commands} == {
+        "gen", "validate", "b1", *_TABLE_COMMANDS}
 
 
 def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):

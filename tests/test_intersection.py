@@ -1,11 +1,13 @@
 import pytest
 
-from swtorsion import intersection, linalg, sympower
-from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
-                                    intersection_number, product_evaluate)
+from swtorsion import intersection, sympower
+from swtorsion.intersection import intersection_number
+from swtorsion.reference import (ProductClass, diagonal_class, dual_basis,
+                                 enumerate_basis, graph_class,
+                                 lefschetz_number, product_evaluate,
+                                 wedge_class)
 from swtorsion.surface import SurfaceModel
-from swtorsion.sympower import (Monomial, SymSpace, dual_basis,
-                                enumerate_basis, lefschetz_number, wedge_class)
+from swtorsion.sympower import Monomial, SymSpace
 from swtorsion.tqft import trace_kappa_coefficient
 from conftest import make_presentation, presentation_sample
 
@@ -124,54 +126,38 @@ def test_intersection_matches_trace_at_sym_dim_303(g, N, n):
     assert intersection_number(P, n) == trace_kappa_coefficient(P, n)
 
 
-def test_intersection_number_builds_only_the_handle_blocks(monkeypatch):
+def test_intersection_number_builds_only_the_handle_blocks():
+    # the monomials it pairs and dualises are C or D times a core monomial
+    # of Sym^n: 34 of the 303 of Sym^{n+N}
     P = make_presentation(2, 2, 52, 1)
-    big = SymSpace(P.surface, 4)
-
-    def refuse_big(original):
-        def wrapped(space):
-            if space == big:
-                raise AssertionError("whole Sym^{n+N} space built")
-            return original(space)
-        return wrapped
-
-    for name in ("enumerate_basis", "dual_basis", "duality_pairings"):
-        guarded = refuse_big(getattr(sympower, name))
-        for module in (sympower, intersection):
-            monkeypatch.setattr(module, name, guarded)
+    pairs, duals = sympower.handle_duality(SymSpace(P.surface, 4))
+    for a in (*pairs, *duals):
+        assert a[0][:2] in ((0, 1), (2, 3))
+    assert len(pairs) == len(duals) == 2 * SymSpace(P.small_surface, 2).dim
     assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
 
 
-def test_intersection_number_never_builds_the_graph_class(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("reference route called")
-
-    for module, name in ((intersection, "graph_class"),
-                         (intersection, "product_evaluate"),
-                         (intersection, "apply_induced"),
-                         (sympower, "apply_induced"),
-                         (sympower, "_lambda_image")):
-        monkeypatch.setattr(module, name, refuse)
+def test_intersection_number_never_builds_the_graph_class(without_reference):
+    # graph_class, product_evaluate and the Lambda(A) expansion live in
+    # swtorsion.reference, which cannot be imported here
     P = make_presentation(2, 2, 52, 1)
     assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
 
 
 @pytest.mark.parametrize("g, N, n", [(3, 0, 3), (2, 1, 3), (1, 3, 2)])
-def test_intersection_number_pairs_and_inverts_nothing(monkeypatch, g, N, n):
-    # the closed-form duality on plain keys: no pairing evaluated, no
-    # block inverted, no monomial object built
+def test_intersection_number_pairs_and_inverts_nothing(monkeypatch,
+                                                      without_reference,
+                                                      g, N, n):
+    # the closed-form duality on plain keys: no monomial object built, and
+    # no pairing evaluated or block inverted, since pair_monomials,
+    # top_evaluate and invert_unimodular live in swtorsion.reference
     P = make_presentation(g, N, 40, 2)
     expected = trace_kappa_coefficient(P, n)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("reference duality called")
+        raise AssertionError("monomial object built")
 
-    for module, name in ((sympower, "pair_monomials"),
-                         (sympower, "top_evaluate"),
-                         (sympower, "invert_unimodular"),
-                         (linalg, "invert_unimodular"),
-                         (Monomial, "__init__")):
-        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(Monomial, "__init__", refuse)
     assert intersection_number(P, n) == expected
 
 

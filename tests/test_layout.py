@@ -1,0 +1,91 @@
+"""The split between the production modules and ``swtorsion.reference``."""
+import inspect
+
+import pytest
+
+import swtorsion
+from swtorsion import (intersection, linalg, reference, series, surface,
+                       sympower, torsion, tqft)
+
+# The package's public names, unchanged by the split.
+ALL = [
+    "TruncSeries",
+    "SurfaceModel", "CohClass", "MappingClass", "pairing", "is_symplectic",
+    "exterior_power_trace", "char_series", "random_symplectic",
+    "Monomial", "SymSpace", "SymClass", "SymEndo", "enumerate_basis",
+    "wedge_class", "contract_class", "induced_endomorphism", "graded_trace",
+    "lefschetz_number", "top_evaluate", "duality_pair", "dual_basis",
+    "VolumedComplex", "complex_torsion", "RelPerm", "enumerate_relative_perms",
+    "collapse_perm", "MorseMatrix", "morse_differential_matrix",
+    "torsion_representative", "morse_torsion", "torsion_coefficient_direct",
+    "Presentation", "validate_presentation", "descend_map", "ascend_map",
+    "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series",
+    "rhs_series", "verify_main_identity", "VerificationReport",
+    "VerificationRow", "CrossCheckError",
+    "compute_b1", "sw_table", "SWTable", "SWRow",
+    "ProductClass", "diagonal_class", "graph_class", "product_evaluate",
+    "intersection_number",
+]
+
+# The reference routes, by the production module they came from.
+MOVED = {
+    tqft: ["descend_map", "ascend_map", "kappa_matrix", "kappa_trace"],
+    sympower: ["SymClass", "wedge_class", "contract_class", "_insert_index",
+               "_lambda_image", "SymEndo", "induced_endomorphism",
+               "apply_induced", "graded_trace", "lefschetz_number",
+               "top_evaluate", "_merge_sign", "pair_monomials",
+               "duality_pair", "_block_key", "_duality_blocks",
+               "duality_pairings", "gram_matrix", "dual_basis",
+               "enumerate_basis"],
+    intersection: ["ProductClass", "diagonal_class", "graph_class",
+                   "product_evaluate"],
+    surface: ["exterior_power_trace", "char_series"],
+    torsion: ["_frac_matrix", "VolumedComplex", "complex_torsion", "RelPerm",
+              "_orbit_covers", "enumerate_relative_perms", "collapse_perm",
+              "_compositions", "torsion_coefficient_direct"],
+    linalg: ["_integer_rows", "det_rational", "invert_rational",
+             "invert_unimodular", "independent_columns"],
+    series: ["geometric_inverse_square"],
+}
+
+# The names the benchmark's tracer reads from a production module.
+FORWARDED = {
+    tqft: {"kappa_matrix"},
+    sympower: {"graded_trace", "gram_matrix", "dual_basis", "_lambda_image"},
+    surface: {"char_series"},
+    intersection: {"diagonal_class", "graph_class", "product_evaluate"},
+    torsion: {"torsion_coefficient_direct"},
+}
+
+
+def test_package_exports_resolve():
+    assert swtorsion.__all__ == ALL
+    for name in ALL:
+        assert getattr(swtorsion, name) is not None
+    namespace = {}
+    exec("from swtorsion import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(ALL)
+    with pytest.raises(AttributeError):
+        swtorsion.no_such_name
+
+
+def test_reference_holds_exactly_the_moved_routes():
+    defined = {name for name, obj in vars(reference).items()
+               if getattr(obj, "__module__", None) == reference.__name__
+               and (inspect.isfunction(obj) or inspect.isclass(obj)
+                    or hasattr(obj, "cache_info"))}
+    assert defined == {name for names in MOVED.values() for name in names}
+    for module, names in MOVED.items():
+        assert not set(names) & set(vars(module)), module.__name__
+
+
+@pytest.mark.parametrize("module", list(MOVED), ids=lambda m: m.__name__)
+def test_forwarders_serve_exactly_the_traced_names(module):
+    forwarded = FORWARDED.get(module, set())
+    for name in MOVED[module]:
+        if name in forwarded:
+            assert getattr(module, name) is getattr(reference, name)
+        else:
+            with pytest.raises(AttributeError):
+                getattr(module, name)
+    assert forwarded <= set(MOVED[module])

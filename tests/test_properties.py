@@ -9,25 +9,26 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from swtorsion.cli import load_presentation, write_presentation
-from swtorsion.intersection import (ProductClass, diagonal_class, graph_class,
-                                    intersection_number, product_evaluate)
-from swtorsion.linalg import (det_int, det_one_minus_t, det_rational,
-                             identity_matrix, independent_columns,
-                             invert_rational, invert_unimodular, mat_mul,
-                             perm_parity, rank_int, submatrix, transpose)
+from swtorsion.intersection import intersection_number
+from swtorsion.linalg import (det_int, det_one_minus_t, identity_matrix,
+                              mat_mul, perm_parity, rank_int, submatrix,
+                              transpose)
+from swtorsion.reference import (ProductClass, det_rational, diagonal_class,
+                                 dual_basis, duality_pairings, enumerate_basis,
+                                 graded_trace, graph_class,
+                                 independent_columns, invert_rational,
+                                 invert_unimodular, kappa_matrix, kappa_trace,
+                                 pair_monomials, product_evaluate,
+                                 torsion_coefficient_direct)
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, is_symplectic, random_symplectic
-from swtorsion.sympower import (SymSpace, disjoint_inverse_entry, dual_basis,
-                                duality_pairings, enumerate_basis,
-                                graded_trace, handle_duality, pair_monomials)
+from swtorsion.sympower import SymSpace, disjoint_inverse_entry, handle_duality
 from swtorsion import torsion
 from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
-                               torsion_coefficient_direct,
                                torsion_representative)
 from swtorsion.tqft import (Presentation, _minor_sums, _trace_series,
-                            compute_b1, kappa_matrix, kappa_trace, rhs_series,
-                            trace_kappa_series, verify_main_identity,
-                            zeta_series)
+                            compute_b1, rhs_series, trace_kappa_series,
+                            verify_main_identity, zeta_series)
 from conftest import interpolate, make_presentation, rational_exp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -356,6 +357,28 @@ def test_b1_equals_the_rank_formula(P):
     rows = [[int(i == j) - Ainv[i][j] for j in range(2 * G)]
             for i in range(N, 2 * G)]
     assert compute_b1(P) == 1 + (2 * G - N) - fraction_rank(rows)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(1, 3), st.integers(0, 40),
+       st.integers(0, 2 ** 32))
+def test_b1_from_the_mayer_vietoris_block(g, N, words, seed):
+    # b_1 = 1 + (2G - N) - rank B, B = (1 - A)[D u X, C u X] (derived in
+    # the compute_b1 docstring), held against the trace series with no
+    # call to compute_b1: det B = p~(1), the sum of the signed pencil, so
+    # b_1 = 1 exactly when p~(1) != 0; and b_1 > 1 makes Tr kappa_n vanish
+    # for every n > 2g - 2
+    P = make_presentation(g, N, words, seed)
+    mat = P.monodromy.mat
+    rows = tuple(range(N, len(mat)))
+    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
+    B = tuple(tuple(int(r == c) - mat[r][c] for c in cols) for r in rows)
+    b1 = 1 + (2 * (g + N) - N) - rank_int(B)
+    p1 = sum(signed_pencil(mat, N))
+    assert det_int(B) == p1
+    assert (b1 == 1) == (p1 != 0)
+    if b1 > 1:
+        assert not any(trace_kappa_series(P, 2 * g + 3)[max(2 * g - 1, 0):])
 
 
 def brute_force_rank(a) -> int:

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from swtorsion.series import TruncSeries, geometric_inverse_square, series_det
+from swtorsion.reference import geometric_inverse_square
+from swtorsion.series import TruncSeries, series_det
 
 from conftest import rational_exp
 

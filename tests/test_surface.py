@@ -6,9 +6,9 @@ import pytest
 
 from swtorsion import surface
 from swtorsion.linalg import det_int, identity_matrix
+from swtorsion.reference import char_series, exterior_power_trace
 from swtorsion.series import TruncSeries
 from swtorsion.surface import (CohClass, MappingClass, SurfaceModel,
-                               char_series, exterior_power_trace,
                                is_symplectic, pairing, random_symplectic)
 
 

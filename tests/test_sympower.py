@@ -8,15 +8,16 @@ import pytest
 import swtorsion
 from swtorsion import sympower
 from swtorsion.linalg import det_int
-from swtorsion.series import TruncSeries, geometric_inverse_square
-from swtorsion.surface import (MappingClass, SurfaceModel, char_series,
-                               exterior_power_trace, random_symplectic)
-from swtorsion.sympower import (Monomial, SymClass, SymSpace, apply_induced,
-                                contract_class, dual_basis, duality_pair,
-                                enumerate_basis, graded_trace, gram_matrix,
-                                handle_duality, induced_endomorphism,
-                                lefschetz_number, pair_monomials,
-                                top_evaluate, wedge_class)
+from swtorsion.reference import (SymClass, apply_induced, char_series,
+                                 contract_class, dual_basis, duality_pair,
+                                 enumerate_basis, exterior_power_trace,
+                                 geometric_inverse_square, graded_trace,
+                                 gram_matrix, induced_endomorphism,
+                                 lefschetz_number, pair_monomials,
+                                 top_evaluate, wedge_class)
+from swtorsion.series import TruncSeries
+from swtorsion.surface import MappingClass, SurfaceModel, random_symplectic
+from swtorsion.sympower import Monomial, SymSpace, handle_duality
 
 T1 = SurfaceModel(1)
 SPLIT2 = SurfaceModel(2, (1, 1))
@@ -341,4 +342,4 @@ def test_every_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
     # the one cache left serves the reference Lambda(A) expansion; a new
     # cache needs a bound and an edit here
-    assert caches == {"sympower._lambda_image": 4096}
+    assert caches == {"reference._lambda_image": 4096}

@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from swtorsion.linalg import (det_int, det_rational, invert_rational,
-                              perm_parity)
+from swtorsion.linalg import det_int, perm_parity
+from swtorsion.reference import (RelPerm, VolumedComplex, collapse_perm,
+                                 complex_torsion, det_rational,
+                                 enumerate_relative_perms, invert_rational,
+                                 torsion_coefficient_direct)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import pairing
-from swtorsion.torsion import (RelPerm, VolumedComplex,
-                               collapse_perm, complex_torsion,
-                               enumerate_relative_perms,
-                               morse_differential_matrix,
-                               torsion_coefficient_direct,
-                               torsion_representative)
+from swtorsion.torsion import morse_differential_matrix, torsion_representative
 from conftest import make_presentation, presentation_sample
 
 

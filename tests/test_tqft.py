@@ -6,17 +6,18 @@ from math import comb
 import pytest
 
 from swtorsion.linalg import identity_matrix, mat_mul
+from swtorsion.reference import (SymClass, ascend_map, char_series,
+                                 descend_map, enumerate_basis, graded_trace,
+                                 induced_endomorphism, kappa_matrix,
+                                 lefschetz_number)
 from swtorsion.series import TruncSeries
-from swtorsion.surface import MappingClass, SurfaceModel, char_series
-from swtorsion.sympower import (Monomial, SymClass, SymSpace, enumerate_basis,
-                                graded_trace, induced_endomorphism,
-                                lefschetz_number)
+from swtorsion.surface import MappingClass, SurfaceModel
+from swtorsion.sympower import Monomial, SymSpace
 import swtorsion
-from swtorsion import linalg, sympower, torsion, tqft
+from swtorsion import linalg, torsion, tqft
 from swtorsion.torsion import (morse_differential_matrix, morse_torsion,
                                signed_pencil, torsion_representative)
-from swtorsion.tqft import (Presentation, ascend_map, compute_b1, descend_map,
-                            kappa_matrix, rhs_series, sw_table,
+from swtorsion.tqft import (Presentation, compute_b1, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
                             validate_presentation, verify_main_identity,
                             zeta_series)
@@ -307,15 +308,9 @@ def test_verify_hand_checked_rotation():
     assert [r.lhs for r in report.rows] == [-1, -2, -3, -4]
 
 
-def test_verify_reads_the_diagonal_without_the_matrix(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("verify assembled kappa or expanded Lambda(A)")
-
-    monkeypatch.setattr(tqft, "kappa_matrix", forbidden)
-    monkeypatch.setattr(tqft, "descend_map", forbidden)
-    monkeypatch.setattr(tqft, "ascend_map", forbidden)
-    monkeypatch.setattr(sympower, "apply_induced", forbidden)
-    monkeypatch.setattr(sympower, "_lambda_image", forbidden)
+def test_verify_reads_the_diagonal_without_the_matrix(without_reference):
+    # kappa_matrix, descend_map, ascend_map and the Lambda(A) expansion
+    # live in swtorsion.reference, which cannot be imported here
     for g, N in ((1, 1), (1, 2), (0, 3)):
         assert verify_main_identity(make_presentation(g, N, 14, 9), 3).passed
 
@@ -391,6 +386,17 @@ def test_b1_examples():
     assert compute_b1(Presentation.from_matrix(1, 0, [[2, 1], [1, 1]])) == 1
     assert compute_b1(Presentation.from_matrix(0, 0, [])) == 1
     assert compute_b1(Presentation.from_matrix(0, 1, ROT)) == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "compute_b1 undercounts (ROADMAP item 9): c -> -c, d -> 3c - d attaches "
+    "the 2-handle along the belt circle of the 1-handle, so M is "
+    "(S^2 x S^1) # (S^2 x S^1) with b1 = 2 and B = (1 - A)[D, C] = 0, but "
+    "the rank compute_b1 takes reads (A - 1)[d][d] = -2 and it returns 1"))
+def test_b1_of_two_sphere_cross_circles():
+    P = Presentation.from_matrix(0, 1, [[-1, 3], [0, -1]])
+    assert trace_kappa_series(P, 6) == (0,) * 7
+    assert compute_b1(P) == 2
 
 
 def test_compute_b1_never_inverts_the_monodromy(monkeypatch):
