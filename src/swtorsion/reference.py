@@ -23,7 +23,7 @@ benchmark's tracer reads from them.
   (``pair_monomials``, ``duality_pairings``, ``gram_matrix``,
   ``dual_basis``), against which ``sympower.handle_duality`` is tested.
 * The assembled kappa_n (``descend_map``, ``ascend_map``,
-  ``kappa_matrix``) and its diagonal in closed form (``kappa_trace``).
+  ``kappa_matrix``) and its diagonal by subsets (``kappa_trace``).
 * Torsion of volumed complexes (``VolumedComplex``, ``complex_torsion``),
   the relative permutations with their collapse (``RelPerm``,
   ``collapse_perm``) and the direct composition sum
@@ -49,7 +49,7 @@ from .linalg import (_bareiss, det_int, mat_vec, perm_parity, signed_pencil,
 from .series import TruncSeries
 from .surface import CohClass, MappingClass, pairing
 from .sympower import Monomial, SymSpace
-from .tqft import Presentation, _minor_sums, _over_square
+from .tqft import Presentation, _over_square
 
 
 def _integer_rows(a: tuple) -> Tuple[list, list]:
@@ -526,6 +526,19 @@ def kappa_matrix(P: Presentation, n: int) -> SymEndo:
         return apply_induced(A, up)
 
     return SymEndo.from_function(big, column)
+
+
+def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
+    """(-1)^{N + k} sum over |K| = k of det A[D u K, C u K] for
+    k <= min(nmax, 2g), each minor computed once: the coefficients of
+    ``linalg.signed_pencil``, summed subset by subset."""
+    N = P.handles
+    mat = P.monodromy.mat
+    C, D = tuple(range(N)), tuple(range(N, 2 * N))
+    return tuple((-1) ** (N + k)
+                 * sum(det_int(submatrix(mat, D + K, C + K))
+                       for K in combinations(range(2 * N, len(mat)), k))
+                 for k in range(min(nmax, 2 * P.genus) + 1))
 
 
 def kappa_trace(P: Presentation, n: int) -> int:

@@ -14,8 +14,8 @@ Every pencil has two forms.  ``newton_pencil``, the one production reads,
 takes the Schur complement of A[D, C] and Newton's identities on the
 traces of its powers; it falls back to ``linalg.signed_pencil`` when
 A[D, C] is singular.  ``signed_pencil``, which takes g + 1 Bareiss
-determinants and is imported here, is that fallback and the reference
-the tests check the kernel against.  The route
+determinants and is imported here, is that fallback, the diagonal column
+of ``verify`` and the reference the tests check the kernel against.  The route
 that ``tqft.zeta_series`` checks the kernel against on every call, and
 that ``verify``'s rhs reads, is neither: it is the Berkowitz pass
 ``linalg.det_one_minus_t``.

@@ -9,29 +9,29 @@ Seiberg-Witten invariant in the matching spin-c degree.  The same numbers
 come out of the zeta function of the monodromy times the Morse-complex
 torsion, and verifying that identity is the library's purpose.
 
-The trace has two routes.  ``trace_kappa_series`` reads it from one integer
-determinant pencil, whose low coefficients ``torsion.newton_pencil`` takes
-from the traces of powers of a 2g x 2g Schur complement; ``_minor_sums``
-reads the diagonal of kappa_n, one restricted minor of the monodromy per
-subset of the core classes, from the closed form of ascend after descend
-(a fixed partial permutation of the handle-wedge monomials).
-``verify_main_identity`` runs both.  ``zeta_series`` reads det(1 - tA)
-from the same kernel at N = 0 and checks it, on every call, against one
-Berkowitz pass ``linalg.det_one_minus_t``.  The rhs of ``verify`` reads
-det(1 - tA) from that Berkowitz pass alone, so it shares no code with the
-kernel that the lhs reads.
-The assembled kappa_n and its diagonal trace (``kappa_matrix``,
-``descend_map``, ``ascend_map``, ``kappa_trace``) are reference routes in
-``swtorsion.reference``, run by the tests and the benchmark's traced
-replay.
+``trace_kappa_series`` reads the trace from one integer determinant
+pencil, whose low coefficients ``torsion.newton_pencil`` takes from the
+traces of powers of a 2g x 2g Schur complement.  The diagonal of kappa_n
+is one restricted minor of the monodromy per subset of the core classes,
+and their signed sums by subset size are the coefficients of the Bareiss
+pencil ``linalg.signed_pencil`` (g + 1 determinants), which
+``verify_main_identity`` reads as its second trace column.
+``zeta_series`` reads det(1 - tA) from the same kernel at N = 0 and
+checks it, on every call, against one Berkowitz pass
+``linalg.det_one_minus_t``.  The rhs of ``verify`` reads det(1 - tA)
+from that Berkowitz pass alone, so it shares no code with either pencil.
+The assembled kappa_n and the subset-by-subset sum of its diagonal
+(``kappa_matrix``, ``descend_map``, ``ascend_map``, ``kappa_trace``,
+``_minor_sums``) are reference routes in ``swtorsion.reference``, run by
+the tests and the benchmark's traced replay.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import List, Optional, Tuple
 
-from .linalg import det_int, det_one_minus_t, rank_int, submatrix
+from .linalg import det_one_minus_t, rank_int, signed_pencil
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .torsion import morse_torsion, newton_pencil
@@ -123,19 +123,6 @@ def validate_presentation(genus, handles, rows) -> List[str]:
             rows, SurfaceModel(genus + handles, (handles, genus))):
         problems.append(SYMPLECTIC_PROBLEM)
     return problems
-
-
-def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
-    """(-1)^{N + k} sum over |K| = k of det A[D u K, C u K] for
-    k <= min(nmax, 2g), each minor computed once: the coefficients of
-    ``linalg.signed_pencil``, summed subset by subset."""
-    N = P.handles
-    mat = P.monodromy.mat
-    C, D = tuple(range(N)), tuple(range(N, 2 * N))
-    return tuple((-1) ** (N + k)
-                 * sum(det_int(submatrix(mat, D + K, C + K))
-                       for K in combinations(range(2 * N, len(mat)), k))
-                 for k in range(min(nmax, 2 * P.genus) + 1))
 
 
 def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:
@@ -259,23 +246,29 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
 
     For each n up to nmax the coefficient of the determinant pencil
     (``trace_kappa_series``, through ``newton_pencil``), the graded trace
-    read from the diagonal of kappa_n (as ``reference.kappa_trace`` reads
-    it) and the series coefficient must agree exactly; mismatches are
-    recorded, not raised.
-    The diagonal route sums each restricted minor once, by subset size
-    and signed (``_minor_sums``), and reads every row from those sums
-    over (1 - t)^2.  The series side, ``rhs_series``, runs the Morse
+    read from the diagonal of kappa_n and the series coefficient must
+    agree exactly; mismatches are recorded, not raised.
+    The diagonal of kappa_n is one restricted minor det A[D u K, C u K]
+    per subset K of the core classes (``reference.kappa_trace`` sums them
+    subset by subset), and their signed sums by subset size are the
+    coefficients of (-1)^N p(-t), so the diagonal column reads
+    ``linalg.signed_pencil`` over (1 - t)^2: g + 1 Bareiss determinants
+    where the subsets number 2^(2g).  When delta = det A[D, C] != 0 the
+    lhs reads the Schur power sums of ``newton_pencil``, a different
+    algorithm on the same Bareiss kernel.  When delta = 0,
+    ``newton_pencil`` returns ``signed_pencil`` itself, and the two trace
+    columns are one computation; the tests compare the minor sums with
+    that fallback.  The series side, ``rhs_series``, runs the Morse
     determinant and one Berkowitz pass ``linalg.det_one_minus_t`` for the
-    zeta function, so it shares no code with either trace route: it reads
-    neither ``newton_pencil`` and its Bareiss fallback nor ``det_int``.
-    The assembled ``reference.kappa_matrix`` is the reference route for
-    the diagonal and is not run.
+    zeta function, so it shares no code with either trace column: it
+    reads neither ``newton_pencil`` and its Bareiss fallback nor
+    ``det_int``.  Every row keeps that independent witness.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     rhs = rhs_series(P, nmax)
     direct = trace_kappa_series(P, nmax)
-    diagonal = _over_square(_minor_sums(P, nmax), nmax)
+    diagonal = _over_square(signed_pencil(P.monodromy.mat, P.handles), nmax)
     return VerificationReport(P, tuple(
         VerificationRow(n, direct[n], diagonal[n], rhs[n])
         for n in range(nmax + 1)))

@@ -48,13 +48,13 @@ SL2 = [m for m in product(range(-2, 3), repeat=4)
        if m[0] * m[3] - m[1] * m[2] == 1]
 
 # (name, presentation, Tr kappa_0 .. Tr kappa_nmax, b1)
-CATALOGUE = ([surface_times_circle(g) for g in range(1, 6)]
+CATALOGUE = ([surface_times_circle(g) for g in range(1, 13)]
              + [torus_bundle(*m) for m in SL2])
 
 
 def test_catalogue_size():
     assert len(SL2) == 52
-    assert len(CATALOGUE) == 57
+    assert len(CATALOGUE) == 64
 
 
 @pytest.mark.parametrize("name, P, series, b1", CATALOGUE,

@@ -29,7 +29,8 @@ ALL = [
 
 # The reference routes, by the production module they came from.
 MOVED = {
-    tqft: ["descend_map", "ascend_map", "kappa_matrix", "kappa_trace"],
+    tqft: ["descend_map", "ascend_map", "kappa_matrix", "_minor_sums",
+           "kappa_trace"],
     sympower: ["SymClass", "wedge_class", "contract_class", "_insert_index",
                "_lambda_image", "SymEndo", "induced_endomorphism",
                "apply_induced", "graded_trace", "lefschetz_number",

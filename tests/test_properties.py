@@ -13,9 +13,9 @@ from swtorsion.intersection import intersection_number
 from swtorsion.linalg import (det_int, det_one_minus_t, identity_matrix,
                               mat_mul, perm_parity, rank_int, submatrix,
                               transpose)
-from swtorsion.reference import (ProductClass, det_rational, diagonal_class,
-                                 dual_basis, duality_pairings, enumerate_basis,
-                                 graded_trace, graph_class,
+from swtorsion.reference import (ProductClass, _minor_sums, det_rational,
+                                 diagonal_class, dual_basis, duality_pairings,
+                                 enumerate_basis, graded_trace, graph_class,
                                  independent_columns, invert_rational,
                                  invert_unimodular, kappa_matrix, kappa_trace,
                                  pair_monomials, product_evaluate,
@@ -26,8 +26,8 @@ from swtorsion.sympower import SymSpace, disjoint_inverse_entry, handle_duality
 from swtorsion import torsion
 from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
                                torsion_representative)
-from swtorsion.tqft import (Presentation, _minor_sums, _trace_series,
-                            compute_b1, rhs_series, trace_kappa_series,
+from swtorsion.tqft import (Presentation, _trace_series, compute_b1,
+                            rhs_series, trace_kappa_series,
                             verify_main_identity, zeta_series)
 from conftest import interpolate, make_presentation, rational_exp
 
@@ -73,6 +73,27 @@ def test_kappa_trace_equals_kappa_matrix_trace(P, n):
     assert kappa_trace(P, n) == graded_trace(kappa_matrix(P, n))
 
 
+def test_minor_sums_equal_the_kernel_on_the_sweep_shapes():
+    # where det A[D, C] = 0, newton_pencil falls back to signed_pencil and
+    # verify's two trace columns are one computation, so the minor sums of
+    # the diagonal are compared with the kernel here: a derandomized grid
+    # over the shapes of the benchmark's verify sweep with handles
+    # (g + N <= 3, N >= 1, words 4-16), which holds singular blocks
+    rng = random.Random(2718)
+    singular = 0
+    for N in (1, 2, 3):
+        for g in range(4 - N):
+            for _ in range(20):
+                P = make_presentation(g, N, rng.randint(4, 16),
+                                      rng.randrange(2 ** 31))
+                series = trace_kappa_series(P, 3)
+                assert tuple(kappa_trace(P, n) for n in range(4)) == series
+                mat = P.monodromy.mat
+                singular += not det_int(submatrix(mat, range(N, 2 * N),
+                                                  range(N)))
+    assert singular
+
+
 @PROPERTY
 @given(presentations(),
        st.none() | st.text(min_size=0, max_size=12) | st.sampled_from(
@@ -104,6 +125,28 @@ def test_trace_identity_on_random_words(P, nmax):
     series = trace_kappa_series(P, nmax)
     for n in range(min(nmax, 2) + 1):
         assert intersection_number(P, n) == series[n]
+
+
+@st.composite
+def large_genus_presentations(draw):
+    """Core genus 7-12, drawn uniformly, N <= 2 handles and a transvection
+    word of up to 8(g + N) letters."""
+    g, N = draw(st.sampled_from(range(7, 13))), draw(st.integers(0, 2))
+    surface = SurfaceModel(g + N, (N, g))
+    A = random_symplectic(surface, draw(st.integers(0, 8 * (g + N))),
+                          draw(st.integers(0, 2 ** 32)))
+    return Presentation(g, N, A)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(large_genus_presentations())
+@example(make_presentation(12, 0, 96, 1))
+@example(make_presentation(12, 2, 112, 1))
+def test_trace_identity_through_2g_at_large_genus(P):
+    # no column of verify grows like 2^(2g), so the whole identity up to
+    # n = 2g, where the trace turns affine, runs at g 7-12; the derandomized
+    # draws lean to g = 7, so two g = 12 cases are given
+    assert verify_main_identity(P, 2 * P.genus).passed
 
 
 @PROPERTY
@@ -161,8 +204,8 @@ def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
     # about the core genus n = g - 1, exactly for b1 > 1 and up to an affine
     # term for b1 = 1.  p is read from the full interpolation, since
     # signed_pencil solves for half of it and is palindromic by construction.
-    # The signed pencil is also the minor sums of verify's diagonal route,
-    # summed subset by subset.
+    # The signed pencil, which verify's diagonal column reads, is also the
+    # restricted minors of kappa_trace, summed subset by subset.
     g, N = P.genus, P.handles
     p = full_pencil(P.monodromy.mat, N)
     assert len(p) == 2 * g + 1

@@ -1,11 +1,10 @@
 import random
 import sys
 from fractions import Fraction
-from math import comb
 
 import pytest
 
-from swtorsion.linalg import identity_matrix, mat_mul
+from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
 from swtorsion.reference import (SymClass, ascend_map, char_series,
                                  descend_map, enumerate_basis, graded_trace,
                                  induced_endomorphism, kappa_matrix,
@@ -236,23 +235,38 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
         assert calls["berkowitz"] == 1
 
 
-def test_verify_computes_each_restricted_minor_once(monkeypatch):
-    # the diagonal route sums the C(2g, k) minors of each size k <= nmax once
-    # for all rows; tqft calls det_int for that route alone
+def test_verify_reads_the_diagonal_from_g_plus_one_determinants(monkeypatch):
+    # the diagonal column is the Bareiss pencil, g + 1 determinants whatever
+    # nmax; where det A[D, C] != 0 the lhs runs no determinant, and where it
+    # vanishes the kernel's fallback is the same g + 1 again; the rhs runs
+    # none.  A sum over the subsets of the core classes would take 4,096
+    # determinants at (6, 1, 12)
+    def delta(P):
+        N = P.handles
+        return det_int(submatrix(P.monodromy.mat, range(N, 2 * N), range(N)))
+
     calls = []
-    honest = tqft.det_int
+    honest = linalg.det_int
 
     def counting(m):
         calls.append(1)
         return honest(m)
 
-    monkeypatch.setattr(tqft, "det_int", counting)
-    for g, N, nmax in ((2, 1, 3), (1, 2, 4), (3, 0, 2), (0, 2, 3)):
-        P = make_presentation(g, N, 20, 4)
+    def count(P, nmax):
         calls.clear()
         assert verify_main_identity(P, nmax).passed
-        assert len(calls) == sum(comb(2 * g, k)
-                                 for k in range(min(nmax, 2 * g) + 1))
+        return len(calls)
+
+    nonsingular = [(make_presentation(g, N, words, 4), nmax)
+                   for g, N, words, nmax in (
+                       (2, 1, 20, 3), (1, 2, 20, 4), (3, 0, 20, 2),
+                       (0, 2, 20, 3), (6, 1, 56, 12))]
+    singular = make_presentation(2, 1, 2, 1)
+    assert all(delta(P) for P, _ in nonsingular) and delta(singular) == 0
+    monkeypatch.setattr(linalg, "det_int", counting)
+    for P, nmax in nonsingular:
+        assert count(P, nmax) == P.genus + 1
+    assert count(singular, 3) == 2 * (singular.genus + 1)
 
 
 def test_every_series_route_yields_ints():
@@ -319,7 +333,7 @@ def test_trace_identity_runs_the_morse_determinant(monkeypatch):
     # the pencil torsion shares newton_pencil with the trace pencil, so the
     # right-hand side must come from the Morse matrix to stay independent;
     # and it reads none of the lhs routes: the kernel, its Bareiss fallback
-    # and the minor sums of the diagonal raise while it runs
+    # (the diagonal column) and the reference minor sums raise while it runs
     def forbidden(*args):
         raise AssertionError("the trace identity read the pencil torsion")
 
