@@ -40,7 +40,7 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
 
 
 def mat_vec(a: tuple, v: Sequence) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in a)
+    return tuple(sum(map(operator.mul, row, v)) for row in a)
 
 
 def submatrix(a: tuple, rows: Sequence[int], cols: Sequence[int]) -> tuple:
@@ -149,7 +149,9 @@ def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
 
     p is palindromic of degree 2g, p_k = +p_{2g-k}, so the g + 1 Bareiss
     determinants at s = 0..g determine it, and ``_solve_palindromic``
-    recovers it exactly.  Write R = D u I, S = C u I and X' = X minus I.
+    recovers it exactly.  Q is read once, and ``det_int`` copies the rows it
+    gets: those of D, and s times those of X plus the unit.  Write
+    R = D u I, S = C u I and X' = X minus I.
     Jacobi's complementary-minor identity for B = A^-1, with det A = 1,
     gives det A[R, S] = (-1)^{sum R + sum S} det B[D u X', C u X'] (the
     complements of S and R).  B is the signed partner transpose of
@@ -162,13 +164,14 @@ def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
     bijection from the k-subsets of X to its (2g - k)-subsets.  The tests
     check the result against the interpolation of all 2g + 1 values.
     """
-    rows = range(N, len(mat))
     cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
+    block = [[mat[r][c] for c in cols] for r in range(N, len(mat))]
 
     def value(s: int) -> int:
-        return det_int(tuple(
-            tuple(mat[r][c] if a < N else s * mat[r][c] + int(a == b)
-                  for b, c in enumerate(cols)) for a, r in enumerate(rows)))
+        scaled = [[s * x for x in row] for row in block[N:]]
+        for a, row in enumerate(scaled, N):
+            row[a] += 1
+        return det_int(block[:N] + scaled)
 
     g = len(mat) // 2 - N
     half = _solve_palindromic([value(s) for s in range(g + 1)])

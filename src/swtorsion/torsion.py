@@ -3,12 +3,12 @@
 Two routes to the torsion polynomial of the two-term Morse complex of a
 compression-body presentation live here.  The fast path,
 ``torsion_representative``, is the ratio of two integer determinant
-pencils.  ``morse_torsion`` is the determinant of the N x N matrix of
-crossing series; ``rhs_series`` runs it, so ``verify`` checks the trace
-identity against the Morse complex itself.  The third,
-``torsion_coefficient_direct``, the direct sum over compositions and
-permutations, and the torsion of general volumed complexes are reference
-routes in ``swtorsion.reference``, run by the tests.
+pencils.  ``morse_torsion``, the determinant of the N x N matrix of
+crossing series read off the columns A^k c_i, is what ``rhs_series``
+runs, so ``verify`` checks the trace identity against the Morse complex
+itself.  The third, ``torsion_coefficient_direct``, the direct sum over
+compositions and permutations, and the torsion of general volumed
+complexes are reference routes in ``swtorsion.reference``, run by the tests.
 
 Every pencil has two forms.  ``newton_pencil``, the one production reads,
 takes the Schur complement of A[D, C] and Newton's identities on the
@@ -26,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .linalg import _bareiss, identity_matrix, mat_mul, signed_pencil, transpose
+from .linalg import _bareiss, mat_mul, mat_vec, signed_pencil
 from .series import TruncSeries, series_det
 
 
@@ -59,26 +59,23 @@ class MorseMatrix:
 def morse_differential_matrix(P, kmax: int) -> MorseMatrix:
     """Crossing-series matrix of the Morse differential of a presentation.
 
-    The N iterates A^k c_i are the rows of one integer matrix, advanced by
-    a product with A^T, and coefficient k of entry (i, j) is A^k c_i dotted
-    with J c_j, the vectors J c_j read once from ``SurfaceModel.pair_vector``.
+    Coefficient k of entry (i, j) is <A^k c_i, c_j> = -s_j (A^k c_i)[p(j)],
+    with (p(j), s_j) from ``SurfaceModel._signed_partners``.  Each column
+    A^k c_i starts as column i of A and advances by one product with A.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     N = P.handles
-    surface = P.surface
-    unit = identity_matrix(surface.rank)
-    step = transpose(P.monodromy.mat)
-    duals = transpose([surface.pair_vector(unit[j]) for j in range(N)])
-    images = unit[:N]
-    coeffs = [[[0] for _ in range(N)] for _ in range(N)]
-    for _ in range(kmax):
-        images = mat_mul(images, step)
-        for row, pairs in zip(coeffs, mat_mul(images, duals)):
-            for c, x in zip(row, pairs):
-                c.append(x)
-    return MorseMatrix(N, kmax, tuple(tuple(TruncSeries(kmax, c) for c in row)
-                                      for row in coeffs))
+    mat = P.monodromy.mat
+    entries = []
+    for i in range(N):
+        images = [[row[i] for row in mat]]
+        while len(images) < kmax:
+            images.append(mat_vec(mat, images[-1]))
+        entries.append(tuple(
+            TruncSeries(kmax, [0] + [-s * v[p] for v in images[:kmax]])
+            for p, s in P.surface._signed_partners[:N]))
+    return MorseMatrix(N, kmax, tuple(entries))
 
 
 def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:

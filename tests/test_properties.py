@@ -402,26 +402,76 @@ def test_b1_equals_the_rank_formula(P):
     assert compute_b1(P) == 1 + (2 * G - N) - fraction_rank(rows)
 
 
+def mayer_vietoris_block(P) -> tuple:
+    """B = (1 - A)[D u X, C u X], whose rank gives b_1 = 1 + (2G - N) -
+    rank B (derived in the compute_b1 docstring)."""
+    mat, N = P.monodromy.mat, P.handles
+    rows = tuple(range(N, len(mat)))
+    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
+    return tuple(tuple(int(r == c) - mat[r][c] for c in cols) for r in rows)
+
+
+def block_b1(P) -> int:
+    B = mayer_vietoris_block(P)
+    return 1 + (2 * P.genus + P.handles) - rank_int(B)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 4), st.integers(1, 3), st.integers(0, 40),
        st.integers(0, 2 ** 32))
 def test_b1_from_the_mayer_vietoris_block(g, N, words, seed):
-    # b_1 = 1 + (2G - N) - rank B, B = (1 - A)[D u X, C u X] (derived in
-    # the compute_b1 docstring), held against the trace series with no
-    # call to compute_b1: det B = p~(1), the sum of the signed pencil, so
-    # b_1 = 1 exactly when p~(1) != 0; and b_1 > 1 makes Tr kappa_n vanish
-    # for every n > 2g - 2
+    # b_1 from the block B, held against the trace series with no call to
+    # compute_b1: det B = p~(1), the sum of the signed pencil, so b_1 = 1
+    # exactly when p~(1) != 0; and b_1 > 1 makes Tr kappa_n vanish for
+    # every n > 2g - 2
     P = make_presentation(g, N, words, seed)
     mat = P.monodromy.mat
-    rows = tuple(range(N, len(mat)))
-    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
-    B = tuple(tuple(int(r == c) - mat[r][c] for c in cols) for r in rows)
-    b1 = 1 + (2 * (g + N) - N) - rank_int(B)
+    B = mayer_vietoris_block(P)
+    b1 = block_b1(P)
     p1 = sum(signed_pencil(mat, N))
     assert det_int(B) == p1
     assert (b1 == 1) == (p1 != 0)
     if b1 > 1:
         assert not any(trace_kappa_series(P, 2 * g + 3)[max(2 * g - 1, 0):])
+
+
+def stabilize(P, eps: int) -> Presentation:
+    """M(g, N + 1, A'), the birth of a cancelling pair: A' is A on the old
+    classes (c_i -> i, d_i -> N + 1 + i, x_j -> 2N + 2 + j) and sends the
+    new pair c_N -> eps d_N, d_N -> -eps c_N."""
+    N, mat = P.handles, P.monodromy.mat
+    index = [i if i < N else i + 1 if i < 2 * N else i + 2
+             for i in range(len(mat))]
+    rows = [[0] * (len(mat) + 2) for _ in range(len(mat) + 2)]
+    for r, row in zip(index, mat):
+        for c, x in zip(index, row):
+            rows[r][c] = x
+    rows[2 * N + 1][N], rows[N][2 * N + 1] = eps, -eps
+    return Presentation.from_matrix(P.genus, N + 1, rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 40),
+       st.integers(0, 2 ** 32), st.sampled_from((1, -1)),
+       st.sampled_from((1, -1)))
+@example(4, 3, 40, 1, 1, -1)
+@example(4, 3, 40, 2, -1, 1)
+def test_stabilization_keeps_the_invariants(g, N, words, seed, eps1, eps2):
+    # two births of a cancelling pair: eps = +1 negates every Tr kappa_n
+    # and eps = -1 keeps it; verify passes at N + 1 and N + 2 (through the
+    # Morse matrix at growing N), intersect equals the trace at n <= 2,
+    # and b_1 from the block B is unchanged
+    P = make_presentation(g, N, words, seed)
+    nmax = 2 * g + 4
+    traces, b1 = trace_kappa_series(P, nmax), block_b1(P)
+    sign = 1
+    for eps in (eps1, eps2):
+        P, sign = stabilize(P, eps), -eps * sign
+        assert trace_kappa_series(P, nmax) == tuple(sign * x for x in traces)
+        assert verify_main_identity(P, nmax).passed
+        assert [intersection_number(P, n) for n in range(3)] == [
+            sign * x for x in traces[:3]]
+        assert block_b1(P) == b1
 
 
 def brute_force_rank(a) -> int:

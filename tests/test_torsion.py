@@ -10,6 +10,7 @@ from swtorsion.reference import (RelPerm, VolumedComplex, collapse_perm,
                                  torsion_coefficient_direct)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import pairing
+from swtorsion import torsion
 from swtorsion.torsion import morse_differential_matrix, torsion_representative
 from conftest import make_presentation, presentation_sample
 
@@ -152,6 +153,30 @@ def test_morse_matrix_entries_are_the_pairings_of_the_iterates():
                 image = A.apply(image)
                 assert [M.entries[i][j][k] for j in range(N)] == [
                     pairing(image, cj) for cj in cs]
+
+
+def test_morse_matrix_runs_no_matrix_product(monkeypatch):
+    # the columns A^k c_i advance by matrix-vector products alone: no
+    # product with A^T, no transpose and no J c_j; on the cases of the
+    # pairing test above, every entry is still <A^k c_i, c_j>
+    def forbidden(*args):
+        raise AssertionError("the Morse matrix ran a matrix product")
+
+    for name in ("mat_mul", "transpose"):
+        monkeypatch.setattr(torsion, name, forbidden, raising=False)
+    rng = random.Random(8128)
+    for N in (0, 1, 2, 3, 4, 5) * 2:
+        g = rng.randint(0, 6 - N)
+        kmax = rng.randint(0, 30)
+        P = make_presentation(g, N, rng.randint(0, 40), rng.randrange(10 ** 9))
+        M = morse_differential_matrix(P, kmax)
+        cs = [P.surface.c_class(i) for i in range(N)]
+        for i in range(N):
+            image = cs[i]
+            for k in range(kmax + 1):
+                assert [M.entries[i][j][k] for j in range(N)] == [
+                    pairing(image, cj) for cj in cs]
+                image = P.monodromy.apply(image)
 
 
 def test_torsion_representative_edge_cases():
