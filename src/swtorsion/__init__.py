@@ -6,9 +6,9 @@ symmetric powers of a surface, Morse-complex torsion, the TQFT trace of the
 monodromy endomorphism, and the graph-diagonal intersection reformulation.
 
 The production modules, which the commands run, are imported here.  The
-reference routes of ``__all__`` live in ``swtorsion.reference`` and are
-resolved on first access (PEP 562), so importing the package or running a
-command never loads them.
+reference routes of ``__all__``, and those of ``_FORWARDED`` on their
+modules, live in ``swtorsion.reference`` and are resolved on first access
+(PEP 562), so importing the package or running a command never loads them.
 """
 from .series import TruncSeries
 from .surface import (CohClass, MappingClass, SurfaceModel, is_symplectic,
@@ -21,6 +21,7 @@ from .tqft import (CrossCheckError, Presentation, SWRow, SWTable,
                    rhs_series, sw_table, trace_kappa_coefficient,
                    validate_presentation, verify_main_identity, zeta_series)
 from .intersection import intersection_number
+from . import intersection, surface, sympower, torsion, tqft
 
 __version__ = "0.1.0"
 
@@ -44,9 +45,29 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # A name of __all__ that is not bound above is a reference route.
-    if name in __all__:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Reference routes that the benchmark's tracer reads from a production module.
+# ROADMAP item 5 retires the tracer's replay and deletes this table.
+_FORWARDED = {
+    tqft: {"kappa_matrix"},
+    sympower: {"graded_trace", "gram_matrix", "dual_basis", "_lambda_image"},
+    surface: {"char_series"},
+    intersection: {"diagonal_class", "graph_class", "product_evaluate"},
+    torsion: {"torsion_coefficient_direct"},
+}
+
+
+def _forwarder(module: str, names):
+    # the __getattr__ of a module that serves names from swtorsion.reference
+    def __getattr__(name: str):
+        if name in names:
+            from . import reference
+            return getattr(reference, name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    return __getattr__
+
+
+# A name of __all__ that is not bound above is a reference route.
+__getattr__ = _forwarder(__name__, __all__)
+for _module, _names in _FORWARDED.items():
+    _module.__getattr__ = _forwarder(_module.__name__, _names)
+del _module, _names

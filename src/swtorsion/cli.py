@@ -19,6 +19,7 @@ import sys
 from typing import List, Optional
 
 from .intersection import intersection_number
+from .linalg import ExactDivisionError
 from .surface import SurfaceModel, random_symplectic
 from .torsion import torsion_representative
 from .tqft import (SYMPLECTIC_PROBLEM, CrossCheckError, Presentation,
@@ -162,15 +163,12 @@ _PARSER = _build_parser()
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
-    out = sys.stdout
     try:
-        return _dispatch(args, out)
+        return _dispatch(args, sys.stdout)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CrossCheckError, AssertionError) as e:
-        # two routes disagreed, or an exact division in a kernel left a
-        # remainder
+    except (CrossCheckError, ExactDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -39,19 +39,6 @@ from .sympower import SymSpace, handle_duality
 from .tqft import Presentation
 
 
-# Reference routes that the benchmark's tracer reads from this module; they
-# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
-# item 5 retires the tracer's replay and deletes this forwarder.
-_FORWARDED = frozenset({"diagonal_class", "graph_class", "product_evaluate"})
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple],
                                                      dict, dict]:
     """The space Sym^{n+N}, the terms (a, b, coefficient) of the diagonal

@@ -19,6 +19,10 @@ from math import comb
 from typing import Optional, Sequence, Tuple
 
 
+class ExactDivisionError(ArithmeticError):
+    """A division that must be exact left a remainder."""
+
+
 def as_matrix(rows) -> tuple:
     return tuple(tuple(r) for r in rows)
 
@@ -195,7 +199,7 @@ def _solve_palindromic(values: Sequence[int]) -> list:
     which makes every step of the substitution an exact integer division,
     and p delta is divided by delta at the end: O(w^2) integer operations.
     A remainder there means the values fit no integer palindromic
-    polynomial, and raises AssertionError.
+    polynomial, and raises ExactDivisionError.
     """
     w = len(values) - 1
     lead = values[0]
@@ -230,7 +234,7 @@ def _solve_palindromic(values: Sequence[int]) -> list:
     for x in out:
         q, r = divmod(x, delta)
         if r:
-            raise AssertionError("palindromic polynomial is not integral")
+            raise ExactDivisionError("palindromic polynomial is not integral")
         half.append(q)
     return half
 

@@ -5,9 +5,9 @@ faster, by a route that shares as little code with it as possible.  The
 tests, the demos and the benchmark's traced replay call them; no command
 does, and no production module imports this module, so a command never
 pays for compiling it.  ``swtorsion`` resolves the names of its
-``__all__`` that live here on first access, and ``tqft``, ``sympower``,
-``surface``, ``intersection`` and ``torsion`` forward the few that the
-benchmark's tracer reads from them.
+``__all__`` that live here on first access, and, from its one table
+``_FORWARDED``, the few that the benchmark's tracer reads from ``tqft``,
+``sympower``, ``surface``, ``intersection`` and ``torsion``.
 
 * Exact rational linear algebra (``det_rational``, ``invert_rational``,
   ``independent_columns``) and the integer inverse ``invert_unimodular``,

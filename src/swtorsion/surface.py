@@ -30,19 +30,6 @@ from typing import Optional, Union
 from .linalg import as_matrix, identity_matrix, mat_mul, mat_vec, transpose
 
 
-# Reference routes that the benchmark's tracer reads from this module; they
-# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
-# item 5 retires the tracer's replay and deletes this forwarder.
-_FORWARDED = frozenset({"char_series"})
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 @dataclass(frozen=True)
 class SurfaceModel:
     """Genus-G surface with a fixed symplectic basis of H^1.

@@ -26,20 +26,6 @@ from typing import Dict, List, Tuple
 from .surface import SurfaceModel
 
 
-# Reference routes that the benchmark's tracer reads from this module; they
-# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
-# item 5 retires the tracer's replay and deletes this forwarder.
-_FORWARDED = frozenset({"_lambda_image", "dual_basis", "graded_trace",
-                        "gram_matrix"})
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class Monomial(namedtuple("Monomial", "indices q")):
     """Basis element x_I y^q with I strictly increasing (0-indexed), as
     the tuple (indices, q) that it equals, hashes and sorts as."""

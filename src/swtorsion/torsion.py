@@ -26,21 +26,9 @@ import operator
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .linalg import _bareiss, mat_mul, mat_vec, signed_pencil
+from .linalg import (ExactDivisionError, _bareiss, mat_mul, mat_vec,
+                     signed_pencil)
 from .series import TruncSeries, series_det
-
-
-# Reference routes that the benchmark's tracer reads from this module; they
-# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
-# item 5 retires the tracer's replay and deletes this forwarder.
-_FORWARDED = frozenset({"torsion_coefficient_direct"})
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +88,7 @@ def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:
     Both divisions are exact: e_k is a coefficient of det(1 + sT) for an
     integer matrix T, so k divides the Newton sum, and e_k = delta^(k-1) p_k
     with p_k a sum of integer minors of A.  A remainder raises
-    AssertionError.  When delta = 0, A[D, C] cannot be eliminated, there
+    ExactDivisionError.  When delta = 0, A[D, C] cannot be eliminated, there
     is no Schur complement, and ``signed_pencil`` gives the answer.  At
     N = 0, D and C are empty: delta = 1, T = A and p(s) = det(1 + sA),
     which ``tqft.zeta_series`` reads.  A call with delta != 0 forms two
@@ -145,11 +133,11 @@ def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:
         for k in range(1, w + 1):
             q, r = divmod(sum(map(operator.mul, alternating, reversed(e))), k)
             if r:
-                raise AssertionError("Newton's identities are not integral")
+                raise ExactDivisionError("Newton's identities are not integral")
             e.append(q)
             q, r = divmod(q, scale)
             if r:
-                raise AssertionError("pencil coefficient is not integral")
+                raise ExactDivisionError("pencil coefficient is not integral")
             p.append(q)
             scale *= delta
     p += [p[g2 - k] for k in range(w + 1, size)]

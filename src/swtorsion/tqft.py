@@ -31,23 +31,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
-from .linalg import det_one_minus_t, rank_int, signed_pencil
+from .linalg import (ExactDivisionError, det_one_minus_t, rank_int,
+                     signed_pencil)
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .torsion import morse_torsion, newton_pencil
-
-
-# Reference routes that the benchmark's tracer reads from this module; they
-# live in ``swtorsion.reference``, imported on the first such read.  ROADMAP
-# item 5 retires the tracer's replay and deletes this forwarder.
-_FORWARDED = frozenset({"kappa_matrix"})
-
-
-def __getattr__(name: str):
-    if name in _FORWARDED:
-        from . import reference
-        return getattr(reference, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +173,7 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     A = P.monodromy if isinstance(P, Presentation) else P
     try:
         coeffs = _over_square(newton_pencil(A.mat, 0, kmax), kmax)
-    except AssertionError as e:
+    except ExactDivisionError as e:
         raise CrossCheckError(f"zeta cross-check failed: {e} in the "
                               "power-sum kernel of det(1 - tA)") from None
     if coeffs != _trace_series(A, kmax):

@@ -6,6 +6,7 @@ import pytest
 
 import swtorsion
 from swtorsion import Presentation, SurfaceModel, random_symplectic
+from swtorsion.linalg import rank_int
 
 
 @pytest.fixture
@@ -35,6 +36,42 @@ def presentation_sample(count: int, seed: int, *, gmax=2, hmax=2, cap=3,
         out.append(make_presentation(g, N, rng.randint(0, words),
                                      rng.randint(0, 10 ** 9)))
     return out
+
+
+def mayer_vietoris_block(P) -> tuple:
+    """B = (1 - A)[D u X, C u X], whose rank gives b_1 = 1 + (2G - N) -
+    rank B (derived in the compute_b1 docstring)."""
+    mat, N = P.monodromy.mat, P.handles
+    rows = tuple(range(N, len(mat)))
+    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
+    return tuple(tuple(int(r == c) - mat[r][c] for c in cols) for r in rows)
+
+
+def block_b1(P) -> int:
+    B = mayer_vietoris_block(P)
+    return 1 + (2 * P.genus + P.handles) - rank_int(B)
+
+
+def direct_sum(P, block) -> Presentation:
+    """M(g, N + 1, A + block): A on the old classes, re-indexed (c_i -> i,
+    d_i -> N + 1 + i, x_j -> 2N + 2 + j), and the 2 x 2 ``block`` on the
+    new pair (c_N, d_N), its columns the images of c_N and d_N."""
+    N, mat = P.handles, P.monodromy.mat
+    index = [i if i < N else i + 1 if i < 2 * N else i + 2
+             for i in range(len(mat))]
+    rows = [[0] * (len(mat) + 2) for _ in range(len(mat) + 2)]
+    for r, row in zip(index, mat):
+        for c, x in zip(index, row):
+            rows[r][c] = x
+    c, d = N, 2 * N + 1
+    (rows[c][c], rows[c][d]), (rows[d][c], rows[d][d]) = block
+    return Presentation.from_matrix(P.genus, N + 1, rows)
+
+
+def stabilize(P, eps: int) -> Presentation:
+    """S_eps(P), the birth of a cancelling pair: the new pair goes
+    c_N -> eps d_N, d_N -> -eps c_N."""
+    return direct_sum(P, ((0, -eps), (eps, 0)))
 
 
 def interpolate(values) -> tuple:

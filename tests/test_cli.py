@@ -402,6 +402,24 @@ def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, command,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", KERNEL_COMMANDS)
+def test_an_assertion_inside_a_command_propagates(tmp_path, monkeypatch,
+                                                  command):
+    # exit 1 reports a named failure, a cross-check or a remainder in an
+    # exact division; an AssertionError, from a bug or from a test's guard
+    # on a forbidden route, leaves main as it was raised
+    fixture = (0, 4, 40, 1) if command == "zeta" else (2, 2, 52, 1)
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(*fixture), str(path))
+
+    def forbidden(a, b):
+        raise AssertionError("a command ran a forbidden route")
+
+    monkeypatch.setattr(torsion, "mat_mul", forbidden)
+    with pytest.raises(AssertionError, match="forbidden route"):
+        main([command, str(path)] + KERNEL_COMMANDS[command])
+
+
 @pytest.mark.parametrize("argv, bound", [
     (["sw", "--nmax", "-1"], "nonnegative"),
     (["zeta", "--kmax", "-1"], "nonnegative"),

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from swtorsion.cli import load_presentation, write_presentation
 from swtorsion.intersection import intersection_number
-from swtorsion.linalg import (det_int, det_one_minus_t, identity_matrix,
-                              mat_mul, perm_parity, rank_int, submatrix,
-                              transpose)
+from swtorsion.linalg import (ExactDivisionError, det_int, det_one_minus_t,
+                              identity_matrix, mat_mul, perm_parity, rank_int,
+                              submatrix, transpose)
 from swtorsion.reference import (ProductClass, _minor_sums, det_rational,
                                  diagonal_class, dual_basis, duality_pairings,
                                  enumerate_basis, graded_trace, graph_class,
@@ -29,7 +29,8 @@ from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
 from swtorsion.tqft import (Presentation, _trace_series, compute_b1,
                             rhs_series, trace_kappa_series,
                             verify_main_identity, zeta_series)
-from conftest import interpolate, make_presentation, rational_exp
+from conftest import (block_b1, interpolate, make_presentation,
+                      mayer_vietoris_block, rational_exp, stabilize)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -300,7 +301,7 @@ def test_newton_pencil_falls_back_on_a_singular_handle_block(
 def test_palindromic_pencil_rejects_a_non_integral_solution():
     # det(1 + s 0) = 1 is not palindromic of degree 6: the palindromic
     # polynomial through its values at s = 0..3 is not integral
-    with pytest.raises(AssertionError, match="not integral"):
+    with pytest.raises(ExactDivisionError, match="not integral"):
         signed_pencil(((0,) * 6,) * 6, 0)
 
 
@@ -402,20 +403,6 @@ def test_b1_equals_the_rank_formula(P):
     assert compute_b1(P) == 1 + (2 * G - N) - fraction_rank(rows)
 
 
-def mayer_vietoris_block(P) -> tuple:
-    """B = (1 - A)[D u X, C u X], whose rank gives b_1 = 1 + (2G - N) -
-    rank B (derived in the compute_b1 docstring)."""
-    mat, N = P.monodromy.mat, P.handles
-    rows = tuple(range(N, len(mat)))
-    cols = tuple(range(N)) + tuple(range(2 * N, len(mat)))
-    return tuple(tuple(int(r == c) - mat[r][c] for c in cols) for r in rows)
-
-
-def block_b1(P) -> int:
-    B = mayer_vietoris_block(P)
-    return 1 + (2 * P.genus + P.handles) - rank_int(B)
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.integers(0, 4), st.integers(1, 3), st.integers(0, 40),
        st.integers(0, 2 ** 32))
@@ -433,21 +420,6 @@ def test_b1_from_the_mayer_vietoris_block(g, N, words, seed):
     assert (b1 == 1) == (p1 != 0)
     if b1 > 1:
         assert not any(trace_kappa_series(P, 2 * g + 3)[max(2 * g - 1, 0):])
-
-
-def stabilize(P, eps: int) -> Presentation:
-    """M(g, N + 1, A'), the birth of a cancelling pair: A' is A on the old
-    classes (c_i -> i, d_i -> N + 1 + i, x_j -> 2N + 2 + j) and sends the
-    new pair c_N -> eps d_N, d_N -> -eps c_N."""
-    N, mat = P.handles, P.monodromy.mat
-    index = [i if i < N else i + 1 if i < 2 * N else i + 2
-             for i in range(len(mat))]
-    rows = [[0] * (len(mat) + 2) for _ in range(len(mat) + 2)]
-    for r, row in zip(index, mat):
-        for c, x in zip(index, row):
-            rows[r][c] = x
-    rows[2 * N + 1][N], rows[N][2 * N + 1] = eps, -eps
-    return Presentation.from_matrix(P.genus, N + 1, rows)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
