@@ -24,11 +24,11 @@ for n in range(4):
 
 # A random genus-2 monodromy, built deterministically from a transvection
 # word.  Every call reads det(1 - tA) from Newton's identities on the traces
-# of A^k and checks it against G + 1 Bareiss determinants, raising if they
-# disagree; verify's side of the trace identity expands the same series by
-# the exponential formula instead.  The Lefschetz numbers printed above are
-# a further route.
+# of A^k and checks it against one division-free Berkowitz pass
+# (linalg.det_one_minus_t), raising if they disagree; verify's side of the
+# trace identity reads det(1 - tA) from that Berkowitz pass alone.  The
+# Lefschetz numbers printed above are a further route.
 from swtorsion import random_symplectic
 
 A = random_symplectic(SurfaceModel(2), 6, seed=11)
-print("genus-2 word monodromy zeta:", zeta_series(A, 6))
+print("genus-2 word monodromy zeta:", zeta_series(Presentation(2, 0, A), 6))

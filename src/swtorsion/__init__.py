@@ -11,9 +11,9 @@ modules, live in ``swtorsion.reference`` and are resolved on first access
 (PEP 562), so importing the package or running a command never loads them.
 """
 from .series import TruncSeries
-from .surface import (CohClass, MappingClass, SurfaceModel, is_symplectic,
-                      pairing, random_symplectic)
-from .sympower import Monomial, SymSpace
+from .surface import (MappingClass, SurfaceModel, is_symplectic,
+                      random_symplectic)
+from .sympower import SymSpace
 from .torsion import (MorseMatrix, morse_differential_matrix, morse_torsion,
                       torsion_representative)
 from .tqft import (CrossCheckError, Presentation, SWRow, SWTable,

@@ -9,14 +9,14 @@ det(1 - tA) from one division-free Berkowitz pass: the zeta check and the
 zeta function of ``verify``'s rhs, kept apart from ``signed_pencil`` and
 from ``torsion.newton_pencil``.  The rational and unimodular routes on the
 same kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
-``independent_columns``) are reference routes in ``swtorsion.reference``.
-Nothing here ever touches a float.
+``independent_columns``) and ``perm_parity`` are reference routes in
+``swtorsion.reference``.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 
 import operator
 from math import comb
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 
 class ExactDivisionError(ArithmeticError):
@@ -102,10 +102,10 @@ def det_int(a: tuple) -> int:
     return sign * last if len(pivots) == len(a) else 0
 
 
-def det_one_minus_t(a: tuple, top: Optional[int] = None) -> Tuple[int, ...]:
-    """Coefficients of det(1 - t a), lowest degree first, for any square
-    integer matrix a (the empty one gives (1,)); with ``top``, only those
-    up to t^top.
+def det_one_minus_t(a: tuple, top: int) -> Tuple[int, ...]:
+    """Coefficients of det(1 - t a) up to t^top, lowest degree first, for
+    any square integer matrix a (the empty one gives (1,)); every
+    coefficient when top >= len(a).
 
     det(1 - t a) = t^n det(1/t - a), so these are the coefficients of the
     characteristic polynomial det(x - a), highest power first.  Berkowitz's
@@ -121,7 +121,7 @@ def det_one_minus_t(a: tuple, top: Optional[int] = None) -> Tuple[int, ...]:
     column stops at R B^{top-2} C and each product at t^top.
     """
     n = len(a)
-    size = n + 1 if top is None else min(n, top) + 1
+    size = min(n, top) + 1
     poly = [1]
     for r in range(n - 1, -1, -1):
         row = a[r]
@@ -158,8 +158,8 @@ def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
     R = D u I, S = C u I and X' = X minus I.
     Jacobi's complementary-minor identity for B = A^-1, with det A = 1,
     gives det A[R, S] = (-1)^{sum R + sum S} det B[D u X', C u X'] (the
-    complements of S and R).  B is the signed partner transpose of
-    ``surface.MappingClass.inverse``, B[i][j] = s_i s_j A[p(j)][p(i)], and
+    complements of S and R).  B is the signed partner transpose
+    B[i][j] = s_i s_j A[p(j)][p(i)] (``reference.inverse``), and
     p maps C onto D in order and X' onto p(X'), so the minor of B is
     det A[D u p(X'), C u p(X')] times the signs s_i of its rows and columns:
     those of X' appear twice, s = +1 on C and -1 on D, which leaves (-1)^N.
@@ -243,20 +243,3 @@ def rank_int(a: tuple) -> int:
     """Rank of an integer matrix: the pivot count of its Bareiss echelon."""
     return len(_bareiss([list(row) for row in a])[0])
 
-
-def perm_parity(p: Sequence[int]) -> int:
-    """Parity (0 or 1) of a permutation given as a tuple of images of 0..n-1."""
-    n = len(p)
-    seen = [False] * n
-    par = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        par ^= (length - 1) & 1
-    return par

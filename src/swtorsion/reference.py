@@ -11,17 +11,22 @@ pays for compiling it.  ``swtorsion`` resolves the names of its
 
 * Exact rational linear algebra (``det_rational``, ``invert_rational``,
   ``independent_columns``) and the integer inverse ``invert_unimodular``,
-  all on the Bareiss kernel ``linalg._bareiss``.
+  all on the Bareiss kernel ``linalg._bareiss``, and ``perm_parity``, kept
+  apart from ``sympower._odd_inversions`` for the signs of the references.
+* The surface's object API, each function taking the surface or the
+  mapping class first: ``CohClass``, ``pairing``, ``basis_class``,
+  ``c_class``, ``d_class``, ``intersection_matrix``, ``apply``, ``inverse``.
 * 1/(1 - t)^2 (``geometric_inverse_square``), and det(1 - tA) from its
   principal minors (``exterior_power_trace``) and from the Bareiss
   pencil at N = 0 (``char_series``).
-* The monomial model of H^*(Sym^n): classes (``SymClass``) with wedge
-  and contraction, the Lambda(A) action (``apply_induced``, over the
-  bounded cache ``_lambda_image``), endomorphisms and graded traces
-  (``SymEndo``, ``graded_trace``, ``lefschetz_number``), and Poincare
-  duality evaluated pairing by pairing and inverted block by block
-  (``pair_monomials``, ``duality_pairings``, ``gram_matrix``,
-  ``dual_basis``), against which ``sympower.handle_duality`` is tested.
+* The monomial model of H^*(Sym^n): ``Monomial`` with ``contains``,
+  classes (``SymClass``) with wedge and contraction, the Lambda(A) action
+  (``apply_induced``, over the bounded cache ``_lambda_image``),
+  endomorphisms and graded traces (``SymEndo``, ``graded_trace``,
+  ``lefschetz_number``), and Poincare duality evaluated pairing by pairing
+  and inverted block by block (``pair_monomials``, ``duality_pairings``,
+  ``gram_matrix``, ``dual_basis``), against which
+  ``sympower.handle_duality`` is tested.
 * The assembled kappa_n (``descend_map``, ``ascend_map``,
   ``kappa_matrix``) and its diagonal by subsets (``kappa_trace``).
 * Torsion of volumed complexes (``VolumedComplex``, ``complex_torsion``),
@@ -35,7 +40,9 @@ pays for compiling it.  ``swtorsion`` resolves the names of its
 from __future__ import annotations
 
 import itertools
+import operator
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,11 +51,11 @@ from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intersection import _diagonal_terms, _pair_against
-from .linalg import (_bareiss, det_int, mat_vec, perm_parity, signed_pencil,
-                     submatrix)
+from .linalg import (_bareiss, det_int, mat_vec, signed_pencil, submatrix,
+                     transpose)
 from .series import TruncSeries
-from .surface import CohClass, MappingClass, pairing
-from .sympower import Monomial, SymSpace
+from .surface import MappingClass, SurfaceModel
+from .sympower import SymSpace
 from .tqft import Presentation, _over_square
 
 
@@ -117,6 +124,97 @@ def independent_columns(a: tuple, rng=None) -> list:
     return [order[p] for p in pivots]
 
 
+def perm_parity(p: Sequence[int]) -> int:
+    """Parity (0 or 1) of a permutation given as a tuple of images of 0..n-1."""
+    n = len(p)
+    seen = [False] * n
+    par = 0
+    for i in range(n):
+        if seen[i]:
+            continue
+        j = i
+        length = 0
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        par ^= (length - 1) & 1
+    return par
+
+
+@dataclass(frozen=True)
+class CohClass:
+    """Integer class in H^1, written in the surface's fixed basis."""
+
+    surface: SurfaceModel
+    vec: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "vec", tuple(int(v) for v in self.vec))
+        if len(self.vec) != self.surface.rank:
+            raise ValueError("coefficient vector has wrong length")
+
+
+def pairing(u: CohClass, v: CohClass) -> int:
+    """Cup product pairing <u, v> = u^T J v, with J v from ``pair_vector``."""
+    if u.surface != v.surface:
+        raise ValueError("classes live on different surfaces")
+    return sum(map(operator.mul, u.vec, u.surface.pair_vector(v.vec)))
+
+
+def basis_class(surface: SurfaceModel, i: int) -> CohClass:
+    if not 0 <= i < surface.rank:
+        raise IndexError("basis index out of range")
+    return CohClass(surface, tuple(1 if t == i else 0 for t in range(surface.rank)))
+
+
+def c_class(surface: SurfaceModel, i: int) -> CohClass:
+    if not 0 <= i < surface.split[0]:
+        raise IndexError("handle index out of range")
+    return basis_class(surface, i)
+
+
+def d_class(surface: SurfaceModel, i: int) -> CohClass:
+    N = surface.split[0]
+    if not 0 <= i < N:
+        raise IndexError("handle index out of range")
+    return basis_class(surface, N + i)
+
+
+def intersection_matrix(surface: SurfaceModel) -> tuple:
+    """J with J[k][j] = <e_k, e_j>: row k is +-1 at partner(k), else 0.
+
+    A reference for the tests; the library reads the form through
+    ``pair_vector`` and never builds J.
+    """
+    n = surface.rank
+    return tuple(tuple(s if j == p else 0 for j in range(n))
+                 for p, s in surface._signed_partners)
+
+
+def apply(A: MappingClass, u: CohClass) -> CohClass:
+    if u.surface != A.surface:
+        raise ValueError("class lives on a different surface")
+    return CohClass(A.surface, mat_vec(A.mat, u.vec))
+
+
+def inverse(A: MappingClass) -> MappingClass:
+    """Integer inverse -J A^T J = J (J A)^T (uses J^2 = -1).
+
+    With p the partner permutation and s_k = <e_k, e_p(k)>, entry (i, j)
+    is s_i s_j A[p(j)][p(i)]: two rounds of ``pair_vector``, no product
+    with J.  The inverse of a symplectic matrix is symplectic, so the
+    constructor's check is not run again.
+    """
+    pair_vector = A.surface.pair_vector
+    JA_T = tuple(map(pair_vector, transpose(A.mat)))
+    inverse = object.__new__(MappingClass)
+    object.__setattr__(inverse, "surface", A.surface)
+    object.__setattr__(inverse, "mat",
+                       transpose(tuple(map(pair_vector, transpose(JA_T)))))
+    return inverse
+
+
 def geometric_inverse_square(order: int) -> TruncSeries:
     """1/(1-t)^2 = sum (m+1) t^m, the zeta function of the 2-sphere flow."""
     return TruncSeries(order, [m + 1 for m in range(order + 1)])
@@ -154,6 +252,37 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     return TruncSeries(order, signed_pencil(A.mat, 0)[:order + 1])
 
 
+class Monomial(namedtuple("Monomial", "indices q")):
+    """Basis element x_I y^q with I strictly increasing (0-indexed), as
+    the tuple (indices, q) that it equals, hashes and sorts as."""
+
+    __slots__ = ()
+
+    def __new__(cls, indices, q: int):
+        idx = tuple(indices)
+        if any(a >= b for a, b in zip(idx, idx[1:])):
+            raise ValueError("indices must be strictly increasing")
+        if q < 0:
+            raise ValueError("q must be nonnegative")
+        return super().__new__(cls, idx, q)
+
+    @property
+    def degree(self) -> int:
+        return len(self.indices) + 2 * self.q
+
+    def __str__(self) -> str:
+        xs = "^".join(f"x{i}" for i in self.indices)
+        if self.q == 0:
+            return xs or "1"
+        ys = "y" if self.q == 1 else f"y^{self.q}"
+        return f"{xs}.{ys}" if xs else ys
+
+
+def contains(space: SymSpace, m: Monomial) -> bool:
+    return (len(m.indices) + m.q <= space.n
+            and all(0 <= i < 2 * space.G for i in m.indices))
+
+
 def enumerate_basis(space: SymSpace) -> Tuple[Monomial, ...]:
     """All monomials with |I| + q <= n, ordered by |I|, then I, then q."""
     out: List[Monomial] = []
@@ -175,7 +304,7 @@ class SymClass:
         for m, c in (terms or {}).items():
             if c == 0:
                 continue
-            if not space.contains(m):
+            if not contains(space, m):
                 raise ValueError(f"monomial {m} exceeds the space bound")
             self.terms[m] = c
 
@@ -344,7 +473,7 @@ def graded_trace(M: SymEndo) -> int:
     for m, col in zip(enumerate_basis(M.space), M.columns):
         diag = col.coefficient(m)
         if diag:
-            total += -diag if m.odd_part & 1 else diag
+            total += -diag if len(m.indices) & 1 else diag
     return total
 
 
@@ -483,8 +612,8 @@ def descend_map(P: Presentation, n: int, alpha: SymClass) -> SymClass:
     N = P.handles
     cur = alpha
     for i in range(N):
-        cur = contract_class(P.surface.c_class(i), cur)
-    small = SymSpace(P.small_surface, n)
+        cur = contract_class(c_class(P.surface, i), cur)
+    small = SymSpace(SurfaceModel(P.genus), n)
     out = {}
     for m, c in cur.terms.items():
         if any(i < 2 * N for i in m.indices):
@@ -497,7 +626,7 @@ def descend_map(P: Presentation, n: int, alpha: SymClass) -> SymClass:
 def ascend_map(P: Presentation, n: int, beta: SymClass) -> SymClass:
     """Second compression body: include into the split basis and wedge the
     handle classes so the result reads c_0 ^ .. ^ c_{N-1} ^ beta."""
-    small = SymSpace(P.small_surface, n)
+    small = SymSpace(SurfaceModel(P.genus), n)
     if beta.space != small:
         raise ValueError("class is not in the expected symmetric power")
     N = P.handles
@@ -506,7 +635,7 @@ def ascend_map(P: Presentation, n: int, beta: SymClass) -> SymClass:
                             for m, c in beta.terms.items()})
     cur = lifted
     for i in reversed(range(N)):
-        cur = wedge_class(P.surface.c_class(i), cur)
+        cur = wedge_class(c_class(P.surface, i), cur)
     return cur
 
 
@@ -743,12 +872,12 @@ def torsion_coefficient_direct(P, k: int) -> int:
         return 0
     surface = P.surface
     A = P.monodromy
-    cs = [surface.c_class(i) for i in range(N)]
+    cs = [c_class(surface, i) for i in range(N)]
     powers = {}
     cur = {i: cs[i] for i in range(N)}
     for s in range(1, k - N + 2):
         for i in range(N):
-            cur[i] = A.apply(cur[i])
+            cur[i] = apply(A, cur[i])
         powers[s] = {(i, j): pairing(cur[i], cs[j])
                      for i in range(N) for j in range(N)}
     total = 0
@@ -777,7 +906,7 @@ class ProductClass:
         for (a, b), c in terms.items():
             if c == 0:
                 continue
-            if not (space.contains(a) and space.contains(b)):
+            if not (contains(space, a) and contains(space, b)):
                 raise ValueError("monomial exceeds the space bound")
             cleaned.append((a, b, c))
         cleaned.sort()

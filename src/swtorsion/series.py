@@ -5,7 +5,7 @@ nothing else.  The truncation order is part of the value: binary operations
 require equal orders and never resize silently.  Coefficients are Python
 ints: zeta counts closed orbits and torsion counts flow lines, so every
 series of the library is integral, and the constructor rejects anything
-else.
+else.  Zero is ``TruncSeries(order)``, one ``TruncSeries(order, (1,))``.
 """
 from __future__ import annotations
 
@@ -33,21 +33,6 @@ class TruncSeries:
         cs.extend([0] * (order + 1 - len(cs)))
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    @classmethod
-    def zero(cls, order: int) -> "TruncSeries":
-        return cls(order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncSeries":
-        return cls(order, (1,))
-
-    @classmethod
-    def monomial(cls, order: int, k: int, coeff=1) -> "TruncSeries":
-        """The series coeff * t^k."""
-        if not 0 <= k <= order:
-            raise ValueError("exponent out of range")
-        return cls(order, [0] * k + [coeff])
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]

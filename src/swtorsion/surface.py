@@ -15,7 +15,9 @@ A mapping class is stored as the pullback action on H^1: column j of the
 matrix is the image of basis class j.  The pushforward on homology, where
 needed, is the inverse matrix under the Poincare duality identification.
 The reference routes to det(1 - tA) from the principal minors and the
-Bareiss pencil (``exterior_power_trace``, ``char_series``) live in
+Bareiss pencil (``exterior_power_trace``, ``char_series``) and the object
+API that only the cross-checks read (``CohClass``, ``pairing``, the basis
+classes, J, the action and inverse of a mapping class) live in
 ``swtorsion.reference``.
 """
 from __future__ import annotations
@@ -25,9 +27,9 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
-from .linalg import as_matrix, identity_matrix, mat_mul, mat_vec, transpose
+from .linalg import as_matrix, identity_matrix, transpose
 
 
 @dataclass(frozen=True)
@@ -54,17 +56,6 @@ class SurfaceModel:
     def rank(self) -> int:
         return 2 * self.G
 
-    @property
-    def intersection_matrix(self) -> tuple:
-        """J with J[k][j] = <e_k, e_j>: row k is +-1 at partner(k), else 0.
-
-        A reference for the tests; the library reads the form through
-        ``pair_vector`` and never builds J.
-        """
-        n = self.rank
-        return tuple(tuple(s if j == p else 0 for j in range(n))
-                     for p, s in self._signed_partners)
-
     def partner(self, i: int) -> int:
         """Index paired with i.  This is the one definition of the form:
         <e_i, e_partner(i)> = +1 when i < partner(i), else -1, and every
@@ -86,58 +77,15 @@ class SurfaceModel:
         """J v: entry k is <e_k, v> = +-v[partner(k)], signed as in ``partner``."""
         return tuple(s * v[p] for p, s in self._signed_partners)
 
-    def basis_class(self, i: int) -> "CohClass":
-        if not 0 <= i < self.rank:
-            raise IndexError("basis index out of range")
-        return CohClass(self, tuple(1 if t == i else 0 for t in range(self.rank)))
 
-    def c_class(self, i: int) -> "CohClass":
-        if not 0 <= i < self.split[0]:
-            raise IndexError("handle index out of range")
-        return self.basis_class(i)
-
-    def d_class(self, i: int) -> "CohClass":
-        N = self.split[0]
-        if not 0 <= i < N:
-            raise IndexError("handle index out of range")
-        return self.basis_class(N + i)
-
-
-@dataclass(frozen=True)
-class CohClass:
-    """Integer class in H^1, written in the surface's fixed basis."""
-
-    surface: SurfaceModel
-    vec: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", tuple(int(v) for v in self.vec))
-        if len(self.vec) != self.surface.rank:
-            raise ValueError("coefficient vector has wrong length")
-
-
-def pairing(u: CohClass, v: CohClass) -> int:
-    """Cup product pairing <u, v> = u^T J v, with J v from ``pair_vector``."""
-    if u.surface != v.surface:
-        raise ValueError("classes live on different surfaces")
-    return sum(map(operator.mul, u.vec, u.surface.pair_vector(v.vec)))
-
-
-def is_symplectic(mat, surface: Optional[SurfaceModel] = None) -> bool:
-    """True iff mat^T J mat = J for the surface's intersection form.
-
-    With no surface given, the unsplit convention of the matching genus is
-    assumed; the matrix must be square with even size.
-    """
+def is_symplectic(mat, surface: SurfaceModel) -> bool:
+    """True iff mat^T J mat = J for the surface's intersection form; the
+    matrix must be square of the surface's rank."""
     m = as_matrix(mat)
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("matrix is not square")
-    if n % 2 != 0:
-        raise ValueError("matrix size must be even")
-    if surface is None:
-        surface = SurfaceModel(n // 2)
-    elif surface.rank != n:
+    if surface.rank != n:
         raise ValueError("matrix size does not match the surface")
     # Entry (i, j) of A^T (J A) is column i of A dotted with J (column j),
     # and must be +-1 at j = partner(i), else 0.  A^T J A is antisymmetric
@@ -168,53 +116,18 @@ class MappingClass:
         if not is_symplectic(self.mat, self.surface):
             raise ValueError("matrix does not preserve the intersection form")
 
-    @classmethod
-    def identity(cls, surface: SurfaceModel) -> "MappingClass":
-        return cls(surface, identity_matrix(surface.rank))
 
-    def apply(self, u: CohClass) -> CohClass:
-        if u.surface != self.surface:
-            raise ValueError("class lives on a different surface")
-        return CohClass(self.surface, mat_vec(self.mat, u.vec))
-
-    def compose(self, other: "MappingClass") -> "MappingClass":
-        """Pullback of (self after other) = self.mat @ other.mat."""
-        if self.surface != other.surface:
-            raise ValueError("mapping classes on different surfaces")
-        return MappingClass(self.surface, mat_mul(self.mat, other.mat))
-
-    def inverse(self) -> "MappingClass":
-        """Integer inverse -J A^T J = J (J A)^T (uses J^2 = -1).
-
-        With p the partner permutation and s_k = <e_k, e_p(k)>, entry (i, j)
-        is s_i s_j A[p(j)][p(i)]: two rounds of ``pair_vector``, no product
-        with J.  The inverse of a symplectic matrix is symplectic, so the
-        constructor's check is not run again.
-        """
-        pair_vector = self.surface.pair_vector
-        JA_T = tuple(map(pair_vector, transpose(self.mat)))
-        inverse = object.__new__(MappingClass)
-        object.__setattr__(inverse, "surface", self.surface)
-        object.__setattr__(inverse, "mat",
-                           transpose(tuple(map(pair_vector, transpose(JA_T)))))
-        return inverse
-
-    def trace(self) -> int:
-        return sum(self.mat[i][i] for i in range(len(self.mat)))
-
-
-def random_symplectic(surface: Union[SurfaceModel, int], word_length: int,
+def random_symplectic(surface: SurfaceModel, word_length: int,
                       seed: int) -> MappingClass:
-    """Deterministic product of elementary symplectic transvections.
+    """Deterministic product of elementary symplectic transvections on the
+    given surface.
 
     The generating set consists of the transvections x -> x +- <x, v> v for
-    v a basis vector or a sum of two basis vectors.  A bare integer genus
-    means the unsplit surface of that genus.  Right multiplication by one
-    changes only the columns p(i), i in the support of v: column p(i) gains
-    +-<e_p(i), e_i> (mat v), with p and the sign from ``_signed_partners``.
+    v a basis vector or a sum of two basis vectors.  Right multiplication
+    by one changes only the columns p(i), i in the support of v: column
+    p(i) gains +-<e_p(i), e_i> (mat v), with p and the sign from
+    ``_signed_partners``.
     """
-    if isinstance(surface, int):
-        surface = SurfaceModel(surface)
     if word_length < 0:
         raise ValueError("word length must be nonnegative")
     n = surface.rank

@@ -4,11 +4,11 @@ For a genus-G surface the degree-n symmetric power has cohomology with basis
 ``x_I y^q`` where I is a strictly increasing subset of the 2G odd generators,
 y is the even degree-2 class, and ``|I| + q <= n``.  Every operation re-sorts
 indices and tracks the transposition sign, so coefficients stay exact
-integers.  A ``Monomial`` is the tuple (I, q) itself, so it equals, hashes
-and sorts as that key; ``handle_duality``, the one production route, builds
-plain (I, q) tuples in closed form.  The classes, the Lambda(A) action, the
-graded traces and the duality evaluated pairing by pairing are reference
-routes in ``swtorsion.reference``, which read those tuples unconverted.
+integers.  ``handle_duality``, the one production route, builds plain
+(I, q) tuples in closed form.  ``Monomial``, the tuple (I, q) itself, its
+bound test ``contains``, the classes, the Lambda(A) action, the graded
+traces and the duality evaluated pairing by pairing are reference routes
+in ``swtorsion.reference``, which read those tuples unconverted.
 Nothing is cached per space: each call builds the pairings and duals it
 reads, and a caller that reads them twice keeps its own result.
 
@@ -18,42 +18,11 @@ Degrees: deg(x_I y^q) = |I| + 2q; the sign of a monomial in graded traces is
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Dict, List, Tuple
 
 from .surface import SurfaceModel
-
-
-class Monomial(namedtuple("Monomial", "indices q")):
-    """Basis element x_I y^q with I strictly increasing (0-indexed), as
-    the tuple (indices, q) that it equals, hashes and sorts as."""
-
-    __slots__ = ()
-
-    def __new__(cls, indices, q: int):
-        idx = tuple(indices)
-        if any(a >= b for a, b in zip(idx, idx[1:])):
-            raise ValueError("indices must be strictly increasing")
-        if q < 0:
-            raise ValueError("q must be nonnegative")
-        return super().__new__(cls, idx, q)
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices) + 2 * self.q
-
-    @property
-    def odd_part(self) -> int:
-        return len(self.indices)
-
-    def __str__(self) -> str:
-        xs = "^".join(f"x{i}" for i in self.indices)
-        if self.q == 0:
-            return xs or "1"
-        ys = "y" if self.q == 1 else f"y^{self.q}"
-        return f"{xs}.{ys}" if xs else ys
 
 
 @dataclass(frozen=True)
@@ -75,10 +44,6 @@ class SymSpace:
     def dim(self) -> int:
         return sum(math.comb(2 * self.G, k) * (self.n - k + 1)
                    for k in range(min(self.n, 2 * self.G) + 1))
-
-    def contains(self, m: Monomial) -> bool:
-        return (len(m.indices) + m.q <= self.n
-                and all(0 <= i < 2 * self.G for i in m.indices))
 
 
 def _odd_inversions(seq) -> int:

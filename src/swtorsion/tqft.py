@@ -60,11 +60,6 @@ class Presentation:
     def surface(self) -> SurfaceModel:
         return self.monodromy.surface
 
-    @property
-    def small_surface(self) -> SurfaceModel:
-        """The middle slice: unsplit surface of the core genus."""
-        return SurfaceModel(self.genus)
-
     @classmethod
     def from_matrix(cls, genus: int, handles: int, rows,
                     name: Optional[str] = None) -> "Presentation":
@@ -156,8 +151,8 @@ class CrossCheckError(RuntimeError):
     on stderr and exits 1."""
 
 
-def zeta_series(P, kmax: int) -> TruncSeries:
-    """Zeta function of a presentation's monodromy (or a bare mapping class).
+def zeta_series(P: Presentation, kmax: int) -> TruncSeries:
+    """Zeta function of P's monodromy; wrap a bare A as Presentation(G, 0, A).
 
     det(1 - tA) / (1 - t)^2, with det(1 - tA) from the power-sum kernel
     ``newton_pencil`` at N = 0, where delta = 1 and T = A: the route the
@@ -170,7 +165,7 @@ def zeta_series(P, kmax: int) -> TruncSeries:
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    A = P.monodromy if isinstance(P, Presentation) else P
+    A = P.monodromy
     try:
         coeffs = _over_square(newton_pencil(A.mat, 0, kmax), kmax)
     except ExactDivisionError as e:

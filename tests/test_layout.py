@@ -6,6 +6,10 @@ import pytest
 import swtorsion
 from swtorsion import (intersection, linalg, reference, series, surface,
                        sympower, torsion, tqft)
+from swtorsion.series import TruncSeries
+from swtorsion.surface import MappingClass, SurfaceModel
+from swtorsion.sympower import SymSpace
+from swtorsion.tqft import Presentation
 
 # The package's public names, unchanged by the split.
 ALL = [
@@ -27,7 +31,9 @@ ALL = [
     "intersection_number",
 ]
 
-# The reference routes, by the production module they came from.
+# The reference routes, by the production module they came from.  The
+# methods among them (basis_class .. inverse, contains) are module functions
+# in reference that take the surface, the mapping class or the space first.
 MOVED = {
     tqft: ["descend_map", "ascend_map", "kappa_matrix", "_minor_sums",
            "kappa_trace"],
@@ -37,15 +43,17 @@ MOVED = {
                "top_evaluate", "_merge_sign", "pair_monomials",
                "duality_pair", "_block_key", "_duality_blocks",
                "duality_pairings", "gram_matrix", "dual_basis",
-               "enumerate_basis"],
+               "enumerate_basis", "Monomial", "contains"],
     intersection: ["ProductClass", "diagonal_class", "graph_class",
                    "product_evaluate"],
-    surface: ["exterior_power_trace", "char_series"],
+    surface: ["exterior_power_trace", "char_series", "CohClass", "pairing",
+              "basis_class", "c_class", "d_class", "intersection_matrix",
+              "apply", "inverse"],
     torsion: ["_frac_matrix", "VolumedComplex", "complex_torsion", "RelPerm",
               "_orbit_covers", "enumerate_relative_perms", "collapse_perm",
               "_compositions", "torsion_coefficient_direct"],
     linalg: ["_integer_rows", "det_rational", "invert_rational",
-             "invert_unimodular", "independent_columns"],
+             "invert_unimodular", "independent_columns", "perm_parity"],
     series: ["geometric_inverse_square"],
 }
 
@@ -90,3 +98,29 @@ def test_forwarders_serve_exactly_the_traced_names(module):
             with pytest.raises(AttributeError):
                 getattr(module, name)
     assert forwarded <= set(MOVED[module])
+
+
+# The members of the production classes that moved to reference, and those
+# deleted for the constructor or a primitive: identity, compose and trace
+# (the constructor with identity_matrix, mat_mul, a diagonal sum), zero, one
+# and monomial (the constructor), small_surface (SurfaceModel(P.genus)).
+GONE = {
+    SurfaceModel: ["basis_class", "c_class", "d_class", "intersection_matrix"],
+    MappingClass: ["apply", "inverse", "identity", "compose", "trace"],
+    SymSpace: ["contains"],
+    TruncSeries: ["zero", "one", "monomial"],
+    Presentation: ["small_surface"],
+}
+
+
+def test_production_classes_keep_only_what_a_command_runs():
+    for cls, names in GONE.items():
+        assert not set(names) & set(dir(cls)), cls.__name__
+    assert not hasattr(reference.Monomial, "odd_part")
+    for name in ("CohClass", "pairing", "Monomial"):
+        assert getattr(swtorsion, name) is getattr(reference, name)
+    # the parameters that only tests passed a default for are required
+    for function, name in ((linalg.det_one_minus_t, "top"),
+                           (surface.is_symplectic, "surface")):
+        parameter = inspect.signature(function).parameters[name]
+        assert parameter.default is inspect.Parameter.empty, function

@@ -7,8 +7,9 @@ import pytest
 
 import swtorsion
 from swtorsion import sympower
-from swtorsion.linalg import det_int
-from swtorsion.reference import (SymClass, apply_induced, char_series,
+from swtorsion.linalg import det_int, identity_matrix, mat_mul
+from swtorsion.reference import (Monomial, SymClass, apply_induced,
+                                 basis_class, c_class, char_series,
                                  contract_class, dual_basis, duality_pair,
                                  enumerate_basis, exterior_power_trace,
                                  geometric_inverse_square, graded_trace,
@@ -17,7 +18,7 @@ from swtorsion.reference import (SymClass, apply_induced, char_series,
                                  top_evaluate, wedge_class)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import MappingClass, SurfaceModel, random_symplectic
-from swtorsion.sympower import Monomial, SymSpace, handle_duality
+from swtorsion.sympower import SymSpace, handle_duality
 
 T1 = SurfaceModel(1)
 SPLIT2 = SurfaceModel(2, (1, 1))
@@ -72,20 +73,20 @@ def test_dimension_and_betti_profile():
 
 def test_wedge_prepends_with_sign():
     space = SymSpace(SPLIT2, 1)
-    c0 = SPLIT2.c_class(0)
+    c0 = c_class(SPLIT2, 0)
     out = wedge_class(c0, cls(space, [2], 0))  # index 2 is an x class
     assert out == cls(SymSpace(SPLIT2, 2), [0, 2])
     # repeated factor dies
     assert wedge_class(c0, cls(space, [0])).is_zero()
     # one transposition: c_1 ^ c_0 = -(c_0 ^ c_1), on a two-handle surface
     two = SurfaceModel(2, (2, 0))
-    out = wedge_class(two.c_class(1), cls(SymSpace(two, 1), [0]))
+    out = wedge_class(c_class(two, 1), cls(SymSpace(two, 1), [0]))
     assert out == cls(SymSpace(two, 2), [0, 1], coeff=-1)
 
 
 def test_contract_examples():
     space = SymSpace(SPLIT2, 1)
-    c0 = SPLIT2.c_class(0)
+    c0 = c_class(SPLIT2, 0)
     # iota_c(d) = <c, d> = 1
     out = contract_class(c0, cls(space, [1]))
     assert out == SymClass.monomial(SymSpace(SPLIT2, 0), mono(()))
@@ -112,7 +113,7 @@ def test_contract_is_antiderivation():
         space = SymSpace(surface, n)
         w = wedge_monomials(space, a, b)
         sign, ab = w
-        c = surface.basis_class(rng.randint(0, 3))
+        c = basis_class(surface, rng.randint(0, 3))
         lhs = contract_class(c, SymClass.monomial(space, ab, sign))
         # iota(a)^b + (-1)^{deg a} a^iota(b), assembled monomial by monomial
         target = SymSpace(surface, n - 1) if n else SymSpace(surface, 0)
@@ -138,9 +139,9 @@ def test_contractions_square_to_zero_and_anticommute():
     space = SymSpace(surface, 3)
     basis = enumerate_basis(space)
     for i in range(4):
-        ci = surface.basis_class(i)
+        ci = basis_class(surface, i)
         for j in range(4):
-            cj = surface.basis_class(j)
+            cj = basis_class(surface, j)
             for m in basis:
                 alpha = SymClass.monomial(space, m)
                 once = contract_class(ci, contract_class(cj, alpha))
@@ -151,7 +152,7 @@ def test_contractions_square_to_zero_and_anticommute():
 
 
 def test_induced_identity_and_y_fixed():
-    A = MappingClass.identity(T1)
+    A = MappingClass(T1, identity_matrix(2))
     endo = induced_endomorphism(A, 2)
     for m, col in zip(enumerate_basis(endo.space), endo.columns):
         assert col == SymClass.monomial(endo.space, m)
@@ -169,7 +170,7 @@ def test_induced_functoriality():
     for seed in range(4):
         A = random_symplectic(SPLIT2, 5, seed)
         B = random_symplectic(SPLIT2, 5, seed + 50)
-        AB = A.compose(B)
+        AB = MappingClass(SPLIT2, mat_mul(A.mat, B.mat))
         space = SymSpace(SPLIT2, rng.randint(0, 2))
         for m in enumerate_basis(space):
             x = SymClass.monomial(space, m)
@@ -178,12 +179,13 @@ def test_induced_functoriality():
 
 def test_graded_trace_examples():
     space = SymSpace(T1, 2)
-    zero = induced_endomorphism(MappingClass.identity(T1), 2)
+    zero = induced_endomorphism(MappingClass(T1, identity_matrix(2)), 2)
     zero = type(zero)(space, tuple(SymClass.zero(space) for _ in zero.columns))
     assert graded_trace(zero) == 0
-    assert graded_trace(induced_endomorphism(MappingClass.identity(T1), 2)) == 0
     assert graded_trace(induced_endomorphism(
-        MappingClass.identity(SurfaceModel(2)), 2)) == 1
+        MappingClass(T1, identity_matrix(2)), 2)) == 0
+    assert graded_trace(induced_endomorphism(
+        MappingClass(SurfaceModel(2), identity_matrix(4)), 2)) == 1
 
 
 def test_lefschetz_examples():
@@ -192,9 +194,9 @@ def test_lefschetz_examples():
     assert lefschetz_number(A, 1) == -1
     # identity: coefficient of t^n in (1-t)^{2G-2}
     for G in (1, 2):
-        I = MappingClass.identity(SurfaceModel(G))
+        I = MappingClass(SurfaceModel(G), identity_matrix(2 * G))
         one_minus = TruncSeries(4, [1, -1])
-        poly = TruncSeries.one(4)
+        poly = TruncSeries(4, (1,))
         for _ in range(2 * G - 2):
             poly = poly * one_minus
         for n in range(5):

@@ -6,13 +6,14 @@ import pytest
 
 from swtorsion.intersection import intersection_number
 from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
-from swtorsion.reference import (SymClass, ascend_map, char_series,
-                                 descend_map, enumerate_basis, graded_trace,
-                                 induced_endomorphism, kappa_matrix,
+from swtorsion.reference import (Monomial, SymClass, ascend_map,
+                                 char_series, descend_map, enumerate_basis,
+                                 graded_trace, induced_endomorphism,
+                                 intersection_matrix, inverse, kappa_matrix,
                                  lefschetz_number)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import MappingClass, SurfaceModel
-from swtorsion.sympower import Monomial, SymSpace
+from swtorsion.sympower import SymSpace
 import swtorsion
 from swtorsion import linalg, torsion, tqft
 from swtorsion.torsion import (morse_differential_matrix, morse_torsion,
@@ -41,7 +42,7 @@ def test_validate_presentation():
 
 
 def test_presentation_requires_split_surface():
-    A = MappingClass.identity(SurfaceModel(2))
+    A = MappingClass(SurfaceModel(2), identity_matrix(4))
     with pytest.raises(ValueError):
         Presentation(1, 1, A)
 
@@ -50,7 +51,7 @@ def test_presentation_accepts_unsplit_surface_without_handles():
     A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
     P = Presentation(1, 0, A)
     assert P.surface == SurfaceModel(1, (0, 1))
-    assert trace_kappa_series(P, 3) == zeta_series(A, 3).coeffs
+    assert trace_kappa_series(P, 3) == zeta_series(P, 3).coeffs
 
 
 def _monomial_class(space, idx, q=0, coeff=1):
@@ -65,7 +66,7 @@ def test_descend_consumes_handle_duals():
         d_then_x = tuple(range(N, 2 * N)) + (2 * N,)
         alpha = _monomial_class(big, d_then_x, q=0)
         out = descend_map(P, 1, alpha)
-        small = SymSpace(P.small_surface, 1)
+        small = SymSpace(SurfaceModel(P.genus), 1)
         assert out == _monomial_class(small, (0,))
 
 
@@ -79,7 +80,7 @@ def test_descend_ascend_without_handles_is_identity():
     P = make_presentation(2, 0, 5, 11)
     n = 2
     big = SymSpace(P.surface, n)
-    small = SymSpace(P.small_surface, n)
+    small = SymSpace(SurfaceModel(P.genus), n)
     for m in enumerate_basis(big):
         down = descend_map(P, n, SymClass.monomial(big, m))
         assert down == SymClass.monomial(small, m)
@@ -88,7 +89,7 @@ def test_descend_ascend_without_handles_is_identity():
 
 def test_ascend_of_one_is_handle_wedge():
     P = make_presentation(0, 2, 0, 0)
-    small = SymSpace(P.small_surface, 0)
+    small = SymSpace(SurfaceModel(P.genus), 0)
     out = ascend_map(P, 0, _monomial_class(small, ()))
     assert out == _monomial_class(SymSpace(P.surface, 2), (0, 1))
 
@@ -97,7 +98,7 @@ def test_descend_after_ascend_vanishes_with_handles():
     # the handle classes are isotropic, so contracting the c-wedge gives zero
     for N in (1, 2):
         P = make_presentation(1, N, 0, 0)
-        small = SymSpace(P.small_surface, 1)
+        small = SymSpace(SurfaceModel(P.genus), 1)
         for m in enumerate_basis(small):
             up = ascend_map(P, 1, SymClass.monomial(small, m))
             assert descend_map(P, 1, up).is_zero()
@@ -176,11 +177,12 @@ def test_trace_point_count_genus_zero():
 
 def test_zeta_examples():
     P = make_presentation(1, 0, 0, 0)
-    assert zeta_series(P, 3) == TruncSeries.one(3)
+    assert zeta_series(P, 3) == TruncSeries(3, (1,))
     P0 = make_presentation(0, 0, 0, 0)
     assert zeta_series(P0, 4) == TruncSeries(4, [1, 2, 3, 4, 5])
     A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
-    assert zeta_series(A, 3) == TruncSeries(3, [1, -1, -2, -3])
+    assert zeta_series(Presentation(1, 0, A), 3) == \
+        TruncSeries(3, [1, -1, -2, -3])
 
 
 def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
@@ -420,15 +422,11 @@ def test_b1_of_two_sphere_cross_circles():
     assert [compute_b1(Q) for Q, _ in cases] == [b1 for _, b1 in cases]
 
 
-def test_compute_b1_never_inverts_the_monodromy(monkeypatch):
-    # rank(Q (1 - A^-1)) is read as rank(Q (A - 1))
-    expected = [compute_b1(P) for P in presentation_sample(8, seed=5)]
-
-    def refuse(self):
-        raise AssertionError("compute_b1 inverted the monodromy")
-
-    monkeypatch.setattr(MappingClass, "inverse", refuse)
-    assert [compute_b1(P) for P in presentation_sample(8, seed=5)] == expected
+def test_compute_b1_never_inverts_the_monodromy(without_reference):
+    # rank(Q (1 - A^-1)) is read as rank(Q (A - 1)); the inverse of a
+    # mapping class, reference.inverse, cannot be imported here
+    assert [compute_b1(P) for P in presentation_sample(8, seed=5)] == [
+        4, 1, 1, 1, 2, 1, 1, 1]
 
 
 def test_sw_table_degree_maps():
@@ -500,8 +498,8 @@ def _conjugator(P, seed):
             v[2 * N + a] = v[2 * N + b] = 1
             vecs.append(tuple(v))
     if not vecs:
-        return MappingClass.identity(surface)
-    J = surface.intersection_matrix
+        return MappingClass(surface, identity_matrix(n2))
+    J = intersection_matrix(surface)
     for _ in range(6):
         v = rng.choice(vecs)
         cols = []
@@ -518,8 +516,8 @@ def test_trace_conjugation_invariance():
     # when N changes), the sw rows and intersect agree through n = 2g
     for P in presentation_sample(8, seed=9090):
         S = _conjugator(P, 555)
-        conj = S.compose(P.monodromy).compose(S.inverse())
-        Q = Presentation(P.genus, P.handles, conj)
+        conj = mat_mul(mat_mul(S.mat, P.monodromy.mat), inverse(S).mat)
+        Q = Presentation.from_matrix(P.genus, P.handles, conj)
         nmax = max(2 * P.genus, 2)
         assert trace_kappa_series(P, nmax) == trace_kappa_series(Q, nmax)
         assert block_b1(P) == block_b1(Q) and compute_b1(P) == compute_b1(Q)
