@@ -23,11 +23,11 @@ for n in range(4):
     print(f"  n={n}: trace={tr}  lefschetz={lef}")
 
 # A random genus-2 monodromy, built deterministically from a transvection
-# word.  Every call reads det(1 - tA) from Newton's identities on the traces
-# of A^k and checks it against one division-free Berkowitz pass
-# (linalg.det_one_minus_t), raising if they disagree; verify's side of the
-# trace identity reads det(1 - tA) from that Berkowitz pass alone.  The
-# Lefschetz numbers printed above are a further route.
+# word.  zeta_series reads det(1 - tA) once, from Newton's identities on the
+# traces of A^k.  verify's side of the trace identity reads it from one
+# division-free Berkowitz pass (linalg.det_one_minus_t) instead, so verify
+# at N = 0 checks what zeta prints.  The Lefschetz numbers printed above are
+# a further route.
 from swtorsion import random_symplectic
 
 A = random_symplectic(SurfaceModel(2), 6, seed=11)

@@ -16,10 +16,10 @@ from .surface import (MappingClass, SurfaceModel, is_symplectic,
 from .sympower import SymSpace
 from .torsion import (MorseMatrix, morse_differential_matrix, morse_torsion,
                       torsion_representative)
-from .tqft import (CrossCheckError, Presentation, SWRow, SWTable,
-                   VerificationReport, VerificationRow, compute_b1,
-                   rhs_series, sw_table, trace_kappa_coefficient,
-                   validate_presentation, verify_main_identity, zeta_series)
+from .tqft import (Presentation, SWRow, SWTable, VerificationReport,
+                   VerificationRow, compute_b1, rhs_series, sw_table,
+                   trace_kappa_coefficient, validate_presentation,
+                   verify_main_identity, zeta_series)
 from .intersection import intersection_number
 from . import intersection, surface, sympower, torsion, tqft
 
@@ -38,7 +38,6 @@ __all__ = [
     "Presentation", "validate_presentation", "descend_map", "ascend_map",
     "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series", "rhs_series",
     "verify_main_identity", "VerificationReport", "VerificationRow",
-    "CrossCheckError",
     "compute_b1", "sw_table", "SWTable", "SWRow",
     "ProductClass", "diagonal_class", "graph_class", "product_evaluate",
     "intersection_number",

@@ -7,9 +7,8 @@ Presentations are JSON documents::
 with the monodromy given row-major as the pullback action on H^1 in the
 split basis (c_0..c_{N-1}, d_0..d_{N-1}, x_0..x_{2g-1}).  Tables print as
 TSV with a header row by default; ``--format json`` mirrors the same fields.
-Exit codes: 0 success or verification pass, 1 verification mismatch, a
-failed internal cross-check or a remainder in a kernel's exact division,
-2 malformed input.
+Exit codes: 0 success or verification pass, 1 verification mismatch or a
+remainder in a kernel's exact division, 2 malformed input.
 """
 from __future__ import annotations
 
@@ -22,9 +21,9 @@ from .intersection import intersection_number
 from .linalg import ExactDivisionError
 from .surface import SurfaceModel, random_symplectic
 from .torsion import torsion_representative
-from .tqft import (SYMPLECTIC_PROBLEM, CrossCheckError, Presentation,
-                   compute_b1, shape_problems, sw_table,
-                   trace_kappa_coefficient, verify_main_identity, zeta_series)
+from .tqft import (SYMPLECTIC_PROBLEM, Presentation, compute_b1,
+                   shape_problems, sw_table, trace_kappa_coefficient,
+                   verify_main_identity, zeta_series)
 
 
 class InputError(Exception):
@@ -168,7 +167,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CrossCheckError, ExactDivisionError) as e:
+    except ExactDivisionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

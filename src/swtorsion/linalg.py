@@ -5,9 +5,10 @@ elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
 and column basis, and ``signed_pencil``, the library's one determinant
 pencil in Bareiss form, takes g + 1 of those determinants.  The one
 exception is ``det_one_minus_t``, which reads the whole polynomial
-det(1 - tA) from one division-free Berkowitz pass: the zeta check and the
-zeta function of ``verify``'s rhs, kept apart from ``signed_pencil`` and
-from ``torsion.newton_pencil``.  The rational and unimodular routes on the
+det(1 - tA) from one division-free Berkowitz pass: the zeta function of
+``verify``'s rhs, kept apart from ``signed_pencil`` and from
+``torsion.newton_pencil``, so that ``verify`` at N = 0 checks the kernel
+that ``zeta`` prints.  The rational and unimodular routes on the
 same kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
 ``independent_columns``) and ``perm_parity`` are reference routes in
 ``swtorsion.reference``.  Nothing here ever touches a float.

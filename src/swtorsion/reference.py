@@ -241,9 +241,9 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
 
     This is ``linalg.signed_pencil`` at N = 0: A is symplectic, so
     det(1 + sA) is reciprocal of degree 2G and G + 1 Bareiss determinants
-    give it.  The zeta check and ``verify``'s rhs read the same polynomial
-    from one Berkowitz pass (``linalg.det_one_minus_t``), and the trace,
-    torsion and zeta commands through ``torsion.newton_pencil``; this
+    give it.  ``verify``'s rhs reads the same polynomial from one
+    Berkowitz pass (``linalg.det_one_minus_t``), and the trace, torsion
+    and zeta commands through ``torsion.newton_pencil``; this
     function, the Bareiss route, is the tests' third witness and the
     stand-alone form for callers holding a bare mapping class.
     """

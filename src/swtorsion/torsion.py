@@ -16,9 +16,9 @@ traces of its powers; it falls back to ``linalg.signed_pencil`` when
 A[D, C] is singular.  ``signed_pencil``, which takes g + 1 Bareiss
 determinants and is imported here, is that fallback, the diagonal column
 of ``verify`` and the reference the tests check the kernel against.  The route
-that ``tqft.zeta_series`` checks the kernel against on every call, and
-that ``verify``'s rhs reads, is neither: it is the Berkowitz pass
-``linalg.det_one_minus_t``.
+that ``verify``'s rhs reads, and so the one that checks the kernel
+``tqft.zeta_series`` prints when ``verify`` runs at N = 0, is neither: it
+is the Berkowitz pass ``linalg.det_one_minus_t``.
 """
 from __future__ import annotations
 

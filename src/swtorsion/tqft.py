@@ -17,9 +17,10 @@ and their signed sums by subset size are the coefficients of the Bareiss
 pencil ``linalg.signed_pencil`` (g + 1 determinants), which
 ``verify_main_identity`` reads as its second trace column.
 ``zeta_series`` reads det(1 - tA) from the same kernel at N = 0 and
-checks it, on every call, against one Berkowitz pass
-``linalg.det_one_minus_t``.  The rhs of ``verify`` reads det(1 - tA)
-from that Berkowitz pass alone, so it shares no code with either pencil.
+nothing else.  The rhs of ``verify`` reads det(1 - tA) from one Berkowitz
+pass ``linalg.det_one_minus_t``, so it shares no code with either pencil;
+at N = 0 ``verify`` is therefore where the kernel that ``zeta`` prints is
+checked against the Berkowitz pass.
 The assembled kappa_n and the subset-by-subset sum of its diagonal
 (``kappa_matrix``, ``descend_map``, ``ascend_map``, ``kappa_trace``,
 ``_minor_sums``) are reference routes in ``swtorsion.reference``, run by
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import List, Optional, Tuple
 
-from .linalg import (ExactDivisionError, det_one_minus_t, rank_int,
-                     signed_pencil)
+from .linalg import det_one_minus_t, rank_int, signed_pencil
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel, is_symplectic
 from .torsion import morse_torsion, newton_pencil
@@ -119,8 +119,9 @@ def _trace_series(A: MappingClass, nmax: int) -> Tuple[int, ...]:
     """Coefficients n = 0..nmax of det(1 - tA) / (1 - t)^2, with the
     numerator from one Berkowitz pass ``linalg.det_one_minus_t``, stopped
     at t^nmax.  It forms no matrix product and no Bareiss determinant, so
-    it shares no code with ``newton_pencil``: ``zeta_series`` checks the
-    kernel against it, and ``rhs_series`` reads the zeta function from it.
+    it shares no code with ``newton_pencil``.  ``rhs_series`` reads the
+    zeta function from it, so ``verify`` at N = 0 checks the kernel that
+    ``zeta_series`` prints against it; no command runs it otherwise.
     """
     return _over_square(det_one_minus_t(A.mat, nmax), nmax)
 
@@ -146,36 +147,21 @@ def trace_kappa_coefficient(P: Presentation, n: int) -> int:
     return trace_kappa_series(P, n)[n]
 
 
-class CrossCheckError(RuntimeError):
-    """Two independent routes to one invariant disagreed; the CLI reports it
-    on stderr and exits 1."""
-
-
 def zeta_series(P: Presentation, kmax: int) -> TruncSeries:
     """Zeta function of P's monodromy; wrap a bare A as Presentation(G, 0, A).
 
     det(1 - tA) / (1 - t)^2, with det(1 - tA) from the power-sum kernel
-    ``newton_pencil`` at N = 0, where delta = 1 and T = A: the route the
-    ``zeta`` command prints, at most ceil(min(kmax, G) / 2) - 1 products
-    of size 2G.  Every call checks it against ``_trace_series``, one
-    Berkowitz pass over A, which shares no code with the kernel.  A
-    remainder in the kernel's Newton division or a disagreement raises
-    ``CrossCheckError``.  ``rhs_series``, the side of ``verify`` that must
-    not read the kernel, reads the Berkowitz pass alone.
+    ``newton_pencil`` at N = 0, where delta = 1 and T = A: at most
+    ceil(min(kmax, G) / 2) - 1 products of size 2G.  A remainder in the
+    kernel's Newton division raises ``ExactDivisionError``.  No second
+    route runs here: ``verify`` at N = 0 compares this kernel with
+    ``_trace_series``, one Berkowitz pass over A that shares no code with
+    it, and so does ``test_zeta_routes_agree``.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    A = P.monodromy
-    try:
-        coeffs = _over_square(newton_pencil(A.mat, 0, kmax), kmax)
-    except ExactDivisionError as e:
-        raise CrossCheckError(f"zeta cross-check failed: {e} in the "
-                              "power-sum kernel of det(1 - tA)") from None
-    if coeffs != _trace_series(A, kmax):
-        raise CrossCheckError("zeta cross-check failed: the power-sum kernel "
-                              "and the Berkowitz pass disagree on "
-                              "det(1 - tA)")
-    return TruncSeries(kmax, coeffs)
+    numerator = newton_pencil(P.monodromy.mat, 0, kmax)
+    return TruncSeries(kmax, _over_square(numerator, kmax))
 
 
 def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
@@ -187,11 +173,12 @@ def rhs_series(P: Presentation, nmax: int) -> TruncSeries:
     (1 - t)^2, not ``zeta_series``: the trace, that ratio and
     ``zeta_series`` all read ``newton_pencil``, so only these routes keep
     this side independent of the trace.  A wrong zeta function changes
-    the rows, and ``verify`` reports them as mismatches.  The Morse matrix
-    carries one factor of t per handle, so the product zeta * det starts
-    at t^N; coefficient n of the trace identity is coefficient n + N of
-    that product.  The shift is exact: the low coefficients vanish
-    identically.
+    the rows, and ``verify`` reports them as mismatches; at N = 0 the
+    torsion is 1, so this side checks what ``zeta`` prints.  The Morse
+    matrix carries one factor of t per handle, so the product zeta * det
+    starts at t^N; coefficient n of the trace identity is coefficient
+    n + N of that product.  The shift is exact: the low coefficients
+    vanish identically.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")

@@ -25,7 +25,7 @@ ALL = [
     "Presentation", "validate_presentation", "descend_map", "ascend_map",
     "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series",
     "rhs_series", "verify_main_identity", "VerificationReport",
-    "VerificationRow", "CrossCheckError",
+    "VerificationRow",
     "compute_b1", "sw_table", "SWTable", "SWRow",
     "ProductClass", "diagonal_class", "graph_class", "product_evaluate",
     "intersection_number",

@@ -185,8 +185,11 @@ def test_zeta_examples():
         TruncSeries(3, [1, -1, -2, -3])
 
 
-def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
-    P = make_presentation(1, 1, 12, 5)
+def test_a_wrong_berkowitz_pass_shows_in_verify_not_in_zeta(monkeypatch):
+    # zeta prints the kernel and runs no second route; verify's rhs reads
+    # det(1 - tA) from the Berkowitz pass, so at N = 0 verify is the check
+    # of what zeta prints, and a wrong pass mismatches from row 2 on
+    P = make_presentation(2, 0, 12, 5)
     honest = tqft._trace_series
 
     def off_by_one(A, nmax):
@@ -194,17 +197,20 @@ def test_zeta_raises_when_the_two_expansions_disagree(monkeypatch):
         coeffs[2] += 1
         return tuple(coeffs)
 
-    zeta_series(P, 4)
+    zeta = zeta_series(P, 4)
+    assert verify_main_identity(P, 4).passed
     monkeypatch.setattr(tqft, "_trace_series", off_by_one)
-    with pytest.raises(RuntimeError):
-        zeta_series(P, 4)
+    assert zeta_series(P, 4) == zeta
+    report = verify_main_identity(P, 4)
+    assert not report.passed
+    assert [r.match for r in report.rows] == [True, True, False, True, True]
 
 
 def test_zeta_and_pencil_cost_guard(monkeypatch):
     # a palindromic pencil of degree 2w takes w + 1 determinants; the
     # kernel at N = 0 forms T^2 .. T^ceil(w/2) of T = A, w = min(kmax, G),
-    # and zeta's check is one Berkowitz pass with no determinant and no
-    # Bareiss pencil; verify reads det(1 - tA) from one Berkowitz pass
+    # and zeta runs nothing else: no determinant, no Bareiss pencil and no
+    # Berkowitz pass; verify reads det(1 - tA) from one Berkowitz pass
     calls = {"det_int": 0, "kernel_mul": 0, "berkowitz": 0,
              "signed_pencil": 0}
 
@@ -234,7 +240,7 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
         zeta_series(make_presentation(g, N, 40, 1), kmax)
         assert calls["kernel_mul"] <= max(-(-min(kmax, G) // 2) - 1, 0)
         assert calls["det_int"] == calls["signed_pencil"] == 0
-        assert calls["berkowitz"] == 1
+        assert calls["berkowitz"] == 0
     for g, N, nmax in ((2, 1, 3), (0, 3, 4), (3, 0, 8)):
         calls["berkowitz"] = 0
         assert verify_main_identity(make_presentation(g, N, 20, 3), nmax).passed
