@@ -8,13 +8,15 @@ with the monodromy given row-major as the pullback action on H^1 in the
 split basis (c_0..c_{N-1}, d_0..d_{N-1}, x_0..x_{2g-1}).  Tables print as
 TSV with a header row by default; ``--format json`` mirrors the same fields.
 Exit codes: 0 success or verification pass, 1 verification mismatch or a
-remainder in a kernel's exact division, 2 malformed input.
+remainder in a kernel's exact division, 2 malformed input or a ``gen``
+fixture whose entries pass Python's cap on integer digits.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
 from .intersection import intersection_number
@@ -71,7 +73,11 @@ def write_presentation(P: Presentation, path: str) -> None:
     doc = {} if P.name is None else {"name": P.name}
     doc.update(genus=P.genus, handles=P.handles,
                monodromy=[list(row) for row in P.monodromy.mat])
-    text = json.dumps(doc, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, indent=2) + "\n"
+    except ValueError:  # the digit limit, which load_presentation applies
+        raise InputError(f"{path}: an entry passes Python's limit of "
+                         f"{sys.get_int_max_str_digits()} digits on integers")
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -96,19 +102,17 @@ def _emit(rows: List[dict], header: List[str], fmt: str, out) -> None:
             out.write("\t".join(str(row[h]) for h in header) + "\n")
 
 
-def _emit_series(series, fmt: str, out) -> None:
-    """Print the coefficients of a series exactly.  Torsion coefficients
-    grow exponentially in k, past Python's cap on the digits of
-    ``str(int)`` (4,300 since 3.11 and 3.10.7; 0 means no cap), so the cap
-    is lifted while they print and restored after: ``load_presentation``
-    still reads input under it, and an over-long literal stays malformed."""
+@contextmanager
+def _exact_digits():
+    """Lift Python's cap on the digits of ``str(int)`` (4,300 since 3.11
+    and 3.10.7; 0 means no cap) while a command runs on a presentation it
+    has read, and restore it after: torsion coefficients and traces pass
+    the cap, while input is read and ``gen`` writes under it."""
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if cap:
         sys.set_int_max_str_digits(0)
     try:
-        rows = [{"k": k, "coefficient": str(c)}
-                for k, c in enumerate(series.coeffs)]
-        _emit(rows, ["k", "coefficient"], fmt, out)
+        yield
     finally:
         if cap:
             sys.set_int_max_str_digits(cap)
@@ -184,7 +188,11 @@ def _dispatch(args, out) -> int:
         return 0
 
     P = load_presentation(args.file)
+    with _exact_digits():
+        return _run(args, P, out)
 
+
+def _run(args, P: Presentation, out) -> int:
     if args.command == "validate":
         out.write("valid\n")
         return 0
@@ -200,12 +208,12 @@ def _dispatch(args, out) -> int:
     if value < 0:
         raise InputError(f"--{flag} must be nonnegative")
 
-    if args.command == "zeta":
-        _emit_series(zeta_series(P, args.kmax), args.format, out)
-        return 0
-
-    if args.command == "torsion":
-        _emit_series(torsion_representative(P, args.kmax), args.format, out)
+    if args.command in ("zeta", "torsion"):
+        series = (zeta_series if args.command == "zeta"
+                  else torsion_representative)(P, value)
+        rows = [{"k": k, "coefficient": str(c)}
+                for k, c in enumerate(series.coeffs)]
+        _emit(rows, ["k", "coefficient"], args.format, out)
         return 0
 
     if args.command == "sw":

@@ -3,15 +3,16 @@
 Matrices are immutable tuples of row tuples.  One fraction-free (Bareiss)
 elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
 and column basis, and ``signed_pencil``, the library's one determinant
-pencil in Bareiss form, takes g + 1 of those determinants.  The one
-exception is ``det_one_minus_t``, which reads the whole polynomial
-det(1 - tA) from one division-free Berkowitz pass: the zeta function of
-``verify``'s rhs, kept apart from ``signed_pencil`` and from
-``torsion.newton_pencil``, so that ``verify`` at N = 0 checks the kernel
-that ``zeta`` prints.  The rational and unimodular routes on the
-same kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
-``independent_columns``) and ``perm_parity`` are reference routes in
-``swtorsion.reference``.  Nothing here ever touches a float.
+pencil in Bareiss form, takes g + 1 of those determinants.  The other
+is Berkowitz's division-free recursion ``_berkowitz``, written once for
+any commutative ring: ``verify``'s rhs runs it over the integers
+(``det_one_minus_t``) and over truncated series (``series.series_det``),
+apart from ``signed_pencil`` and ``torsion.newton_pencil``, so that
+``verify`` at N = 0 checks the kernel that ``zeta`` prints.  The rational
+and unimodular routes on the same kernel (``det_rational``,
+``invert_rational``, ``invert_unimodular``, ``independent_columns``) and
+``perm_parity`` are reference routes in ``swtorsion.reference``.  Nothing
+here ever touches a float.
 """
 from __future__ import annotations
 
@@ -106,38 +107,44 @@ def det_int(a: tuple) -> int:
 def det_one_minus_t(a: tuple, top: int) -> Tuple[int, ...]:
     """Coefficients of det(1 - t a) up to t^top, lowest degree first, for
     any square integer matrix a (the empty one gives (1,)); every
-    coefficient when top >= len(a).
+    coefficient when top >= len(a), by ``_berkowitz`` over the integers."""
+    return tuple(_berkowitz(a, min(len(a), top) + 1,
+                            lambda u, v: sum(map(operator.mul, u, v)),
+                            operator.neg, 1))
+
+
+def _berkowitz(a: Sequence[Sequence], length: int, dot, neg, one) -> list:
+    """Coefficients 0 .. length - 1 of det(1 - t a), lowest degree first,
+    for a square matrix a over the commutative ring in which ``dot(u, v)``
+    is sum_i u_i v_i (over the shorter of u and v), ``neg`` the negation
+    and ``one`` the unit.
 
     det(1 - t a) = t^n det(1/t - a), so these are the coefficients of the
-    characteristic polynomial det(x - a), highest power first.  Berkowitz's
-    division-free algorithm (Inf. Process. Lett. 18, 1984) builds them
-    from the trailing blocks: with the block from row r on written
-    [[a_rr, R], [C, B]], its characteristic polynomial is the lower
-    triangular Toeplitz matrix with first column (1, -a_rr, -R C, -R B C,
-    .., -R B^{s-1} C), s the size of B, times that of B.  That is about
-    n^4 / 4 integer products and no division, Bareiss elimination or
-    matrix product; ``series.series_det`` runs the same recursion over
-    truncated series.  Coefficient i of a Toeplitz product reads only the
-    entries up to i of both factors, so at order ``top`` each Krylov
-    column stops at R B^{top-2} C and each product at t^top.
+    characteristic polynomial det(x - a), highest power first; coefficient
+    n is det(-a).  Berkowitz's division-free algorithm (Inf. Process. Lett.
+    18, 1984) builds them from the trailing blocks: with the block from row
+    r on written [[a_rr, R], [C, B]], its characteristic polynomial is the
+    lower triangular Toeplitz matrix with first column (1, -a_rr, -R C,
+    -R B C, .., -R B^{s-1} C), s the size of B, times that of B.  That is
+    about n^4 / 4 ring products and no division, so zero divisors and
+    vanishing constant terms are allowed.  Coefficient i of a Toeplitz
+    product reads only the entries up to i of both factors, so every
+    Krylov column and every product stops at coefficient length - 1.
     """
     n = len(a)
-    size = min(n, top) + 1
-    poly = [1]
+    poly = [one]
     for r in range(n - 1, -1, -1):
-        row = a[r]
-        R = row[r + 1:]
-        B = [a[i][r + 1:] for i in range(r + 1, n)]
-        v = [a[i][r] for i in range(r + 1, n)]
-        length = min(n - r + 1, size)
-        column = [1, -row[r]]
-        for k in range(length - 2):
+        R = a[r][r + 1:]
+        B = [row[r + 1:] for row in a[r + 1:]]
+        v = [row[r] for row in a[r + 1:]]
+        size = min(n - r + 1, length)
+        column = [one, neg(a[r][r])]
+        for k in range(size - 2):
             if k:
-                v = [sum(map(operator.mul, b, v)) for b in B]
-            column.append(-sum(map(operator.mul, R, v)))
-        poly = [sum(map(operator.mul, column[i::-1], poly))
-                for i in range(length)]
-    return tuple(poly)
+                v = [dot(b, v) for b in B]
+            column.append(neg(dot(R, v)))
+        poly = [dot(column[i::-1], poly) for i in range(size)]
+    return poly
 
 
 def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:

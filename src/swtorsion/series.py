@@ -6,11 +6,16 @@ require equal orders and never resize silently.  Coefficients are Python
 ints: zeta counts closed orbits and torsion counts flow lines, so every
 series of the library is integral, and the constructor rejects anything
 else.  Zero is ``TruncSeries(order)``, one ``TruncSeries(order, (1,))``.
+``series_det`` runs ``linalg._berkowitz``, the recursion of
+``linalg.det_one_minus_t``, over the coefficient tuples.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
+
+from .linalg import _berkowitz
 
 
 @dataclass(frozen=True)
@@ -86,15 +91,9 @@ class TruncSeries:
 
 
 def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSeries:
-    """Determinant of a square matrix of truncated series.
-
-    Berkowitz's division-free algorithm: with the trailing block of the
-    matrix written [[a, R], [C, B]], the characteristic polynomial of the
-    block is a lower triangular Toeplitz matrix with first column
-    (1, -a, -RC, -RBC, -RB^2C, ..) times that of B.  An n x n matrix costs
-    about n^4 / 4 truncated series products and no division, so the
-    constant terms may vanish.  The work runs on the plain coefficient tuples;
-    ``reference.torsion_coefficient_direct`` is the independent reference.
+    """Determinant of a square matrix M of truncated series: (-1)^n times
+    coefficient n of det(1 - t M), with no division, so the constant terms
+    may vanish; ``reference.torsion_coefficient_direct`` is the reference.
     """
     n = len(entries)
     m = []
@@ -105,35 +104,13 @@ def series_det(entries: Sequence[Sequence[TruncSeries]], order: int) -> TruncSer
             if e.order != order:
                 raise ValueError(f"order mismatch: {e.order} vs {order}")
         m.append([e.coeffs for e in row])
-    zero = [0] * (order + 1)
-    # poly: coefficients of det(x - B) for the current trailing block B,
-    # highest power of x first; each coefficient is a truncated series.
-    poly = [[1] + zero[1:]]
-    for r in range(n - 1, -1, -1):
-        size = n - r
-        R = m[r][r + 1:]
-        B = [row[r + 1:] for row in m[r + 1:]]
-        column = [_neg(m[r][r])]
-        v = [row[r] for row in m[r + 1:]]
-        for k in range(size - 1):
-            column.append(_neg(_dot(R, v, order)))
-            if k < size - 2:
-                v = [_dot(row, v, order) for row in B]
-        # The last step needs only the constant coefficient, det(-M).
-        rows = range(size + 1) if r else (size,)
-        poly = [_add(poly[i] if i < size else zero,
-                     _dot(column[:i][::-1], poly[:i], order))
-                for i in rows]
-    det = poly[-1] if n % 2 == 0 else _neg(poly[-1])
-    return TruncSeries(order, det)
+    det = _berkowitz(m, n + 1, partial(_dot, order=order), _neg,
+                     (1,) + (0,) * order)[n]
+    return TruncSeries(order, _neg(det) if n % 2 else det)
 
 
-def _neg(a: list) -> list:
+def _neg(a: Sequence[int]) -> list:
     return [-x for x in a]
-
-
-def _add(a: list, b: list) -> list:
-    return [x + y for x, y in zip(a, b)]
 
 
 def _dot(us: Sequence[list], vs: Sequence[list], order: int) -> list:

@@ -18,7 +18,9 @@ determinants and is imported here, is that fallback, the diagonal column
 of ``verify`` and the reference the tests check the kernel against.  The route
 that ``verify``'s rhs reads, and so the one that checks the kernel
 ``tqft.zeta_series`` prints when ``verify`` runs at N = 0, is neither: it
-is the Berkowitz pass ``linalg.det_one_minus_t``.
+is the Berkowitz pass ``linalg.det_one_minus_t``, and ``morse_torsion``'s
+``series.series_det`` is the same recursion, ``linalg._berkowitz``, over
+truncated series.
 """
 from __future__ import annotations
 

@@ -18,9 +18,10 @@ pencil ``linalg.signed_pencil`` (g + 1 determinants), which
 ``verify_main_identity`` reads as its second trace column.
 ``zeta_series`` reads det(1 - tA) from the same kernel at N = 0 and
 nothing else.  The rhs of ``verify`` reads det(1 - tA) from one Berkowitz
-pass ``linalg.det_one_minus_t``, so it shares no code with either pencil;
-at N = 0 ``verify`` is therefore where the kernel that ``zeta`` prints is
-checked against the Berkowitz pass.
+pass ``linalg.det_one_minus_t`` and the Morse determinant from the same
+recursion over series, ``series.series_det``, so it shares no code with
+either pencil; at N = 0 ``verify`` is therefore where the kernel that
+``zeta`` prints is checked against the Berkowitz pass.
 The assembled kappa_n and the subset-by-subset sum of its diagonal
 (``kappa_matrix``, ``descend_map``, ``ascend_map``, ``kappa_trace``,
 ``_minor_sums``) are reference routes in ``swtorsion.reference``, run by

@@ -14,7 +14,8 @@ import swtorsion
 from swtorsion import linalg, reference, series, surface, torsion, tqft
 from swtorsion.cli import (_TABLE_COMMANDS, generate_fixture,
                            load_presentation, main, write_presentation)
-from swtorsion.linalg import det_int, mat_mul, submatrix
+from swtorsion.intersection import intersection_number
+from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
 from swtorsion.series import TruncSeries
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.tqft import (SYMPLECTIC_PROBLEM, Presentation,
@@ -484,12 +485,40 @@ def read_decimal(text):
     return -value if text.startswith("-") else value
 
 
+def large_entry_presentation():
+    """g = 2, N = 1 and A = T_0 T_2 T_4 T_1 T_3 T_5 with the transvections
+    T_i = 1 + k e_i (J e_i)^T, k = 10^1300.  No entry has more than 2,600
+    digits, so the file reads under the cap, while Tr kappa_2 and
+    Tr kappa_3 have 6,501 digits each."""
+    surface = SurfaceModel(3, (1, 2))
+    k = 10 ** 1300
+    A = identity_matrix(6)
+    for i in (0, 2, 4, 1, 3, 5):
+        J = surface.pair_vector([int(j == i) for j in range(6)])
+        A = mat_mul(A, tuple(tuple(int(r == c) + k * (r == i) * J[c]
+                                   for c in range(6)) for r in range(6)))
+    return Presentation.from_matrix(2, 1, A)
+
+
+def read_table(out, fmt, command):
+    """The rows a table command printed, every integer read exactly."""
+    if fmt == "json":
+        doc = json.loads(out, parse_int=read_decimal)
+        return doc["rows"] if command == "sw" else doc
+    lines = out.splitlines()[command == "sw":]
+    header = lines[0].split("\t")
+    return [{h: x if h == "match" else read_decimal(x)
+             for h, x in zip(header, line.split("\t"))}
+            for line in lines[1:]]
+
+
 def test_torsion_prints_exact_coefficients_past_the_digit_limit(tmp_path,
                                                                 capsys):
     # torsion coefficients grow exponentially in k: at kmax = 2000 the last
     # one here has 4,795 digits, past the 4,300 that str(int) allows by
-    # default.  The CLI lifts the cap only while it prints, so the cap is
-    # back afterwards and an over-long input literal is still malformed.
+    # default.  The CLI lifts the cap only while a command runs on a
+    # presentation it has read, so the cap is back afterwards and an
+    # over-long input literal is still malformed.
     P = generate_fixture(1, 2, 20, 1)
     path = tmp_path / "big.json"
     write_presentation(P, str(path))
@@ -508,10 +537,56 @@ def test_torsion_prints_exact_coefficients_past_the_digit_limit(tmp_path,
         assert ([read_decimal(x) for x in printed]
                 == list(torsion.torsion_representative(P, 2000).coeffs))
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+    # sw, verify and intersect print traces of 6,501 digits exactly
+    P = large_entry_presentation()
+    path = tmp_path / "large.json"
+    write_presentation(P, str(path))
+    table = tqft.sw_table(P, 3)
+    value = intersection_number(P, 2)
+    assert value == tqft.trace_kappa_coefficient(P, 2)
+    expected = {
+        ("sw", "--nmax", "3"):
+            [{"n": r.n, "m": r.m, "value": r.value} for r in table.rows],
+        ("verify", "--nmax", "3"):
+            [{"n": r.n, "lhs": r.lhs, "rhs": r.rhs, "match": "match"}
+             for r in tqft.verify_main_identity(P, 3).rows],
+        ("intersect", "--n", "2"):
+            [{"n": 2, "intersection": value, "trace": value,
+              "match": "match"}],
+    }
+    assert abs(value) > 10 ** 4300
+    for (command, flag, n), rows in expected.items():
+        for fmt in ("tsv", "json"):
+            code, out, err = run_cli([command, str(path), flag, n,
+                                      "--format", fmt], capsys)
+            assert (code, err) == (0, "")
+            assert read_table(out, fmt, command) == rows
+            assert getattr(sys, "get_int_max_str_digits",
+                           lambda: None)() == cap
     long = tmp_path / "long.json"
     long.write_text('{"genus": ' + "1" * 5000 + "}")
     code, _, err = run_cli(["validate", str(long)], capsys)
     assert code == 2 and "integer literal too long" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no cap on integer digits")
+def test_gen_refuses_a_fixture_past_the_digit_limit(tmp_path, capsys):
+    # at the least cap Python allows, 640 digits, a word of 14,000
+    # transvections at (1, 1) has entries of 966 digits: the file could not
+    # be read back, so gen writes none and exits 2
+    path = tmp_path / "big.json"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(["gen", "--g", "1", "--handles", "1",
+                                  "--words", "14000", "--seed", "1",
+                                  "--out", str(path)], capsys)
+    finally:
+        sys.set_int_max_str_digits(cap)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ") and "640 digits" in err
+    assert not path.exists()
 
 
 def test_series_commands_json_bytes(tmp_path, capsys):

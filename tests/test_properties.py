@@ -562,6 +562,22 @@ def test_berkowitz_equals_the_bareiss_pencil_on_symplectic_matrices(case):
     assert det_one_minus_t(mat, len(mat)) == signed_pencil(mat, 0)
 
 
+@PROPERTY
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+@example([[(3 * i + 5 * j + i * j) % 19 - 9 for j in range(8)]
+          for i in range(8)])
+def test_series_det_of_one_minus_ta_is_the_integer_pass(a):
+    # the Berkowitz recursion over the two rings: det(1 - t a) read off an
+    # integer matrix, and the determinant of the matrix of series 1 - t a
+    # at order n
+    n = len(a)
+    entries = [[TruncSeries(n, (int(i == j), -x)) for j, x in enumerate(row)]
+               for i, row in enumerate(a)]
+    assert series_det(entries, n).coeffs == det_one_minus_t(a, n)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(rational_matrices())
 def test_invert_rational_is_two_sided_inverse(a):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from swtorsion import linalg, series
+from swtorsion.linalg import det_one_minus_t
 from swtorsion.reference import geometric_inverse_square
 from swtorsion.series import TruncSeries, series_det
 
@@ -121,3 +123,22 @@ def test_series_det_small():
     # det [[1, t], [t, 1]] = 1 - t^2
     assert series_det([[one, t], [t, one]], 3) == S(3, 1, 0, -1)
     assert series_det([], 3) == one
+
+
+def test_one_berkowitz_recursion_serves_both_determinants(monkeypatch):
+    # det(1 - tA) over the integers and the Morse determinant over
+    # truncated series are one recursion, linalg._berkowitz, run once each
+    calls = []
+    honest = linalg._berkowitz
+
+    def counting(*args):
+        calls.append(args)
+        return honest(*args)
+
+    monkeypatch.setattr(linalg, "_berkowitz", counting)
+    monkeypatch.setattr(series, "_berkowitz", counting)
+    assert det_one_minus_t(((1, 2), (3, 4)), 2) == (1, -5, -2)
+    assert len(calls) == 1
+    one, t = S(3, 1), S(3, 0, 1)
+    assert series_det([[one, t], [t, one]], 3) == S(3, 1, 0, -1)
+    assert len(calls) == 2
