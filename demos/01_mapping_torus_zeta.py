@@ -5,8 +5,9 @@ invariant package collapses onto the zeta function of the monodromy: the
 trace of the TQFT endomorphism in symmetric power n is the Lefschetz number
 of the induced map there, which is also the n-th zeta coefficient.
 """
-from swtorsion import (Presentation, SurfaceModel, lefschetz_number,
-                       trace_kappa_coefficient, zeta_series)
+from swtorsion import (Presentation, SurfaceModel, graded_trace,
+                       induced_endomorphism, trace_kappa_coefficient,
+                       zeta_series)
 
 # The three-torus: identity monodromy on the 2-torus.  Its zeta function is
 # (1-t)^2/(1-t)^2 = 1, so every positive symmetric power contributes nothing.
@@ -19,7 +20,7 @@ anosov = Presentation.from_matrix(1, 0, [[2, 1], [1, 1]], name="anosov")
 print("anosov zeta:", zeta_series(anosov, 5))
 for n in range(4):
     tr = trace_kappa_coefficient(anosov, n)
-    lef = lefschetz_number(anosov.monodromy, n)
+    lef = graded_trace(induced_endomorphism(anosov.monodromy, n))
     print(f"  n={n}: trace={tr}  lefschetz={lef}")
 
 # A random genus-2 monodromy, built deterministically from a transvection

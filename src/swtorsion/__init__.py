@@ -9,6 +9,7 @@ The production modules, which the commands run, are imported here.  The
 reference routes of ``__all__``, and those of ``_FORWARDED`` on their
 modules, live in ``swtorsion.reference`` and are resolved on first access
 (PEP 562), so importing the package or running a command never loads them.
+Each reference route checks a step that no other route checks.
 """
 from .series import TruncSeries
 from .surface import (MappingClass, SurfaceModel, is_symplectic,
@@ -28,10 +29,10 @@ __version__ = "0.1.0"
 __all__ = [
     "TruncSeries",
     "SurfaceModel", "CohClass", "MappingClass", "pairing", "is_symplectic",
-    "exterior_power_trace", "char_series", "random_symplectic",
+    "char_series", "random_symplectic",
     "Monomial", "SymSpace", "SymClass", "SymEndo", "enumerate_basis",
     "wedge_class", "contract_class", "induced_endomorphism", "graded_trace",
-    "lefschetz_number", "top_evaluate", "duality_pair", "dual_basis",
+    "top_evaluate", "duality_pair", "dual_basis",
     "VolumedComplex", "complex_torsion", "RelPerm", "enumerate_relative_perms",
     "collapse_perm", "MorseMatrix", "morse_differential_matrix",
     "torsion_representative", "morse_torsion", "torsion_coefficient_direct",

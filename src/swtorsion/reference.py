@@ -1,8 +1,10 @@
 """Reference routes: the independent cross-checks that no command runs.
 
 Each name here recomputes an invariant that a production module computes
-faster, by a route that shares as little code with it as possible.  The
-tests, the demos and the benchmark's traced replay call them; no command
+faster, by a route that shares as little code with it as possible, and
+each route's docstring names the production route it checks.  A route
+stays only if it checks a step that no other route checks.  The tests,
+the demos and the benchmark's traced replay call them; no command
 does, and no production module imports this module, so a command never
 pays for compiling it.  ``swtorsion`` resolves the names of its
 ``__all__`` that live here on first access, and, from its one table
@@ -16,17 +18,17 @@ pays for compiling it.  ``swtorsion`` resolves the names of its
 * The surface's object API, each function taking the surface or the
   mapping class first: ``CohClass``, ``pairing``, ``basis_class``,
   ``c_class``, ``d_class``, ``intersection_matrix``, ``apply``, ``inverse``.
-* 1/(1 - t)^2 (``geometric_inverse_square``), and det(1 - tA) from its
-  principal minors (``exterior_power_trace``) and from the Bareiss
-  pencil at N = 0 (``char_series``).
+* det(1 - tA) from the Bareiss pencil at N = 0 (``char_series``); its
+  principal-minor brute force is ``_minor_sums`` at N = 0.
 * The monomial model of H^*(Sym^n): ``Monomial`` with ``contains``,
   classes (``SymClass``) with wedge and contraction, the Lambda(A) action
   (``apply_induced``, over the bounded cache ``_lambda_image``),
-  endomorphisms and graded traces (``SymEndo``, ``graded_trace``,
-  ``lefschetz_number``), and Poincare duality evaluated pairing by pairing
-  and inverted block by block (``pair_monomials``, ``duality_pairings``,
-  ``gram_matrix``, ``dual_basis``), against which
-  ``sympower.handle_duality`` is tested.
+  endomorphisms and graded traces (``SymEndo``, ``graded_trace``; the
+  Lefschetz number of A on Sym^n is
+  ``graded_trace(induced_endomorphism(A, n))``), and Poincare duality
+  evaluated pairing by pairing and inverted block by block
+  (``pair_monomials``, ``duality_pairings``, ``gram_matrix``,
+  ``dual_basis``), against which ``sympower.handle_duality`` is tested.
 * The assembled kappa_n (``descend_map``, ``ascend_map``,
   ``kappa_matrix``) and its diagonal by subsets (``kappa_trace``).
 * Torsion of volumed complexes (``VolumedComplex``, ``complex_torsion``),
@@ -186,6 +188,7 @@ def intersection_matrix(surface: SurfaceModel) -> tuple:
 
     A reference for the tests; the library reads the form through
     ``pair_vector`` and never builds J.
+    Checks ``SurfaceModel.pair_vector`` and ``is_symplectic``.
     """
     n = surface.rank
     return tuple(tuple(s if j == p else 0 for j in range(n))
@@ -215,27 +218,6 @@ def inverse(A: MappingClass) -> MappingClass:
     return inverse
 
 
-def geometric_inverse_square(order: int) -> TruncSeries:
-    """1/(1-t)^2 = sum (m+1) t^m, the zeta function of the 2-sphere flow."""
-    return TruncSeries(order, [m + 1 for m in range(order + 1)])
-
-
-def exterior_power_trace(A: MappingClass, j: int) -> int:
-    """Trace of the induced map on the j-th exterior power of H^1.
-
-    Computed as the sum of the C(2G, j) principal j x j minors.  This is
-    the brute-force reference for ``char_series``, which production code
-    uses instead.
-    """
-    n = A.surface.rank
-    if not 0 <= j <= n:
-        raise ValueError("exterior power out of range")
-    total = 0
-    for S in combinations(range(n), j):
-        total += det_int(submatrix(A.mat, S, S))
-    return total
-
-
 def char_series(A: MappingClass, order: int) -> TruncSeries:
     """det(1 - tA) as a truncated series: sum_j (-t)^j tr Lambda^j A.
 
@@ -243,9 +225,9 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     det(1 + sA) is reciprocal of degree 2G and G + 1 Bareiss determinants
     give it.  ``verify``'s rhs reads the same polynomial from one
     Berkowitz pass (``linalg.det_one_minus_t``), and the trace, torsion
-    and zeta commands through ``torsion.newton_pencil``; this
-    function, the Bareiss route, is the tests' third witness and the
-    stand-alone form for callers holding a bare mapping class.
+    and zeta commands through ``torsion.newton_pencil``.
+    Checks ``tqft.zeta_series`` by the Bareiss route; ``_minor_sums`` at
+    N = 0 is its principal-minor brute force.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -307,14 +289,6 @@ class SymClass:
             if not contains(space, m):
                 raise ValueError(f"monomial {m} exceeds the space bound")
             self.terms[m] = c
-
-    @classmethod
-    def zero(cls, space: SymSpace) -> "SymClass":
-        return cls(space)
-
-    @classmethod
-    def monomial(cls, space: SymSpace, m: Monomial, coeff: int = 1) -> "SymClass":
-        return cls(space, {m: coeff})
 
     def coefficient(self, m: Monomial) -> int:
         return self.terms.get(m, 0)
@@ -385,7 +359,7 @@ def contract_class(c: CohClass, alpha: SymClass) -> SymClass:
     if c.surface != space.surface:
         raise ValueError("class lives on a different surface")
     if space.n == 0:
-        return SymClass.zero(space)
+        return SymClass(space)
     target = SymSpace(space.surface, space.n - 1)
     # <c, x_j> = -<x_j, c>, entry j of -J c
     pair_with_c = tuple(-p for p in space.surface.pair_vector(c.vec))
@@ -454,7 +428,7 @@ def induced_endomorphism(A: MappingClass, n: int) -> SymEndo:
     """
     space = SymSpace(A.surface, n)
     return SymEndo.from_function(
-        space, lambda m: apply_induced(A, SymClass.monomial(space, m)))
+        space, lambda m: apply_induced(A, SymClass(space, {m: 1})))
 
 
 def apply_induced(A: MappingClass, alpha: SymClass) -> SymClass:
@@ -468,20 +442,15 @@ def apply_induced(A: MappingClass, alpha: SymClass) -> SymClass:
 
 
 def graded_trace(M: SymEndo) -> int:
-    """Alternating trace, weighting each monomial by (-1)^{|I|}."""
+    """Alternating trace, weighting each monomial by (-1)^{|I|}.  On
+    ``induced_endomorphism(A, n)``, the Lefschetz number, it checks
+    ``tqft.zeta_series`` and ``intersection_number`` at N = 0."""
     total = 0
     for m, col in zip(enumerate_basis(M.space), M.columns):
         diag = col.coefficient(m)
         if diag:
             total += -diag if len(m.indices) & 1 else diag
     return total
-
-
-def lefschetz_number(A: MappingClass, n: int) -> int:
-    """Lefschetz number of the induced map on the n-th symmetric power."""
-    if n < 0:
-        raise ValueError("symmetric power degree must be nonnegative")
-    return graded_trace(induced_endomorphism(A, n))
 
 
 def top_evaluate(space: SymSpace, m: Monomial) -> int:
@@ -577,7 +546,8 @@ def duality_pairings(space: SymSpace) -> Dict[Monomial, Dict[Monomial, int]]:
 
 def gram_matrix(space: SymSpace) -> tuple:
     """Dense Gram matrix <a, b> over enumerate_basis, filled from the
-    sparse ``duality_pairings``."""
+    sparse ``duality_pairings``.  Checks that the duality
+    ``sympower.handle_duality`` inverts is unimodular."""
     basis = enumerate_basis(space)
     pairs = duality_pairings(space)
     return tuple(tuple(pairs[a].get(b, 0) for b in basis) for a in basis)
@@ -590,6 +560,7 @@ def dual_basis(space: SymSpace) -> Dict[Monomial, SymClass]:
     so the duals of a block's columns combine its rows, with coefficients
     from the block's integer inverse (``invert_unimodular``, which raises
     unless the block is unimodular).
+    Checks ``sympower.handle_duality``.
     """
     pairs = duality_pairings(space)
     duals: Dict[Monomial, SymClass] = {}
@@ -641,16 +612,17 @@ def ascend_map(P: Presentation, n: int, beta: SymClass) -> SymClass:
 
 def kappa_matrix(P: Presentation, n: int) -> SymEndo:
     """The TQFT endomorphism of H^*(Sym^{n+N}): monodromy after wedge after
-    contraction, assembled column by column over the monomial basis."""
+    contraction, assembled column by column over the monomial basis.
+    Its ``graded_trace`` checks ``tqft.trace_kappa_series``."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     big = SymSpace(P.surface, n + P.handles)
     A = P.monodromy
 
     def column(m: Monomial) -> SymClass:
-        down = descend_map(P, n, SymClass.monomial(big, m))
+        down = descend_map(P, n, SymClass(big, {m: 1}))
         if down.is_zero():
-            return SymClass.zero(big)
+            return SymClass(big)
         up = ascend_map(P, n, down)
         return apply_induced(A, up)
 
@@ -660,7 +632,9 @@ def kappa_matrix(P: Presentation, n: int) -> SymEndo:
 def _minor_sums(P: Presentation, nmax: int) -> Tuple[int, ...]:
     """(-1)^{N + k} sum over |K| = k of det A[D u K, C u K] for
     k <= min(nmax, 2g), each minor computed once: the coefficients of
-    ``linalg.signed_pencil``, summed subset by subset."""
+    ``linalg.signed_pencil``, summed subset by subset, which they check.
+    At N = 0 they are (-1)^k tr Lambda^k A, the principal-minor brute
+    force for det(1 - tA), which ``tqft.zeta_series`` prints."""
     N = P.handles
     mat = P.monodromy.mat
     C, D = tuple(range(N)), tuple(range(N, 2 * N))
@@ -682,6 +656,7 @@ def kappa_trace(P: Presentation, n: int) -> int:
     over |K| <= n (``_minor_sums`` over (1 - t)^2): one restricted minor
     per subset, with no symmetric power, no pencil of
     ``trace_kappa_series`` and no column of ``kappa_matrix`` formed.
+    Checks ``tqft.trace_kappa_coefficient``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -735,6 +710,8 @@ def complex_torsion(C: VolumedComplex, rng: Optional[random.Random] = None) -> F
     product of the determinants comparing (incoming volume, lifted outgoing
     volume) against the standard volume.  The result is independent of the
     column choices, which ``rng`` can shuffle to let tests confirm that.
+    Checks the general torsion that ``torsion.morse_torsion`` specialises
+    to the two-term Morse complex (acceptance criterion 5).
     """
     n = C.top
     ranks = C.ranks
@@ -827,7 +804,8 @@ def collapse_perm(rho: RelPerm) -> Tuple[Tuple[int, ...], List[int]]:
 
     For each i < N, s_i is the least m > 0 with rho^m(i) < N, and the
     collapsed permutation sends i to rho^{s_i}(i).  The return times sum
-    to s.
+    to s.  Checks the sign lemma behind the signs of
+    ``torsion_coefficient_direct`` (acceptance criterion 6).
     """
     N = rho.N
     tilde = []
@@ -862,6 +840,7 @@ def torsion_coefficient_direct(P, k: int) -> int:
     Sum over compositions s_0 + ... + s_{N-1} = k with every part >= 1 and
     over permutations of the handle labels, of the signed product of
     pairings <A^{s_i} c_i, c_{sigma(i)}>.
+    Checks ``torsion.torsion_representative`` and ``morse_torsion``.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -940,7 +919,8 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     Reference route only: it stores every product term (about 283,000 at
     Sym dimension 1268), while ``intersection_number`` reads the few it
     needs as restricted minors.  Called by the tests, demo 04 and the
-    benchmark's traced replay.
+    benchmark's traced replay.  With ``product_evaluate`` it checks
+    ``intersection_number``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -950,7 +930,7 @@ def graph_class(P: Presentation, n: int) -> ProductClass:
     terms: Dict[Tuple[Monomial, Monomial], int] = {}
     for a in enumerate_basis(space):
         sign = -1 if a.degree & 1 else 1
-        twisted = apply_induced(A, SymClass.monomial(space, a))
+        twisted = apply_induced(A, SymClass(space, {a: 1}))
         for lm, lc in duals[a].terms.items():
             for rm, rc in twisted.terms.items():
                 key = (lm, rm)
@@ -963,7 +943,7 @@ def product_evaluate(u: ProductClass, v: ProductClass) -> int:
 
     With v indexed by (c, e), the cost is linear in the term counts.
     Together with ``graph_class`` this is the materialised reference route
-    for ``intersection_number``.
+    for, and check of, ``intersection_number``.
     """
     if u.space != v.space:
         raise ValueError("product classes live over different powers")

@@ -60,9 +60,6 @@ class TruncSeries:
         return TruncSeries(self.order,
                            [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __neg__(self) -> "TruncSeries":
-        return TruncSeries(self.order, [-a for a in self.coeffs])
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy product truncated at the common order: ``_dot`` of one
         pair of coefficient tuples."""

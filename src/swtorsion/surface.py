@@ -14,11 +14,12 @@ and the products J v are read off it.
 A mapping class is stored as the pullback action on H^1: column j of the
 matrix is the image of basis class j.  The pushforward on homology, where
 needed, is the inverse matrix under the Poincare duality identification.
-The reference routes to det(1 - tA) from the principal minors and the
-Bareiss pencil (``exterior_power_trace``, ``char_series``) and the object
-API that only the cross-checks read (``CohClass``, ``pairing``, the basis
-classes, J, the action and inverse of a mapping class) live in
-``swtorsion.reference``.
+The MappingClass constructor is the one symplectic check: loading and
+validating a presentation both build one.  The Bareiss route to
+det(1 - tA) (``char_series``), its principal-minor brute force
+(``_minor_sums`` at N = 0) and the object API that only the cross-checks
+read (``CohClass``, ``pairing``, the basis classes, J, the action and
+inverse of a mapping class) live in ``swtorsion.reference``.
 """
 from __future__ import annotations
 

@@ -41,8 +41,6 @@ class MorseMatrix:
     the determinant is the torsion representative with its t^N built in.
     """
 
-    N: int
-    order: int
     entries: Tuple[Tuple[TruncSeries, ...], ...]
 
 
@@ -65,7 +63,7 @@ def morse_differential_matrix(P, kmax: int) -> MorseMatrix:
         entries.append(tuple(
             TruncSeries(kmax, [0] + [-s * v[p] for v in images[:kmax]])
             for p, s in P.surface._signed_partners[:N]))
-    return MorseMatrix(N, kmax, tuple(entries))
+    return MorseMatrix(tuple(entries))
 
 
 def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:

@@ -35,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from .linalg import det_one_minus_t, rank_int, signed_pencil
 from .series import TruncSeries
-from .surface import MappingClass, SurfaceModel, is_symplectic
+from .surface import MappingClass, SurfaceModel
 from .torsion import morse_torsion, newton_pencil
 
 
@@ -99,13 +99,16 @@ def validate_presentation(genus, handles, rows) -> List[str]:
     """Diagnostics for raw presentation data; an empty list means valid.
 
     Checks the field types, the 2(g+N) matrix size, integrality, and the
-    symplectic condition for the split intersection form.  Returns named
-    violations instead of raising so callers can report all of them.
+    symplectic condition, by building the ``MappingClass`` as the loader
+    does.  Returns named violations instead of raising so callers can
+    report all of them.
     """
     problems = shape_problems(genus, handles, rows)
-    if not problems and not is_symplectic(
-            rows, SurfaceModel(genus + handles, (handles, genus))):
-        problems.append(SYMPLECTIC_PROBLEM)
+    if not problems:
+        try:
+            MappingClass(SurfaceModel(genus + handles, (handles, genus)), rows)
+        except ValueError:
+            problems.append(SYMPLECTIC_PROBLEM)
     return problems
 
 
@@ -204,7 +207,6 @@ class VerificationRow:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    presentation: Presentation
     rows: Tuple[VerificationRow, ...]
 
     @property
@@ -240,7 +242,7 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     rhs = rhs_series(P, nmax)
     direct = trace_kappa_series(P, nmax)
     diagonal = _over_square(signed_pencil(P.monodromy.mat, P.handles), nmax)
-    return VerificationReport(P, tuple(
+    return VerificationReport(tuple(
         VerificationRow(n, direct[n], diagonal[n], rhs[n])
         for n in range(nmax + 1)))
 
@@ -311,7 +313,6 @@ class SWTable:
     invariants and are omitted.
     """
 
-    presentation: Presentation
     b1: int
     mode: str
     rows: Tuple[SWRow, ...]
@@ -336,4 +337,4 @@ def sw_table(P: Presentation, nmax: int) -> SWTable:
     note = ("negative symmetric power degrees have vanishing invariant sums; "
             "for b1>1 the degree column lists |m| and the invariant is "
             "symmetric under m -> -m only as far as the degree map states")
-    return SWTable(P, b1, mode, tuple(rows), note)
+    return SWTable(b1, mode, tuple(rows), note)

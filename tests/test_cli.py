@@ -90,9 +90,10 @@ def test_each_load_checks_symplectic_once(tmp_path, capsys, monkeypatch):
 
     good = tmp_path / "good.json"
     write_presentation(generate_fixture(2, 1, 8, 3), str(good))
-    for module in (surface, tqft):
-        monkeypatch.setattr(module, "is_symplectic",
-                            counting(module.is_symplectic))
+    # the MappingClass constructor is the one call site of the check
+    assert not hasattr(tqft, "is_symplectic")
+    monkeypatch.setattr(surface, "is_symplectic",
+                        counting(surface.is_symplectic))
     load_presentation(str(good))
     assert len(calls) == 1
     # sw and b1 read b_1 off the loaded matrix, never inverted (compute_b1),

@@ -4,8 +4,9 @@ from swtorsion import intersection, sympower
 from swtorsion.intersection import intersection_number
 from swtorsion.reference import (Monomial, ProductClass, c_class,
                                  diagonal_class, dual_basis, enumerate_basis,
-                                 graph_class, lefschetz_number,
-                                 product_evaluate, wedge_class)
+                                 graded_trace, graph_class,
+                                 induced_endomorphism, product_evaluate,
+                                 wedge_class)
 from swtorsion.surface import SurfaceModel
 from swtorsion.sympower import SymSpace
 from swtorsion.tqft import trace_kappa_coefficient
@@ -92,7 +93,8 @@ def test_intersection_is_lefschetz_without_handles():
         for g in (1, 2):
             P = make_presentation(g, 0, 6, seed * 3 + 1)
             for n in range(3 if g == 1 else 2):
-                assert intersection_number(P, n) == lefschetz_number(P.monodromy, n)
+                assert intersection_number(P, n) == graded_trace(
+                    induced_endomorphism(P.monodromy, n))
 
 
 def test_diagonal_self_intersection_is_euler_characteristic():

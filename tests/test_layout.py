@@ -1,24 +1,26 @@
 """The split between the production modules and ``swtorsion.reference``."""
+import dataclasses
 import inspect
 
 import pytest
 
 import swtorsion
-from swtorsion import (intersection, linalg, reference, series, surface,
-                       sympower, torsion, tqft)
+from swtorsion import (intersection, linalg, reference, surface, sympower,
+                       torsion, tqft)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import SymSpace
-from swtorsion.tqft import Presentation
+from swtorsion.torsion import MorseMatrix
+from swtorsion.tqft import Presentation, SWTable, VerificationReport
 
-# The package's public names, unchanged by the split.
+# The package's public names: the production API and the reference routes.
 ALL = [
     "TruncSeries",
     "SurfaceModel", "CohClass", "MappingClass", "pairing", "is_symplectic",
-    "exterior_power_trace", "char_series", "random_symplectic",
+    "char_series", "random_symplectic",
     "Monomial", "SymSpace", "SymClass", "SymEndo", "enumerate_basis",
     "wedge_class", "contract_class", "induced_endomorphism", "graded_trace",
-    "lefschetz_number", "top_evaluate", "duality_pair", "dual_basis",
+    "top_evaluate", "duality_pair", "dual_basis",
     "VolumedComplex", "complex_torsion", "RelPerm", "enumerate_relative_perms",
     "collapse_perm", "MorseMatrix", "morse_differential_matrix",
     "torsion_representative", "morse_torsion", "torsion_coefficient_direct",
@@ -39,14 +41,14 @@ MOVED = {
            "kappa_trace"],
     sympower: ["SymClass", "wedge_class", "contract_class", "_insert_index",
                "_lambda_image", "SymEndo", "induced_endomorphism",
-               "apply_induced", "graded_trace", "lefschetz_number",
+               "apply_induced", "graded_trace",
                "top_evaluate", "_merge_sign", "pair_monomials",
                "duality_pair", "_block_key", "_duality_blocks",
                "duality_pairings", "gram_matrix", "dual_basis",
                "enumerate_basis", "Monomial", "contains"],
     intersection: ["ProductClass", "diagonal_class", "graph_class",
                    "product_evaluate"],
-    surface: ["exterior_power_trace", "char_series", "CohClass", "pairing",
+    surface: ["char_series", "CohClass", "pairing",
               "basis_class", "c_class", "d_class", "intersection_matrix",
               "apply", "inverse"],
     torsion: ["_frac_matrix", "VolumedComplex", "complex_torsion", "RelPerm",
@@ -54,7 +56,6 @@ MOVED = {
               "_compositions", "torsion_coefficient_direct"],
     linalg: ["_integer_rows", "det_rational", "invert_rational",
              "invert_unimodular", "independent_columns", "perm_parity"],
-    series: ["geometric_inverse_square"],
 }
 
 # The names the benchmark's tracer reads from a production module.
@@ -103,13 +104,24 @@ def test_forwarders_serve_exactly_the_traced_names(module):
 # The members of the production classes that moved to reference, and those
 # deleted for the constructor or a primitive: identity, compose and trace
 # (the constructor with identity_matrix, mat_mul, a diagonal sum), zero, one
-# and monomial (the constructor), small_surface (SurfaceModel(P.genus)).
+# and monomial (the constructor), small_surface (SurfaceModel(P.genus)), and
+# the negation of a series, which nothing reads.
 GONE = {
     SurfaceModel: ["basis_class", "c_class", "d_class", "intersection_matrix"],
     MappingClass: ["apply", "inverse", "identity", "compose", "trace"],
     SymSpace: ["contains"],
-    TruncSeries: ["zero", "one", "monomial"],
+    TruncSeries: ["zero", "one", "monomial", "__neg__"],
     Presentation: ["small_surface"],
+    reference.SymClass: ["zero", "monomial"],
+}
+
+# The fields of the production records, each read by a command (cli._run
+# reads rows, b1, mode and note) or a production route (morse_torsion reads
+# the entries).
+FIELDS = {
+    VerificationReport: ["rows"],
+    SWTable: ["b1", "mode", "rows", "note"],
+    MorseMatrix: ["entries"],
 }
 
 
@@ -117,6 +129,8 @@ def test_production_classes_keep_only_what_a_command_runs():
     for cls, names in GONE.items():
         assert not set(names) & set(dir(cls)), cls.__name__
     assert not hasattr(reference.Monomial, "odd_part")
+    for cls, names in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(cls)] == names, cls.__name__
     for name in ("CohClass", "pairing", "Monomial"):
         assert getattr(swtorsion, name) is getattr(reference, name)
     # the parameters that only tests passed a default for are required

@@ -202,12 +202,13 @@ def full_pencil(mat, N):
 @given(split_presentations(gmax=4, nmax=3))
 def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
     # A is symplectic, so p_k = +p_{2g-k} (the derivation is in the
-    # signed_pencil docstring); hence Tr kappa_n and Tr kappa_{2g-2-n} agree
-    # about the core genus n = g - 1, exactly for b1 > 1 and up to an affine
-    # term for b1 = 1.  p is read from the full interpolation, since
-    # signed_pencil solves for half of it and is palindromic by construction.
-    # The signed pencil, which verify's diagonal column reads, is also the
-    # restricted minors of kappa_trace, summed subset by subset.
+    # signed_pencil docstring); hence Tr kappa_n - Tr kappa_{2g-2-n} is
+    # p~(1) (n - g + 1) about the core genus n = g - 1, with p~(t) the signed
+    # pencil, the numerator of the trace series.  p is read from the full
+    # interpolation, since signed_pencil solves for half of it and is
+    # palindromic by construction.  The signed pencil, which verify's
+    # diagonal column reads, is also the restricted minors of kappa_trace,
+    # summed subset by subset.
     g, N = P.genus, P.handles
     p = full_pencil(P.monodromy.mat, N)
     assert len(p) == 2 * g + 1
@@ -215,12 +216,15 @@ def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
     signed = signed_pencil(P.monodromy.mat, N)
     assert list(signed) == [-c if (k + N) & 1 else c for k, c in enumerate(p)]
     assert _minor_sums(P, 2 * g) == signed
+    at_one = sum(signed)
     traces = trace_kappa_series(P, max(2 * g - 2, 0))
-    gap = [traces[n] - traces[2 * g - 2 - n] for n in range(2 * g - 1)]
+    for n in range(2 * g - 1):
+        assert traces[n] - traces[2 * g - 2 - n] == at_one * (n - g + 1)
+    # det B = p~(1) for the Mayer-Vietoris block B (compute_b1 docstring),
+    # so b1 > 1 forces p~(1) = 0.  The converse fails where compute_b1
+    # undercounts (ROADMAP item 9, pinned by a strict xfail).
     if compute_b1(P) > 1:
-        assert not any(gap)
-    else:
-        assert not any(a - 2 * b + c for a, b, c in zip(gap, gap[1:], gap[2:]))
+        assert at_one == 0
 
 
 # (g, N, words, seed) where a core row of A vanishes on the columns C u X,

@@ -6,12 +6,13 @@ import pytest
 
 from swtorsion import linalg, surface
 from swtorsion.linalg import det_int, identity_matrix, mat_mul
-from swtorsion.reference import (CohClass, apply, basis_class, c_class,
-                                 char_series, d_class, exterior_power_trace,
+from swtorsion.reference import (CohClass, _minor_sums, apply, basis_class,
+                                 c_class, char_series, d_class,
                                  intersection_matrix, inverse, pairing)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import (MappingClass, SurfaceModel, is_symplectic,
                                random_symplectic)
+from swtorsion.tqft import Presentation
 
 
 def test_pairing_split_conventions():
@@ -121,23 +122,20 @@ def test_pairing_invariance():
 
 
 def test_exterior_power_trace_examples():
-    s = SurfaceModel(1)
-    A = MappingClass(s, [[2, 1], [1, 1]])
-    assert exterior_power_trace(A, 0) == 1
-    assert exterior_power_trace(A, 1) == 3
-    assert exterior_power_trace(A, 2) == 1
+    # at N = 0 the minor sums are (-1)^j tr Lambda^j A
+    A = MappingClass(SurfaceModel(1), [[2, 1], [1, 1]])
+    assert _minor_sums(Presentation(1, 0, A), 2) == (1, -3, 1)
     I2 = MappingClass(SurfaceModel(2), identity_matrix(4))
-    for j in range(5):
-        assert exterior_power_trace(I2, j) == math.comb(4, j)
-    with pytest.raises(ValueError):
-        exterior_power_trace(A, 3)
+    assert _minor_sums(Presentation(2, 0, I2), 4) == tuple(
+        (-1) ** j * math.comb(4, j) for j in range(5))
 
 
 def test_exterior_trace_top_is_det():
     for seed in range(5):
         for s in (SurfaceModel(1), SurfaceModel(2)):
             A = random_symplectic(s, 7, seed)
-            assert exterior_power_trace(A, s.rank) == 1  # det of symplectic
+            # det of symplectic
+            assert _minor_sums(Presentation(s.G, 0, A), s.rank)[-1] == 1
 
 
 def test_char_series_examples():
@@ -155,8 +153,7 @@ def test_char_series_matches_alternating_minor_sum():
         for seed in seeds:
             A = random_symplectic(s, 8 * G, seed)
             cs = char_series(A, s.rank)
-            assert cs.coeffs == tuple((-1) ** j * exterior_power_trace(A, j)
-                                      for j in range(s.rank + 1))
+            assert cs.coeffs == _minor_sums(Presentation(G, 0, A), s.rank)
 
 
 def test_random_symplectic_word_zero_is_identity():
@@ -215,5 +212,5 @@ def test_genus_zero_surface():
     s = SurfaceModel(0)
     A = MappingClass(s, identity_matrix(s.rank))
     assert A.mat == ()
-    assert exterior_power_trace(A, 0) == 1
+    assert _minor_sums(Presentation(0, 0, A), 0) == (1,)
     assert char_series(A, 3) == TruncSeries(3, (1,))
