@@ -19,8 +19,8 @@ from .torsion import (MorseMatrix, morse_differential_matrix, morse_torsion,
                       torsion_representative)
 from .tqft import (Presentation, SWRow, SWTable, VerificationReport,
                    VerificationRow, compute_b1, rhs_series, sw_table,
-                   trace_kappa_coefficient, validate_presentation,
-                   verify_main_identity, zeta_series)
+                   trace_kappa_coefficient, verify_main_identity,
+                   zeta_series)
 from .intersection import intersection_number
 from . import intersection, surface, sympower, torsion, tqft
 
@@ -36,7 +36,7 @@ __all__ = [
     "VolumedComplex", "complex_torsion", "RelPerm", "enumerate_relative_perms",
     "collapse_perm", "MorseMatrix", "morse_differential_matrix",
     "torsion_representative", "morse_torsion", "torsion_coefficient_direct",
-    "Presentation", "validate_presentation", "descend_map", "ascend_map",
+    "Presentation", "descend_map", "ascend_map",
     "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series", "rhs_series",
     "verify_main_identity", "VerificationReport", "VerificationRow",
     "compute_b1", "sw_table", "SWTable", "SWRow",

@@ -5,7 +5,9 @@ Presentations are JSON documents::
     {"name": "optional", "genus": 1, "handles": 1, "monodromy": [[...], ...]}
 
 with the monodromy given row-major as the pullback action on H^1 in the
-split basis (c_0..c_{N-1}, d_0..d_{N-1}, x_0..x_{2g-1}).  Tables print as
+split basis (c_0..c_{N-1}, d_0..d_{N-1}, x_0..x_{2g-1}).  Every command but
+``gen`` reads its file through ``load_presentation``, the one place that
+decides whether a document is a presentation.  Tables print as
 TSV with a header row by default; ``--format json`` mirrors the same fields.
 Exit codes: 0 success or verification pass, 1 verification mismatch or a
 remainder in a kernel's exact division, 2 malformed input or a ``gen``
@@ -23,16 +25,47 @@ from .intersection import intersection_number
 from .linalg import ExactDivisionError
 from .surface import SurfaceModel, random_symplectic
 from .torsion import torsion_representative
-from .tqft import (SYMPLECTIC_PROBLEM, Presentation, compute_b1,
-                   shape_problems, sw_table, trace_kappa_coefficient,
-                   verify_main_identity, zeta_series)
+from .tqft import (Presentation, compute_b1, sw_table,
+                   trace_kappa_coefficient, verify_main_identity, zeta_series)
 
 
 class InputError(Exception):
     """Bad presentation file or arguments; maps to exit code 2."""
 
 
+SYMPLECTIC_PROBLEM = ("symplectic: matrix does not preserve the "
+                      "intersection form (A^T J A = J fails)")
+
+
+def shape_problems(genus, handles, rows) -> List[str]:
+    """Diagnostics for the field types, the 2(g+N) matrix size and
+    integrality: every check of ``load_presentation`` on the three fields
+    but the symplectic condition, which building the ``MappingClass``
+    checks."""
+    problems: List[str] = []
+    for field, value in (("genus", genus), ("handles", handles)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            problems.append(f"{field}: must be a nonnegative integer")
+    if problems:
+        return problems
+    size = 2 * (genus + handles)
+    if not isinstance(rows, (list, tuple)) or len(rows) != size or any(
+            not isinstance(r, (list, tuple)) or len(r) != size for r in rows):
+        problems.append(f"dimension: monodromy must be a {size}x{size} matrix")
+        return problems
+    for r in rows:
+        for x in r:
+            if not isinstance(x, int) or isinstance(x, bool):
+                problems.append("integrality: matrix entries must be integers")
+                return problems
+    return problems
+
+
 def load_presentation(path: str) -> Presentation:
+    """The one front door for presentations: read the file, parse the
+    JSON, check the fields, their shape and integrality, the symplectic
+    condition and the name, in that order; the first check that fails
+    raises an ``InputError`` with its diagnostic."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()

@@ -206,16 +206,13 @@ def inverse(A: MappingClass) -> MappingClass:
 
     With p the partner permutation and s_k = <e_k, e_p(k)>, entry (i, j)
     is s_i s_j A[p(j)][p(i)]: two rounds of ``pair_vector``, no product
-    with J.  The inverse of a symplectic matrix is symplectic, so the
-    constructor's check is not run again.
+    with J.  The result goes through the ``MappingClass`` constructor, so
+    its symplectic check also guards this identity.
     """
     pair_vector = A.surface.pair_vector
     JA_T = tuple(map(pair_vector, transpose(A.mat)))
-    inverse = object.__new__(MappingClass)
-    object.__setattr__(inverse, "surface", A.surface)
-    object.__setattr__(inverse, "mat",
-                       transpose(tuple(map(pair_vector, transpose(JA_T)))))
-    return inverse
+    return MappingClass(A.surface,
+                        transpose(tuple(map(pair_vector, transpose(JA_T)))))
 
 
 def char_series(A: MappingClass, order: int) -> TruncSeries:
@@ -227,7 +224,10 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     Berkowitz pass (``linalg.det_one_minus_t``), and the trace, torsion
     and zeta commands through ``torsion.newton_pencil``.
     Checks ``tqft.zeta_series`` by the Bareiss route; ``_minor_sums`` at
-    N = 0 is its principal-minor brute force.
+    N = 0 is its principal-minor brute force.  Its last reader is the
+    benchmark's tracer (``perfbench/tracing.py``); the tests read
+    ``signed_pencil(A.mat, 0)`` directly, and this wrapper goes when
+    ROADMAP item 5 retires the tracer's replay.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")

@@ -42,28 +42,12 @@ class TruncSeries:
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k]
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def _check_order(self, other: "TruncSeries"):
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_order(other)
-        return TruncSeries(self.order,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check_order(other)
-        return TruncSeries(self.order,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Cauchy product truncated at the common order: ``_dot`` of one
         pair of coefficient tuples."""
-        self._check_order(other)
+        if self.order != other.order:
+            raise ValueError(
+                f"order mismatch: {self.order} vs {other.order}")
         return TruncSeries(self.order,
                            _dot((self.coeffs,), (other.coeffs,), self.order))
 

@@ -14,8 +14,9 @@ and the products J v are read off it.
 A mapping class is stored as the pullback action on H^1: column j of the
 matrix is the image of basis class j.  The pushforward on homology, where
 needed, is the inverse matrix under the Poincare duality identification.
-The MappingClass constructor is the one symplectic check: loading and
-validating a presentation both build one.  The Bareiss route to
+The MappingClass constructor is the one symplectic check: loading a
+presentation (``cli.load_presentation``) builds one, and so does
+``reference.inverse``.  The Bareiss route to
 det(1 - tA) (``char_series``), its principal-minor brute force
 (``_minor_sums`` at N = 0) and the object API that only the cross-checks
 read (``CohClass``, ``pairing``, the basis classes, J, the action and

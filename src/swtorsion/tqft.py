@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .linalg import det_one_minus_t, rank_int, signed_pencil
 from .series import TruncSeries
@@ -66,50 +66,6 @@ class Presentation:
                     name: Optional[str] = None) -> "Presentation":
         surface = SurfaceModel(genus + handles, (handles, genus))
         return cls(genus, handles, MappingClass(surface, rows), name)
-
-
-SYMPLECTIC_PROBLEM = ("symplectic: matrix does not preserve the "
-                      "intersection form (A^T J A = J fails)")
-
-
-def shape_problems(genus, handles, rows) -> List[str]:
-    """Diagnostics for the field types, the 2(g+N) matrix size and
-    integrality; everything ``validate_presentation`` checks except the
-    symplectic condition, which building the ``MappingClass`` checks."""
-    problems: List[str] = []
-    for field, value in (("genus", genus), ("handles", handles)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            problems.append(f"{field}: must be a nonnegative integer")
-    if problems:
-        return problems
-    size = 2 * (genus + handles)
-    if not isinstance(rows, (list, tuple)) or len(rows) != size or any(
-            not isinstance(r, (list, tuple)) or len(r) != size for r in rows):
-        problems.append(f"dimension: monodromy must be a {size}x{size} matrix")
-        return problems
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                problems.append("integrality: matrix entries must be integers")
-                return problems
-    return problems
-
-
-def validate_presentation(genus, handles, rows) -> List[str]:
-    """Diagnostics for raw presentation data; an empty list means valid.
-
-    Checks the field types, the 2(g+N) matrix size, integrality, and the
-    symplectic condition, by building the ``MappingClass`` as the loader
-    does.  Returns named violations instead of raising so callers can
-    report all of them.
-    """
-    problems = shape_problems(genus, handles, rows)
-    if not problems:
-        try:
-            MappingClass(SurfaceModel(genus + handles, (handles, genus)), rows)
-        except ValueError:
-            problems.append(SYMPLECTIC_PROBLEM)
-    return problems
 
 
 def _over_square(signed: Tuple[int, ...], nmax: int) -> Tuple[int, ...]:

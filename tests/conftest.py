@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 import swtorsion
-from swtorsion import Presentation, SurfaceModel, random_symplectic
+from swtorsion import Presentation
+# test fixtures are built as `swtorsion gen` builds them
+from swtorsion.cli import generate_fixture as make_presentation
 from swtorsion.linalg import rank_int
 
 
@@ -16,11 +18,6 @@ def without_reference(monkeypatch):
     The names the test module imported from it stay bound."""
     monkeypatch.setitem(sys.modules, "swtorsion.reference", None)
     monkeypatch.delattr(swtorsion, "reference", raising=False)
-
-
-def make_presentation(g: int, handles: int, words: int, seed: int) -> Presentation:
-    surface = SurfaceModel(g + handles, (handles, g))
-    return Presentation(g, handles, random_symplectic(surface, words, seed))
 
 
 def presentation_sample(count: int, seed: int, *, gmax=2, hmax=2, cap=3,

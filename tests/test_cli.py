@@ -12,14 +12,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import swtorsion
 from swtorsion import linalg, reference, series, surface, torsion, tqft
-from swtorsion.cli import (_TABLE_COMMANDS, generate_fixture,
-                           load_presentation, main, write_presentation)
+from swtorsion.cli import (_TABLE_COMMANDS, SYMPLECTIC_PROBLEM,
+                           generate_fixture, load_presentation, main,
+                           write_presentation)
 from swtorsion.intersection import intersection_number
 from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
 from swtorsion.series import TruncSeries
 from swtorsion.surface import SurfaceModel, random_symplectic
-from swtorsion.tqft import (SYMPLECTIC_PROBLEM, Presentation,
-                            validate_presentation)
+from swtorsion.tqft import Presentation
 
 
 def run_cli(args, capsys):
@@ -269,17 +269,28 @@ def test_validate_and_b1_keep_the_input_contract(case):
         assert code == 0 or SYMPLECTIC_PROBLEM in err
     elif expected is not None:
         assert code == expected, err
-    # the library's validator and the loader reach one verdict on every
-    # object with the three fields, apart from the loader's name check
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError):
-        return
-    if (isinstance(doc, dict) and {"genus", "handles", "monodromy"} <= set(doc)
-            and isinstance(doc.get("name"), (str, type(None)))):
-        problems = validate_presentation(doc["genus"], doc["handles"],
-                                         doc["monodromy"])
-        assert (problems == []) == (code == 0), (problems, err)
+
+
+def test_validate_names_each_check(tmp_path, capsys):
+    # one file per check of the loader, each with its exact stderr line
+    cases = [
+        (1, 1, identity_matrix(4), None),
+        (1, 0, [[2, 0], [0, 1]], SYMPLECTIC_PROBLEM),
+        (1, 1, identity_matrix(2), "dimension: monodromy must be a 4x4 matrix"),
+        (0, 1, [[1, 0], [0.5, 1]],
+         "integrality: matrix entries must be integers"),
+        (-1, 0, [], "genus: must be a nonnegative integer"),
+    ]
+    for k, (genus, handles, rows, diagnostic) in enumerate(cases):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(
+            {"genus": genus, "handles": handles, "monodromy": rows}))
+        code, out, err = run_cli(["validate", str(path)], capsys)
+        if diagnostic is None:
+            assert (code, out, err) == (0, "valid\n", "")
+        else:
+            assert (code, out, err) == (
+                2, "", f"error: {path}: {diagnostic}\n")
 
 
 def test_validate_accepts_good_file(tmp_path, capsys):

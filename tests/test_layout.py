@@ -5,8 +5,8 @@ import inspect
 import pytest
 
 import swtorsion
-from swtorsion import (intersection, linalg, reference, surface, sympower,
-                       torsion, tqft)
+from swtorsion import (cli, intersection, linalg, reference, surface,
+                       sympower, torsion, tqft)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import SymSpace
@@ -24,7 +24,7 @@ ALL = [
     "VolumedComplex", "complex_torsion", "RelPerm", "enumerate_relative_perms",
     "collapse_perm", "MorseMatrix", "morse_differential_matrix",
     "torsion_representative", "morse_torsion", "torsion_coefficient_direct",
-    "Presentation", "validate_presentation", "descend_map", "ascend_map",
+    "Presentation", "descend_map", "ascend_map",
     "kappa_matrix", "kappa_trace", "trace_kappa_coefficient", "zeta_series",
     "rhs_series", "verify_main_identity", "VerificationReport",
     "VerificationRow",
@@ -105,12 +105,14 @@ def test_forwarders_serve_exactly_the_traced_names(module):
 # deleted for the constructor or a primitive: identity, compose and trace
 # (the constructor with identity_matrix, mat_mul, a diagonal sum), zero, one
 # and monomial (the constructor), small_surface (SurfaceModel(P.genus)), and
-# the negation of a series, which nothing reads.
+# the negation, sum, difference and truth value of a series, which nothing
+# reads: the commands and the benchmark only multiply series and shift them.
 GONE = {
     SurfaceModel: ["basis_class", "c_class", "d_class", "intersection_matrix"],
     MappingClass: ["apply", "inverse", "identity", "compose", "trace"],
     SymSpace: ["contains"],
-    TruncSeries: ["zero", "one", "monomial", "__neg__"],
+    TruncSeries: ["zero", "one", "monomial", "__neg__", "__add__", "__sub__",
+                  "__bool__"],
     Presentation: ["small_surface"],
     reference.SymClass: ["zero", "monomial"],
 }
@@ -138,3 +140,15 @@ def test_production_classes_keep_only_what_a_command_runs():
                            (surface.is_symplectic, "surface")):
         parameter = inspect.signature(function).parameters[name]
         assert parameter.default is inspect.Parameter.empty, function
+
+
+def test_the_loader_is_the_one_front_door():
+    # cli holds the whole input contract; tqft holds none of it
+    for module in (swtorsion, tqft):
+        with pytest.raises(AttributeError):
+            module.validate_presentation
+    for name in ("shape_problems", "SYMPLECTIC_PROBLEM",
+                 "validate_presentation"):
+        assert name not in vars(tqft), name
+    assert callable(cli.shape_problems)
+    assert cli.SYMPLECTIC_PROBLEM.startswith("symplectic: ")

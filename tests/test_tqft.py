@@ -6,10 +6,10 @@ import pytest
 
 from swtorsion.intersection import intersection_number
 from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
-from swtorsion.reference import (Monomial, SymClass, ascend_map,
-                                 char_series, descend_map, enumerate_basis,
-                                 graded_trace, induced_endomorphism,
-                                 intersection_matrix, inverse, kappa_matrix)
+from swtorsion.reference import (Monomial, SymClass, ascend_map, descend_map,
+                                 enumerate_basis, graded_trace,
+                                 induced_endomorphism, intersection_matrix,
+                                 inverse, kappa_matrix)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import SymSpace
@@ -19,36 +19,13 @@ from swtorsion.torsion import (morse_differential_matrix, morse_torsion,
                                signed_pencil, torsion_representative)
 from swtorsion.tqft import (Presentation, compute_b1, rhs_series, sw_table,
                             trace_kappa_coefficient, trace_kappa_series,
-                            validate_presentation, verify_main_identity,
-                            zeta_series)
+                            verify_main_identity, zeta_series)
 from swtorsion.cli import generate_fixture
 from conftest import (block_b1, make_presentation, presentation_sample,
                       rational_exp, stabilize)
 from test_catalogue import CONNECTED_SUMS
 
 ROT = [[0, -1], [1, 0]]  # c -> d, d -> -c on the one-handle sphere
-
-
-def test_validate_presentation():
-    assert validate_presentation(1, 1, identity_matrix(4)) == []
-    problems = validate_presentation(1, 0, [[2, 0], [0, 1]])
-    assert any(p.startswith("symplectic") for p in problems)
-    problems = validate_presentation(1, 1, identity_matrix(2))
-    assert any(p.startswith("dimension") for p in problems)
-    problems = validate_presentation(0, 1, [[1, 0], [0.5, 1]])
-    assert any(p.startswith("integrality") for p in problems)
-    assert validate_presentation(-1, 0, []) != []
-
-
-def test_validate_presentation_asks_the_mapping_class_constructor(monkeypatch):
-    # the constructor is the one symplectic check, which the loader also
-    # runs: a constructor that rejects everything rejects the identity
-    def reject(self):
-        raise ValueError("rejected")
-
-    monkeypatch.setattr(MappingClass, "__post_init__", reject)
-    assert validate_presentation(1, 1, identity_matrix(4)) == [
-        tqft.SYMPLECTIC_PROBLEM]
 
 
 def test_presentation_requires_split_surface():
@@ -237,7 +214,7 @@ def test_zeta_and_pencil_cost_guard(monkeypatch):
         signed_pencil(make_presentation(g, N, 30, 2).monodromy.mat, N)
         assert calls["det_int"] == g + 1
     calls["det_int"] = 0
-    char_series(make_presentation(2, 3, 30, 2).monodromy, 10)
+    signed_pencil(make_presentation(2, 3, 30, 2).monodromy.mat, 0)
     assert calls["det_int"] == 6
     monkeypatch.setattr(torsion, "mat_mul",
                         counting("kernel_mul", torsion.mat_mul))
@@ -301,16 +278,16 @@ def test_every_series_route_yields_ints():
         M = morse_differential_matrix(P, 6)
         assert all(ints(e.coeffs) for row in M.entries for e in row)
         for series in (zeta_series(P, 6), torsion_representative(P, 6),
-                       morse_torsion(P, 6), rhs_series(P, 6),
-                       char_series(P.monodromy, 6)):
+                       morse_torsion(P, 6), rhs_series(P, 6)):
             assert ints(series.coeffs)
+        assert ints(signed_pencil(P.monodromy.mat, 0))
 
 
 def test_rhs_series_edges():
     P = make_presentation(2, 0, 6, 8)
     assert rhs_series(P, 3) == zeta_series(P, 3)
     P = make_presentation(1, 1, 0, 0)
-    assert not rhs_series(P, 3)
+    assert rhs_series(P, 3) == TruncSeries(3)
     for P in presentation_sample(6, seed=31337):
         assert all(type(c) is int for c in rhs_series(P, 3).coeffs)
 
