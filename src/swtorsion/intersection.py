@@ -16,12 +16,13 @@ the inverse of the homology pushforward, which for a stored pullback matrix
 A is A itself.
 
 ``intersection_number`` never builds the graph class.  The diagonal class
-reads it only at the pairs (c, e) that pair with its own terms, and each of
-those coefficients is a short sum of restricted minors of A over one duality
-block.  Nor does it build the duality of the whole space: every monomial it
-pairs or dualises holds all of the c's or all of the d's, and
-``sympower.handle_duality`` writes just those blocks down in closed form,
-on plain (indices, q) tuples, without evaluating a pairing or inverting a
+reads it only at the pairs (c, e) that pair with its own terms and whose
+summed weight is nonzero, and each of those coefficients is a short sum of
+restricted minors of A over one duality block.  Nor does it build the
+duality of the whole space: every monomial it dualises holds all of the
+c's or all of the d's, every one it pairs holds all of the c's, and
+``sympower.handle_duality`` writes just those down in closed form, on
+plain (indices, q) tuples, without evaluating a pairing or inverting a
 block.  The production route builds no ``Monomial``, ``SymClass`` or
 ``ProductClass``.  The materialised reference route lives in
 ``swtorsion.reference``: ``diagonal_class`` wraps the same terms
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Tuple
 
-from .linalg import det_int, submatrix
+from .linalg import _bareiss
 from .sympower import SymSpace, handle_duality
 from .tqft import Presentation
 
@@ -48,7 +49,7 @@ def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple],
     For each core monomial beta, a is c_0^..^c_{N-1}^beta and b runs over
     the dual of d_0^..^d_{N-1}^beta.  The handle indices precede every
     shifted core index, so a wedge is the plain concatenation with sign +1.
-    The keys of ``handle_duality`` that start with C are exactly these a,
+    The keys of the ``pairs`` of ``handle_duality`` are exactly these a,
     one per core monomial, so no two terms share a key.
     """
     if n < 0:
@@ -56,9 +57,8 @@ def _diagonal_terms(P: Presentation, n: int) -> Tuple[SymSpace, List[tuple],
     N = P.handles
     space = SymSpace(P.surface, n + N)
     pairs, duals = handle_duality(space)
-    C, D = tuple(range(N)), tuple(range(N, 2 * N))
-    terms = [(a, b, coeff)
-             for a in pairs if a[0][:N] == C
+    D = tuple(range(N, 2 * N))
+    terms = [(a, b, coeff) for a in pairs
              for b, coeff in duals[D + a[0][N:], a[1]].items()]
     return space, terms, pairs, duals
 
@@ -73,20 +73,26 @@ def _pair_against(terms, pairs: Dict[tuple, Dict[tuple, int]],
     Kunneth sign (-1)^{deg b deg c} times the duality pairings <a, c> and
     <b, e>, and deg b is odd exactly when b has an odd number of indices.
     Each term walks only the sparse pairings of a and of b, read from
-    ``pairs``, which must hold every monomial of the terms; so the other
-    class is read only at the pairs (c, e) that can contribute.
+    ``pairs``, which must hold every monomial of the terms.  Every product
+    cu <a, c> <b, e>, signed, is added into one weight per (c, e), and the
+    result is the sum of weight times ``coefficient(c, e)``; so the other
+    class is read once at each pair (c, e) whose weight is nonzero, and
+    never where the products cancel.
     """
-    total = 0
+    # weights[c][e]: the summed products that meet the other class's (c, e)
+    weights: Dict[tuple, Dict[tuple, int]] = {}
     for a, b, cu in terms:
         odd_b = len(b[0]) & 1
         pairs_b = pairs[b]
         for c, ac in pairs[a].items():
             weight = -cu * ac if odd_b and len(c[0]) & 1 else cu * ac
+            row = weights.get(c)
+            if row is None:
+                row = weights[c] = {}
             for e, be in pairs_b.items():
-                cv = coefficient(c, e)
-                if cv:
-                    total += weight * be * cv
-    return total
+                row[e] = row.get(e, 0) + weight * be
+    return sum(w * coefficient(c, e) for c, row in weights.items()
+               for e, w in row.items() if w)
 
 
 def intersection_number(P: Presentation, n: int) -> int:
@@ -104,43 +110,52 @@ def intersection_number(P: Presentation, n: int) -> int:
     each monomial of D, lies in a block holding c_0..c_{N-1} or
     d_0..d_{N-1} times a core monomial, so the cost follows about twice
     dim H^*(Sym^n) of the core surface, not the dimension of Sym^{n+N}.
+    Every a here holds C, so only the duals keyed by C are indexed by the
+    c they hold.
     Every monomial is a plain (indices, q) tuple; no ``Monomial``,
     ``SymClass`` or ``ProductClass`` is built.  The result equals
     ``product_evaluate(diagonal_class(P, n), graph_class(P, n))``.
 
     The pairing walk is kept on purpose.  For each diagonal term
-    (C beta, b) it reads every pairing <b, e>, although the terms of one
-    beta sum to sum_b (D beta)*[b] <b, e> = delta_{e, D beta}: at
-    (g, N, n) = (4, 0, 4), seed 1, that is 6,285 graph lookups where 627
-    (one per pairing of each C beta) would give the same sum.  The walk
-    re-proves <b*, e> = delta, the duality that ``intersect`` exists to
-    check; collapsing it would turn this route into the restricted-minor
-    trace formula that ``kappa_trace`` already runs.
+    (C beta, b) it forms every product with a pairing <b, e>, and
+    ``_pair_against`` sums them into one weight per (c, e).  The terms of
+    one beta sum to sum_b (D beta)*[b] <b, e> = delta_{e, D beta}, so the
+    weight of (c, e) is +-<C beta, c> when e = D beta and cancels to 0
+    otherwise, exactly when the duals are right.  At (g, N, n) =
+    (4, 0, 4), seed 1, the walk forms 6,285 products on 789 distinct
+    (c, e), and Gamma is evaluated at the 627 whose weight survives, one
+    per pairing of each C beta.  A wrong dual leaves a weight standing
+    elsewhere, which changes the total wherever Gamma is nonzero, and
+    ``intersect`` prints MISMATCH.  So the walk re-proves <b*, e> = delta,
+    the duality that ``intersect`` exists to check; collapsing it would
+    turn this route into the restricted-minor trace formula that
+    ``kappa_trace`` already runs.
     """
     _, terms, pairs, duals = _diagonal_terms(P, n)
+    C = tuple(range(P.handles))
     # holders[c, k, q]: the a of k indices and y power q whose dual holds c
     holders: Dict[tuple, List[Tuple[Tuple[int, ...], int]]] = {}
     for (cols, q), dual in duals.items():
+        if cols[:len(C)] != C:
+            continue
         odd = len(cols) & 1
         for c, coeff in dual.items():
             holders.setdefault((c, len(cols), q), []).append(
                 (cols, -coeff if odd else coeff))
     mat = P.monodromy.mat
     minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    values: Dict[Tuple[tuple, tuple], int] = {}
 
     def gamma(c: tuple, e: tuple) -> int:
-        value = values.get((c, e))
-        if value is None:
-            rows, q = e
-            value = 0
-            for cols, signed in holders.get((c, len(rows), q), ()):
-                minor = minors.get((rows, cols))
-                if minor is None:
-                    minor = minors[rows, cols] = det_int(
-                        submatrix(mat, rows, cols))
-                value += signed * minor
-            values[c, e] = value
+        rows, q = e
+        value = 0
+        for cols, signed in holders.get((c, len(rows), q), ()):
+            minor = minors.get((rows, cols))
+            if minor is None:
+                pivots, sign, last = _bareiss([[mat[i][j] for j in cols]
+                                               for i in rows])
+                minor = minors[rows, cols] = (
+                    sign * last if len(pivots) == len(rows) else 0)
+            value += signed * minor
         return value
 
     return _pair_against(terms, pairs, gamma)

@@ -10,9 +10,9 @@ any commutative ring: ``verify``'s rhs runs it over the integers
 apart from ``signed_pencil`` and ``torsion.newton_pencil``, so that
 ``verify`` at N = 0 checks the kernel that ``zeta`` prints.  The rational
 and unimodular routes on the same kernel (``det_rational``,
-``invert_rational``, ``invert_unimodular``, ``independent_columns``) and
-``perm_parity`` are reference routes in ``swtorsion.reference``.  Nothing
-here ever touches a float.
+``invert_rational``, ``invert_unimodular``, ``independent_columns``),
+``perm_parity`` and ``submatrix`` are reference routes in
+``swtorsion.reference``.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 
@@ -47,10 +47,6 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
 
 def mat_vec(a: tuple, v: Sequence) -> tuple:
     return tuple(sum(map(operator.mul, row, v)) for row in a)
-
-
-def submatrix(a: tuple, rows: Sequence[int], cols: Sequence[int]) -> tuple:
-    return tuple(tuple(a[i][j] for j in cols) for i in rows)
 
 
 def _bareiss(m: list, jordan: bool = False) -> Tuple[list, int, int]:

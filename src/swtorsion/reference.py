@@ -13,8 +13,9 @@ pays for compiling it.  ``swtorsion`` resolves the names of its
 
 * Exact rational linear algebra (``det_rational``, ``invert_rational``,
   ``independent_columns``) and the integer inverse ``invert_unimodular``,
-  all on the Bareiss kernel ``linalg._bareiss``, and ``perm_parity``, kept
-  apart from ``sympower._odd_inversions`` for the signs of the references.
+  all on the Bareiss kernel ``linalg._bareiss``; ``perm_parity``, kept
+  apart from ``sympower._odd_inversions`` for the signs of the references;
+  and ``submatrix``, the minors of ``_minor_sums``.
 * The surface's object API, each function taking the surface or the
   mapping class first: ``CohClass``, ``pairing``, ``basis_class``,
   ``c_class``, ``d_class``, ``intersection_matrix``, ``apply``, ``inverse``.
@@ -53,12 +54,17 @@ from math import lcm, prod
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .intersection import _diagonal_terms, _pair_against
-from .linalg import (_bareiss, det_int, mat_vec, signed_pencil, submatrix,
-                     transpose)
+from .linalg import _bareiss, det_int, mat_vec, signed_pencil, transpose
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel
 from .sympower import SymSpace
 from .tqft import Presentation, _over_square
+
+
+def submatrix(a: tuple, rows: Sequence[int], cols: Sequence[int]) -> tuple:
+    """The rows and columns of a at the given indices, in their order:
+    the restricted minors of ``_minor_sums``."""
+    return tuple(tuple(a[i][j] for j in cols) for i in rows)
 
 
 def _integer_rows(a: tuple) -> Tuple[list, list]:

@@ -5,10 +5,12 @@ For a genus-G surface the degree-n symmetric power has cohomology with basis
 y is the even degree-2 class, and ``|I| + q <= n``.  Every operation re-sorts
 indices and tracks the transposition sign, so coefficients stay exact
 integers.  ``handle_duality``, the one production route, builds plain
-(I, q) tuples in closed form.  ``Monomial``, the tuple (I, q) itself, its
-bound test ``contains``, the classes, the Lambda(A) action, the graded
-traces and the duality evaluated pairing by pairing are reference routes
-in ``swtorsion.reference``, which read those tuples unconverted.
+(I, q) tuples in closed form: only the pairings and duals that
+``intersection.intersection_number`` reads.  ``Monomial``, the tuple
+(I, q) itself, its bound test ``contains``, the classes, the Lambda(A)
+action, the graded traces and the duality evaluated pairing by pairing
+are reference routes in ``swtorsion.reference``, which read those tuples
+unconverted.
 Nothing is cached per space: each call builds the pairings and duals it
 reads, and a caller that reads them twice keeps its own result.
 
@@ -68,14 +70,16 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
     form.
 
     Returns (pairs, duals) on plain (indices, q) tuples, which a
-    ``Monomial`` equals: pairs[a] is {b: <a, b>} over the nonzero pairings
-    of a, and duals[a] is the dual a*, with <a*, b> = delta_{ab}, as
-    {b: coefficient}.  On these monomials they equal
-    ``reference.duality_pairings`` and the terms of
-    ``reference.dual_basis``.  Each such monomial is C (or D) joined to a
-    core monomial x_K y^q with |K| + q <= m - N, and these are exactly the
-    blocks the handle diagonal reaches.  With no handles every block of
-    the space is reached.
+    ``Monomial`` equals: duals[a] is the dual a*, with <a*, b> =
+    delta_{ab}, as {b: coefficient}, for every such monomial a, and
+    pairs[a] is {b: <a, b>} over the nonzero pairings of a, for those that
+    hold C.  On these monomials they equal ``reference.duality_pairings``
+    and the terms of ``reference.dual_basis``.  Each such monomial is C
+    (or D) joined to a core monomial x_K y^q with |K| + q <= m - N, and
+    these are exactly the blocks the handle diagonal reaches.  The walk of
+    ``intersection.intersection_number`` pairs C beta and the monomials of
+    (D beta)*, which hold C, so no monomial headed by D is paired.  With no handles every block of the
+    space is reached, and every monomial is both paired and dualised.
 
     *Blocks.*  Write a monomial as x_{U + S} y^q, with U the indices whose
     partner is absent and S a set of whole partner pairs.  Two monomials
@@ -122,14 +126,16 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
     ``invert_unimodular``.
 
     *Cost.*  The rows of (U, h) are the first entries, by |S|, of one list
-    per core unpaired set U, so each index tuple, sign eps and mask is
-    built once per U and sliced for every h, and both heads reuse it.  The
-    key's c and partner key come from one inversion count of p(U), and one
-    inverse table serves every block with the same (|U|, L).  So a call
-    takes one sign per pair (U, S) with |S| <= min((m - N - |U|)/2, P) and
-    one per U, whatever N and h.  What is left is writing the pairs and
-    duals: about twice dim H^*(Sym^{m-N}) of the core surface monomials,
-    and the squared block sizes in entries.
+    per core unpaired set U, so each index tuple and sign eps is built once
+    per U and sliced for every h, and both heads reuse it.  The pair sets S
+    with their masks depend only on the core pairs that U meets, so they
+    are listed once for all the U on those pairs.  The key's c and partner
+    key come from one inversion count of p(U), and one inverse table serves
+    every block with the same (|U|, L).  So a call takes one sign per pair
+    (U, S) with |S| <= min((m - N - |U|)/2, P) and one per U, whatever N
+    and h.  What is left is writing the duals of about twice
+    dim H^*(Sym^{m-N}) of the core surface monomials and the pairs of half
+    as many (all of them at N = 0), and the squared block sizes in entries.
     """
     partner = space.surface.partner
     N, g = space.surface.split
@@ -144,19 +150,20 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
     for k in range(min(g, n) + 1):
         for chosen in combinations(range(g), k):
             free = [j for j in range(g) if j not in chosen]
+            # The pair sets S of the free pairs, sorted by |S|: the rows of
+            # (U, h) are the first cut[L], for every U on these pairs.
+            sets, cut = [], []
+            for s in range(min((n - k) // 2, g - k) + 1):
+                for S in combinations(free, s):
+                    sets.append((tuple(t for j in S for t in core_pairs[j]),
+                                 s, sum(1 << j for j in S)))
+                cut.append(len(sets))
             for ends in product(*(core_pairs[j] for j in chosen)):
                 U = tuple(sorted(ends))
-                # The rows of every h, sorted by |S|: those of (U, h) are
-                # the first cut[L].  The head precedes every core index, so
-                # eps reads the core.
-                family, cut = [], []
-                for s in range(min((n - k) // 2, g - k) + 1):
-                    for S in combinations(free, s):
-                        flat = tuple(t for j in S for t in core_pairs[j])
-                        family.append((tuple(sorted(U + flat)), s,
-                                       -1 if _odd_inversions(U + flat) else 1,
-                                       sum(1 << j for j in S)))
-                    cut.append(len(family))
+                # The head precedes every core index, so eps reads the core.
+                family = [(tuple(sorted(U + flat)), s,
+                           -1 if _odd_inversions(U + flat) else 1, mask)
+                          for flat, s, mask in sets]
                 # c(head + U): the head's images are the other head, sorted
                 # and below the core, and D turns all N of its pairs.
                 images = tuple(map(partner, U))
@@ -182,8 +189,11 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
         image_key, c, k = info[key]
         L = min(h, n - k - h, g - k)
         cols = members[image_key, n - k - h]
-        for r, eps, mask in rows:
-            pairs[r] = {b: c * eps * e for b, e, m in cols if not mask & m}
+        # only the rows that hold C are paired (all of them at N = 0)
+        if key[:N] == heads[0]:
+            for r, eps, mask in rows:
+                pairs[r] = {b: c * eps * e for b, e, m in cols
+                            if not mask & m}
         inverse = inverses.get((k, L))
         if inverse is None:
             inverse = inverses[k, L] = {

@@ -16,7 +16,8 @@ from swtorsion.cli import (_TABLE_COMMANDS, SYMPLECTIC_PROBLEM,
                            generate_fixture, load_presentation, main,
                            write_presentation)
 from swtorsion.intersection import intersection_number
-from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
+from swtorsion.linalg import det_int, identity_matrix, mat_mul
+from swtorsion.reference import submatrix
 from swtorsion.series import TruncSeries
 from swtorsion.surface import SurfaceModel, random_symplectic
 from swtorsion.tqft import Presentation

@@ -129,14 +129,91 @@ def test_intersection_matches_trace_at_sym_dim_303(g, N, n):
 
 
 def test_intersection_number_builds_only_the_handle_blocks():
-    # the monomials it pairs and dualises are C or D times a core monomial
-    # of Sym^n: 34 of the 303 of Sym^{n+N}
+    # the monomials it dualises are C or D times a core monomial of Sym^n,
+    # 34 of the 303 of Sym^{n+N}; it pairs only the 17 that hold C
     P = make_presentation(2, 2, 52, 1)
     pairs, duals = sympower.handle_duality(SymSpace(P.surface, 4))
-    for a in (*pairs, *duals):
+    for a in duals:
         assert a[0][:2] in ((0, 1), (2, 3))
-    assert len(pairs) == len(duals) == 2 * SymSpace(SurfaceModel(2), 2).dim
+    core = SymSpace(SurfaceModel(2), 2).dim
+    assert len(duals) == 2 * core
+    assert set(pairs) == {a for a in duals if a[0][:2] == (0, 1)}
+    assert len(pairs) == core
     assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
+
+
+def test_the_walk_asks_the_graph_class_once_per_surviving_pair(monkeypatch):
+    # all 6,285 products <a, c><b, e> are formed, but their weights cancel
+    # on every (c, e) except the 627 pairings of each C beta, exactly as
+    # the duality <b*, e> = delta predicts
+    P = make_presentation(4, 0, 52, 1)
+    asked = []
+    walk = intersection._pair_against
+
+    def counting(terms, pairs, coefficient):
+        def ask(c, e):
+            asked.append((c, e))
+            return coefficient(c, e)
+        return walk(terms, pairs, ask)
+
+    monkeypatch.setattr(intersection, "_pair_against", counting)
+    assert intersection_number(P, 4) == trace_kappa_coefficient(P, 4)
+    assert len(asked) == len(set(asked)) == 627
+
+
+def test_the_walk_skips_a_pair_whose_weights_cancel():
+    # (c, e) gets -2 from the first term and +2 from the second; (c, f)
+    # keeps the third term's weight, and (d, e), (d, f) the first's
+    a1, a2, b1, b2 = ((0,), 0), ((1,), 0), ((2,), 0), ((), 1)
+    c, d, e, f = ((3,), 0), ((), 1), ((4,), 0), ((), 2)
+    pairs = {a1: {c: 2, d: 1}, a2: {c: 1}, b1: {e: 1, f: -3}, b2: {f: 5}}
+    terms = [(a1, b1, 1), (a2, b1, -2), (a2, b2, 1)]
+    graph = {(c, e): 7, (c, f): 11, (d, e): -13, (d, f): 17}
+    asked = []
+
+    def coefficient(x, y):
+        asked.append((x, y))
+        return graph[x, y]
+
+    ungrouped = sum((-1) ** (len(b[0]) * len(x[0])) * cu * ac * be
+                    * graph[x, y]
+                    for a, b, cu in terms
+                    for x, ac in pairs[a].items()
+                    for y, be in pairs[b].items())
+    assert intersection._pair_against(terms, pairs, coefficient) == ungrouped
+    assert sorted(asked) == sorted([(c, f), (d, e), (d, f)])
+
+
+def test_a_wrong_dual_leaves_a_weight_standing(monkeypatch):
+    # one coefficient of a dual (D beta)* off by one: the products of its
+    # terms no longer cancel to delta, Gamma is asked at a pair (c, e) that
+    # the right duals cancel, and the total leaves the trace, so intersect
+    # prints MISMATCH
+    P = make_presentation(2, 2, 52, 1)
+    honest, walk = sympower.handle_duality, intersection._pair_against
+    asked = []
+
+    def wrong(space):
+        pairs, duals = honest(space)
+        key = next(a for a in duals
+                   if a[0][:2] == (2, 3) and len(duals[a]) > 1)
+        b = next(iter(duals[key]))
+        duals[key] = {**duals[key], b: duals[key][b] + 1}
+        return pairs, duals
+
+    def counting(terms, pairs, coefficient):
+        asked.append(set())
+
+        def ask(c, e):
+            asked[-1].add((c, e))
+            return coefficient(c, e)
+        return walk(terms, pairs, ask)
+
+    monkeypatch.setattr(intersection, "_pair_against", counting)
+    assert intersection_number(P, 2) == trace_kappa_coefficient(P, 2)
+    monkeypatch.setattr(intersection, "handle_duality", wrong)
+    assert intersection_number(P, 2) != trace_kappa_coefficient(P, 2)
+    assert asked[1] - asked[0]
 
 
 def test_intersection_number_never_builds_the_graph_class(without_reference):

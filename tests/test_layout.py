@@ -55,7 +55,8 @@ MOVED = {
               "_orbit_covers", "enumerate_relative_perms", "collapse_perm",
               "_compositions", "torsion_coefficient_direct"],
     linalg: ["_integer_rows", "det_rational", "invert_rational",
-             "invert_unimodular", "independent_columns", "perm_parity"],
+             "invert_unimodular", "independent_columns", "perm_parity",
+             "submatrix"],
 }
 
 # The names the benchmark's tracer reads from a production module.

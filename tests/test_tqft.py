@@ -5,11 +5,11 @@ from fractions import Fraction
 import pytest
 
 from swtorsion.intersection import intersection_number
-from swtorsion.linalg import det_int, identity_matrix, mat_mul, submatrix
+from swtorsion.linalg import det_int, identity_matrix, mat_mul
 from swtorsion.reference import (Monomial, SymClass, ascend_map, descend_map,
                                  enumerate_basis, graded_trace,
                                  induced_endomorphism, intersection_matrix,
-                                 inverse, kappa_matrix)
+                                 inverse, kappa_matrix, submatrix)
 from swtorsion.series import TruncSeries
 from swtorsion.surface import MappingClass, SurfaceModel
 from swtorsion.sympower import SymSpace
