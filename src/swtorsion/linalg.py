@@ -1,23 +1,23 @@
 """Exact linear algebra on small matrices.
 
-Matrices are immutable tuples of row tuples.  One fraction-free (Bareiss)
-elimination kernel, ``_bareiss``, serves every determinant, rank, inverse
-and column basis, and ``signed_pencil``, the library's one determinant
-pencil in Bareiss form, takes g + 1 of those determinants.  The other
-is Berkowitz's division-free recursion ``_berkowitz``, written once for
-any commutative ring: ``verify``'s rhs runs it over the integers
-(``det_one_minus_t``) and over truncated series (``series.series_det``),
-apart from ``signed_pencil`` and ``torsion.newton_pencil``, so that
-``verify`` at N = 0 checks the kernel that ``zeta`` prints.  The rational
-and unimodular routes on the same kernel (``det_rational``,
-``invert_rational``, ``invert_unimodular``, ``independent_columns``),
-``perm_parity`` and ``submatrix`` are reference routes in
-``swtorsion.reference``.  Nothing here ever touches a float.
+Matrices are immutable tuples of row tuples, and the module is two kernels.
+One is fraction-free (Bareiss) elimination, ``_bareiss``: it serves every
+determinant, rank, inverse and column basis, and the g + 1 determinants of
+``signed_pencil``, the library's one determinant pencil in Bareiss form,
+and the Jordan pass that solves for its palindromic coefficients
+(``_solve_palindromic``).  The other is Berkowitz's division-free recursion
+``_berkowitz``, written once for any commutative ring: ``verify``'s rhs
+runs it over the integers (``det_one_minus_t``) and over truncated series
+(``series.series_det``), apart from ``signed_pencil`` and
+``torsion.newton_pencil``, so that ``verify`` at N = 0 checks the kernel
+that ``zeta`` prints.  The rational and unimodular routes on the same
+kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
+``independent_columns``), ``perm_parity`` and ``submatrix`` are reference
+routes in ``swtorsion.reference``.  Nothing here ever touches a float.
 """
 from __future__ import annotations
 
 import operator
-from math import comb
 from typing import Sequence, Tuple
 
 
@@ -156,10 +156,10 @@ def signed_pencil(mat: tuple, N: int) -> Tuple[int, ...]:
     at N = 0 the coefficients are those of det(1 - tA).
 
     p is palindromic of degree 2g, p_k = +p_{2g-k}, so the g + 1 Bareiss
-    determinants at s = 0..g determine it, and ``_solve_palindromic``
-    recovers it exactly.  Q is read once, and ``det_int`` copies the rows it
-    gets: those of D, and s times those of X plus the unit.  Write
-    R = D u I, S = C u I and X' = X minus I.
+    determinants at s = 0..g determine it, and a Jordan pass of the same
+    kernel (``_solve_palindromic``) recovers it.  Q is read once, and
+    ``det_int`` copies the rows it gets: those of D, and s times those of
+    X plus the unit.  Write R = D u I, S = C u I and X' = X minus I.
     Jacobi's complementary-minor identity for B = A^-1, with det A = 1,
     gives det A[R, S] = (-1)^{sum R + sum S} det B[D u X', C u X'] (the
     complements of S and R).  B is the signed partner transpose
@@ -191,52 +191,24 @@ def _solve_palindromic(values: Sequence[int]) -> list:
     """p_0 .. p_w of the integer polynomial p of degree 2w with
     p_k = p_{2w-k} and p(s) = values[s] for s = 0..w.
 
-    Such p are s^w q(u) with u = s + 1/s and q of degree w, whose lead
-    coefficient is p_0 = p(0).  With u_j = j + 1/j, s^w times the Newton
-    polynomial (u - u_1) .. (u - u_i) is B_i(s) / i!, where
-    B_i(s) = s^{w-i} prod_{j=1..i} (s - j)(j s - 1) is an integer
-    palindromic polynomial.  So p = p_0 (1 + s^2)^w + sum_{i<w} e_i B_i,
-    and since B_i(k) = 0 for 1 <= k <= i, the values at s = 1..w form a
-    triangular system in e_0 .. e_{w-1}.  Its pivots B_{k-1}(k) are
-    nonzero because u_j != u_k for j < k (s -> s + 1/s is injective on
-    s >= 1).  The e_i are carried times the product delta of the pivots,
-    which makes every step of the substitution an exact integer division,
-    and p delta is divided by delta at the end: O(w^2) integer operations.
-    A remainder there means the values fit no integer palindromic
-    polynomial, and raises ExactDivisionError.
+    p_0 = p(0), and p - p_0 (1 + s^{2w}) is p_w s^w plus the sum over
+    0 < k < w of p_k (s^k + s^{2w-k}), so the values at s = 1..w are w
+    equations in p_1 .. p_w.  Over s^w each of these basis polynomials is
+    monic of degree w - k in u = s + 1/s: up to a unitriangular factor
+    the system is Vandermonde in u_s, nonsingular because s -> s + 1/s is
+    injective on s >= 1.  The Jordan pass of ``_bareiss`` leaves the last
+    pivot times p_1 .. p_w in the right column.  A remainder when it is
+    divided out means the values fit no integer palindromic polynomial,
+    and raises ExactDivisionError.
     """
-    w = len(values) - 1
-    lead = values[0]
-    table = []
-    delta = 1
-    for k in range(1, w + 1):
-        b = k ** w
-        row = [b]
-        for i in range(1, k):
-            b = b * (k - i) * (i * k - 1) // k
-            row.append(b)
-        table.append(row)
-        delta *= b
-    scaled: list = []
-    for k, row in enumerate(table, 1):
-        rhs = (values[k] - lead * (1 + k * k) ** w) * delta
-        scaled.append((rhs - sum(map(operator.mul, scaled, row))) // row[-1])
-    out = [lead * delta * comb(w, k // 2) if k % 2 == 0 else 0
-           for k in range(w + 1)]
-    factor = [1]  # prod_{j<=i} (s - j)(j s - 1), lowest degree first
-    for i, e in enumerate(scaled):
-        if i:
-            nxt = [0] * (len(factor) + 2)
-            for m, c in enumerate(factor):
-                nxt[m] += i * c
-                nxt[m + 1] -= (i * i + 1) * c
-                nxt[m + 2] += i * c
-            factor = nxt
-        for m in range(w - i, w + 1):
-            out[m] += e * factor[m - w + i]
-    half = []
-    for x in out:
-        q, r = divmod(x, delta)
+    w, lead = len(values) - 1, values[0]
+    m = [[s ** k + s ** (2 * w - k) for k in range(1, w)]
+         + [s ** w, values[s] - lead * (1 + s ** (2 * w))]
+         for s in range(1, w + 1)]
+    last = _bareiss(m, jordan=True)[2]
+    half = [lead]
+    for row in m:
+        q, r = divmod(row[-1], last)
         if r:
             raise ExactDivisionError("palindromic polynomial is not integral")
         half.append(q)

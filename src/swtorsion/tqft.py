@@ -192,6 +192,14 @@ def verify_main_identity(P: Presentation, nmax: int) -> VerificationReport:
     zeta function, so it shares no code with either trace column: it
     reads neither ``newton_pencil`` and its Bareiss fallback nor
     ``det_int``.  Every row keeps that independent witness.
+
+    *Rows that suffice (ROADMAP item 15).*  Each trace column is
+    p~ / (1 - t)^2, p~ = (-1)^N p(-t) of degree <= 2g.  With G = g + N and
+    Delta = det(1 - tA), each Morse entry is one of adj(1 - tA) over Delta,
+    so det M = det P / Delta^N with deg det P <= N(2G - 1).  Rows 0..K
+    agree iff t^N p~ Delta^(N-1) = det P mod t^(K+N+1), or p~ = Delta
+    mod t^(K+1) at N = 0.  Both sides have degree <= N(2G - 1) (2g at
+    N = 0): rows 0..n* with n* = max(2g, 2N(G - 1)) settle every n.
     """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")

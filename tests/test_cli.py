@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -900,3 +901,19 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "swtorsion" in proc.stdout
+
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_prints_its_expected_output(demo):
+    # the CI "Demos" step, byte for byte
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(swtorsion.__file__)))
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                          env=env, cwd=DEMOS.parent)
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = DEMOS / "expected" / f"{demo.stem}.txt"
+    assert proc.stdout == expected.read_bytes()

@@ -3,7 +3,7 @@ inputs drawn by hypothesis (derandomized, so every run draws the same)."""
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +23,7 @@ from swtorsion.reference import (ProductClass, _minor_sums, det_rational,
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, is_symplectic, random_symplectic
 from swtorsion.sympower import SymSpace, disjoint_inverse_entry, handle_duality
-from swtorsion import torsion
+from swtorsion import linalg, torsion
 from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
                                torsion_representative)
 from swtorsion.tqft import (Presentation, _trace_series, compute_b1,
@@ -307,6 +307,44 @@ def test_palindromic_pencil_rejects_a_non_integral_solution():
     # polynomial through its values at s = 0..3 is not integral
     with pytest.raises(ExactDivisionError, match="not integral"):
         signed_pencil(((0,) * 6,) * 6, 0)
+
+
+def palindromic_values(half):
+    """p(0) .. p(w) of the palindromic polynomial whose coefficients
+    p_0 .. p_w are ``half``."""
+    full = list(half) + list(half[-2::-1])
+    return [sum(c * s ** k for k, c in enumerate(full))
+            for s in range(len(half))]
+
+
+BIG = st.integers(-10 ** 31, 10 ** 31)
+
+
+@PROPERTY
+@given(st.lists(BIG, min_size=1, max_size=11))
+def test_palindromic_solve_recovers_every_integral_half(half):
+    assert linalg._solve_palindromic(palindromic_values(half)) == half
+
+
+@PROPERTY
+@given(st.integers(2, 10).flatmap(lambda w: st.tuples(
+           st.lists(BIG, min_size=w + 1, max_size=w + 1),
+           st.integers(1, w - 1))),
+       st.integers(0, 10 ** 31), st.integers(1, 10 ** 31))
+def test_palindromic_solve_rejects_integral_values_of_a_rational_half(
+        drawn, numerator, denominator):
+    # p_k = n + a / d with a odd, d even and 0 < k < w.  Every value of
+    # s^k + s^(2w-k) is even and that at s = 1 is 2, so the values of p
+    # have denominators with lcm L and L a / d has denominator 2: L p
+    # takes integer values at s = 0..w and is not integral
+    half, k = drawn
+    half = list(half)
+    half[k] += Fraction(2 * numerator + 1, 2 * denominator)
+    values = palindromic_values(half)
+    scale = lcm(*(v.denominator for v in values))
+    assert (half[k] * scale).denominator == 2
+    with pytest.raises(ExactDivisionError, match="not integral"):
+        linalg._solve_palindromic([int(v * scale) for v in values])
 
 
 @PROPERTY

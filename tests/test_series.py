@@ -43,6 +43,18 @@ def test_coefficients_must_be_ints(bad):
         TruncSeries(1, [bad])
 
 
+def test_order_bounds_the_coefficient_count():
+    assert TruncSeries(3, range(4)).coeffs == (0, 1, 2, 3)
+    with pytest.raises(ValueError, match="5 coefficients for order 3"):
+        TruncSeries(3, range(5))
+
+
+def test_str_writes_each_power_of_t():
+    assert str(TruncSeries(2, (1, -2, 3))) == "1 + -2*t + 3*t^2"
+    assert str(TruncSeries(3, (0, 5))) == "5*t"
+    assert str(TruncSeries(2)) == "0"
+
+
 def test_mul_difference_of_squares():
     assert S(2, 1, 1) * S(2, 1, -1) == S(2, 1, 0, -1)
 
