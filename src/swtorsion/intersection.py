@@ -133,22 +133,22 @@ def intersection_number(P: Presentation, n: int) -> int:
     """
     _, terms, pairs, duals = _diagonal_terms(P, n)
     C = tuple(range(P.handles))
-    # holders[c, k, q]: the a of k indices and y power q whose dual holds c
-    holders: Dict[tuple, List[Tuple[Tuple[int, ...], int]]] = {}
+    # holders[k, q][c]: the a of k indices and y power q whose dual holds c
+    holders: Dict[tuple, Dict[tuple, List[Tuple[Tuple[int, ...], int]]]] = {}
     for (cols, q), dual in duals.items():
         if cols[:len(C)] != C:
             continue
         odd = len(cols) & 1
+        by_c = holders.setdefault((len(cols), q), {})
         for c, coeff in dual.items():
-            holders.setdefault((c, len(cols), q), []).append(
-                (cols, -coeff if odd else coeff))
+            by_c.setdefault(c, []).append((cols, -coeff if odd else coeff))
     mat = P.monodromy.mat
     minors: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
 
     def gamma(c: tuple, e: tuple) -> int:
         rows, q = e
         value = 0
-        for cols, signed in holders.get((c, len(rows), q), ()):
+        for cols, signed in holders.get((len(rows), q), {}).get(c, ()):
             minor = minors.get((rows, cols))
             if minor is None:
                 pivots, sign, last = _bareiss([[mat[i][j] for j in cols]

@@ -13,9 +13,9 @@ pays for compiling it.  ``swtorsion`` resolves the names of its
 
 * Exact rational linear algebra (``det_rational``, ``invert_rational``,
   ``independent_columns``) and the integer inverse ``invert_unimodular``,
-  all on the Bareiss kernel ``linalg._bareiss``; ``perm_parity``, kept
-  apart from ``sympower._odd_inversions`` for the signs of the references;
-  and ``submatrix``, the minors of ``_minor_sums``.
+  all on the Bareiss kernel ``linalg._bareiss``; ``perm_parity``, the
+  signs of the references; and ``submatrix``, the minors of
+  ``_minor_sums``.
 * The surface's object API, each function taking the surface or the
   mapping class first: ``CohClass``, ``pairing``, ``basis_class``,
   ``c_class``, ``d_class``, ``intersection_matrix``, ``apply``, ``inverse``.

@@ -2,10 +2,11 @@
 
 For a genus-G surface the degree-n symmetric power has cohomology with basis
 ``x_I y^q`` where I is a strictly increasing subset of the 2G odd generators,
-y is the even degree-2 class, and ``|I| + q <= n``.  Every operation re-sorts
-indices and tracks the transposition sign, so coefficients stay exact
-integers.  ``handle_duality``, the one production route, builds plain
-(I, q) tuples in closed form: only the pairings and duals that
+y is the even degree-2 class, and ``|I| + q <= n``.  Coefficients are exact
+integers, with the sign of the sort that puts each product's indices in
+order.  ``handle_duality``, the one production route, builds plain
+(I, q) tuples in closed form, its signs read off the order of the basis
+with nothing sorted: only the pairings and duals that
 ``intersection.intersection_number`` reads.  ``Monomial``, the tuple
 (I, q) itself, its bound test ``contains``, the classes, the Lambda(A)
 action, the graded traces and the duality evaluated pairing by pairing
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Dict, List, Tuple
+from itertools import combinations
+from typing import Dict, Tuple
 
 from .surface import SurfaceModel
 
@@ -46,11 +47,6 @@ class SymSpace:
     def dim(self) -> int:
         return sum(math.comb(2 * self.G, k) * (self.n - k + 1)
                    for k in range(min(self.n, 2 * self.G) + 1))
-
-
-def _odd_inversions(seq) -> int:
-    """1 when sorting the distinct ints of seq is an odd permutation, else 0."""
-    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:]) & 1
 
 
 def disjoint_inverse_entry(p: int, L: int, u: int, x: int) -> int:
@@ -125,83 +121,123 @@ def handle_duality(space: SymSpace) -> Tuple[Dict[tuple, Dict[tuple, int]],
     closed forms against ``duality_pairings``, ``dual_basis`` and
     ``invert_unimodular``.
 
-    *Cost.*  The rows of (U, h) are the first entries, by |S|, of one list
-    per core unpaired set U, so each index tuple and sign eps is built once
-    per U and sliced for every h, and both heads reuse it.  The pair sets S
-    with their masks depend only on the core pairs that U meets, so they
-    are listed once for all the U on those pairs.  The key's c and partner
-    key come from one inversion count of p(U), and one inverse table serves
-    every block with the same (|U|, L).  So a call takes one sign per pair
-    (U, S) with |S| <= min((m - N - |U|)/2, P) and one per U, whatever N
-    and h.  What is left is writing the duals of about twice
-    dim H^*(Sym^{m-N}) of the core surface monomials and the pairs of half
-    as many (all of them at N = 0), and the squared block sizes in entries.
+    *Cost.*  Number the core pairs (a_j, b_j), a_j < b_j, by j = 0..g - 1,
+    as ``partner`` gives them (read once per core index): every first end
+    a_j lies below every second end, and both rise with j.  A core U then
+    holds one end of each pair of a set K: the first ends of A and the
+    second ends of B = K - A.  Sorted, U + S is a_{A + S} then b_{B + S},
+    each ascending, so every key is read from two tables of index tuples by
+    bit mask, and nothing is sorted.  The order fixes both signs.
+
+    - c(U): p(U) in the order of U is b_A then a_B.  Every one of the
+      |A||B| pairs across the two runs is an inversion and none within
+      them, and the u with u > p(u) are the |B| of B.  The head's images
+      are the other head, sorted and below the core, and D turns all N of
+      its pairs.  So c(head + U) has parity
+      |A||B| + (N + k)(N + k - 1)/2 + |B|, plus N for the head D, with
+      k = |K|.  The partner key is the other head, a_B, b_A: the image of
+      (K, A, B) is (K, B, A).
+    - eps(U + S): U + S reads a_A b_B a_{t_1} b_{t_1} a_{t_2} b_{t_2} ..
+      for S = {t_1 < t_2 < ..}.  Its inversions are b_j before a_t for j
+      in B and t in S (s|B| of them), b_{t_i} before a_{t_l} for i < l
+      (C(s, 2)), and one for each j in K above t in S (a_j before a_t for
+      j in A, b_j before b_t for j in B).  So eps has parity
+      C(s, 2) + s|B| + |S cap W_K|, where W_K is the set of free pairs
+      that lie below an odd number of the pairs of K.
+
+    The image block of (K, A, B, head, h) is (K, B, A, the other head,
+    n - k - h) with n = m - N: the subsets of K are listed so that K - A
+    sits at index -1 - i when A sits at i, and every block meets its image
+    by list index.  The rows of (K, A, B, head, h) are the first entries,
+    by |S|, of one list per (K, A), so each key and sign eps is built once
+    per U and head and sliced for every h.  The pair sets S with their
+    masks and parities depend only on K, and one inverse table, indexed by
+    u and x, serves every block with the same (|K|, L).  So a call reads
+    ``partner`` 2g times and takes two table reads and a parity per pair
+    (U, S) with |S| <= min((n - |U|)/2, P), whatever N and h.  What is
+    left is writing the duals of about twice dim H^*(Sym^n) of the core
+    surface monomials and the pairs of half as many (all of them at
+    N = 0), and the squared block sizes in entries.
     """
     partner = space.surface.partner
     N, g = space.surface.split
     n = space.n - N
     heads = (tuple(range(N)), tuple(range(N, 2 * N))) if N else ((),)
-    core_pairs = [(i, partner(i)) for i in range(2 * N, 2 * space.G)
-                  if i < partner(i)]
-    # members[key, h]: the rows keyed (key, |key| + 2h) as ((indices, q),
-    # eps, bit mask of S); info[key]: (partner key, c(key), k).
-    members: Dict[tuple, List[tuple]] = {}
-    info: Dict[tuple, tuple] = {}
-    for k in range(min(g, n) + 1):
-        for chosen in combinations(range(g), k):
-            free = [j for j in range(g) if j not in chosen]
-            # The pair sets S of the free pairs, sorted by |S|: the rows of
-            # (U, h) are the first cut[L], for every U on these pairs.
-            sets, cut = [], []
-            for s in range(min((n - k) // 2, g - k) + 1):
-                for S in combinations(free, s):
-                    sets.append((tuple(t for j in S for t in core_pairs[j]),
-                                 s, sum(1 << j for j in S)))
-                cut.append(len(sets))
-            for ends in product(*(core_pairs[j] for j in chosen)):
-                U = tuple(sorted(ends))
-                # The head precedes every core index, so eps reads the core.
-                family = [(tuple(sorted(U + flat)), s,
-                           -1 if _odd_inversions(U + flat) else 1, mask)
-                          for flat, s, mask in sets]
-                # c(head + U): the head's images are the other head, sorted
-                # and below the core, and D turns all N of its pairs.
-                images = tuple(map(partner, U))
-                odd = (_odd_inversions(images) + (N + k) * (N + k - 1) // 2
-                       + sum(u > v for u, v in zip(U, images)))
-                image_key = tuple(sorted(images))
-                keys = []
-                for turn, head in enumerate(heads):
-                    info[head + U] = (heads[-1 - turn] + image_key,
-                                      -1 if (odd + turn * N) & 1 else 1, k)
-                    keys.append((head + U, [(head + idx, s, eps, mask)
-                                            for idx, s, eps, mask in family]))
-                for h in range(n - k + 1):
-                    rows = cut[min(h, n - k - h, g - k)]
-                    for key, fam in keys:
-                        members[key, h] = [((idx, h - s), eps, mask)
-                                           for idx, s, eps, mask in fam[:rows]]
+    core_pairs = [(i, p) for i in range(2 * N, 2 * space.G)
+                  if i < (p := partner(i))]
+    # first[M], second[M]: the first and the second ends of the core pairs
+    # in the bit mask M, ascending; no key holds more than min(n, g) of them
+    top = min(n, g)
+    first: Dict[int, tuple] = {0: ()}
+    second: Dict[int, tuple] = {0: ()}
+    for j, (a, b) in enumerate(core_pairs):
+        first.update({M | 1 << j: t + (a,) for M, t in first.items()
+                      if M.bit_count() < top})
+        second.update({M | 1 << j: t + (b,) for M, t in second.items()
+                       if M.bit_count() < top})
     pairs: Dict[tuple, Dict[tuple, int]] = {}
     duals: Dict[tuple, Dict[tuple, int]] = {}
-    # Z^{-1} on the sets of at most L of the g - k free pairs, by (u, x)
-    inverses: Dict[tuple, Dict[tuple, int]] = {}
-    for (key, h), rows in members.items():
-        image_key, c, k = info[key]
-        L = min(h, n - k - h, g - k)
-        cols = members[image_key, n - k - h]
-        # only the rows that hold C are paired (all of them at N = 0)
-        if key[:N] == heads[0]:
-            for r, eps, mask in rows:
-                pairs[r] = {b: c * eps * e for b, e, m in cols
-                            if not mask & m}
-        inverse = inverses.get((k, L))
-        if inverse is None:
-            inverse = inverses[k, L] = {
-                (u, x): disjoint_inverse_entry(g - k, L, u, x)
-                for u in range(L + 1) for x in range(u + 1)}
-        for b, e, m in cols:
-            ce = c * e
-            duals[b] = {r: ce * eps * v for r, eps, mask in rows
-                        if (v := inverse.get(((mask | m).bit_count(),
-                                              (mask & m).bit_count())))}
+    for k in range(top + 1):
+        lmax = min((n - k) // 2, g - k)
+        # caps[h]: the L of the blocks of y power h
+        caps = [min(h, n - k - h, g - k) for h in range(n - k + 1)]
+        # inverses[L][u][x]: Z^{-1} on the sets of at most L of the g - k
+        # free pairs, u = |S cup T| <= 2L
+        inverses = [[[disjoint_inverse_entry(g - k, L, u, x)
+                      for x in range(u + 1)] for u in range(2 * L + 1)]
+                     for L in range(lmax + 1)]
+        for chosen in combinations(range(g), k):
+            K = sum(1 << j for j in chosen)
+            free = [j for j in range(g) if not K >> j & 1]
+            W = sum(1 << t for t in free
+                    if sum(j > t for j in chosen) & 1)
+            # (S, s, parity of C(s, 2) + |S cap W|) by |S|: the rows of
+            # (K, A, B, head, h) are the first cut[L]
+            sets, cut = [], []
+            for s in range(lmax + 1):
+                for picked in combinations(free, s):
+                    S = sum(1 << t for t in picked)
+                    sets.append((S, s,
+                                 s * (s - 1) // 2 + (S & W).bit_count()))
+                cut.append(len(sets))
+            # the subsets of K, with K - subsets[i] at subsets[-1 - i]
+            subsets = [0]
+            for j in chosen:
+                subsets += [A | 1 << j for A in subsets]
+            # blocks[i][turn][h]: the rows ((indices, q), eps, S) of
+            # (K, A, K - A, heads[turn], h) for A = subsets[i], and odd[i]
+            # the parity of c(U)
+            blocks, odd = [], []
+            for A in subsets:
+                B = K ^ A
+                nb = B.bit_count()
+                odd.append((k - nb) * nb + (N + k) * (N + k - 1) // 2 + nb)
+                family = [(first[A | S] + second[B | S], s,
+                           -1 if (par + s * nb) & 1 else 1, S)
+                          for S, s, par in sets]
+                blocks.append([[[((head + idx, h - s), eps, S)
+                                 for idx, s, eps, S
+                                 in family[:cut[L]]]
+                                for h, L in enumerate(caps)]
+                               for head in heads])
+            for i, by_head in enumerate(blocks):
+                for turn, by_h in enumerate(by_head):
+                    c = -1 if (odd[i] + turn * N) & 1 else 1
+                    image = blocks[-1 - i][-1 - turn]
+                    for h, rows in enumerate(by_h):
+                        cols = image[n - k - h]
+                        # only the rows that hold C are paired (all of
+                        # them at N = 0)
+                        if not turn:
+                            for r, eps, S in rows:
+                                ce = c * eps
+                                pairs[r] = {b: ce * e for b, e, T in cols
+                                            if not S & T}
+                        inverse = inverses[caps[h]]
+                        for b, e, T in cols:
+                            ce = c * e
+                            duals[b] = {
+                                r: ce * eps * v for r, eps, S in rows
+                                if (v := inverse[(S | T).bit_count()]
+                                    [(S & T).bit_count()])}
     return pairs, duals

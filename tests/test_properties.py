@@ -840,6 +840,26 @@ def test_handle_duality_equals_the_full_duality_on_a_grid(N):
     assert capped
 
 
+@pytest.mark.parametrize("N", range(2))
+@pytest.mark.parametrize("g", (5, 6))
+def test_handle_duality_equals_the_full_duality_past_core_genus_four(g, N):
+    # The grid above stops at g + N <= 4.  Here the pairs of a pair set S
+    # lie below none, one or two of the unpaired set's pairs K, so the
+    # term |S cap W_K| of eps, with W_K the free pairs below an odd number
+    # of the pairs of K, meets even and odd counts.
+    below = set()
+    for n in range(5):
+        space = SymSpace(SurfaceModel(g + N, (N, g)), n + N)
+        touched = handle_touched(space)
+        assert_handle_duality_is_the_full_duality(space, touched)
+        for m in touched:
+            # the core pair of each core index, past the head of N
+            js = [(i - 2 * N) % g for i in m.indices[N:]]
+            K = {j for j in js if js.count(j) == 1}
+            below |= {sum(j > t for j in K) for t in set(js) - K}
+    assert {0, 1, 2} <= below
+
+
 @pytest.mark.parametrize("g", range(5))
 @pytest.mark.parametrize("n", range(4))
 def test_handle_duality_without_handles_is_the_whole_duality(g, n):

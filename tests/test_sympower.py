@@ -1,12 +1,10 @@
 import importlib
 import pkgutil
 import random
-from math import comb
 
 import pytest
 
 import swtorsion
-from swtorsion import sympower
 from swtorsion.linalg import det_int, identity_matrix, mat_mul, signed_pencil
 from swtorsion.reference import (Monomial, SymClass, _minor_sums,
                                  apply_induced, basis_class, c_class,
@@ -310,31 +308,30 @@ def test_gram_unimodular():
                 assert abs(det_int(P)) == 1
 
 
-def test_handle_duality_signs_each_core_row_once(monkeypatch):
-    # One sign per core unpaired set U, for c(U), and one per pair set S of
-    # its row list, |S| <= min((n - |U|) / 2, g - |U|): the same at N = 0
-    # and N = 2, and not once per y power h.
+def test_handle_duality_reads_the_form_once_per_core_index(monkeypatch):
+    # The core pairs are read through partner once, one call per core
+    # index: 2g calls, the same at N = 0 and N = 2 and for every n, and
+    # none per unpaired set U, pair set S or y power h.  Keys and signs
+    # come from bit masks over those pairs.
     calls = []
-    honest = sympower._odd_inversions
+    honest = SurfaceModel.partner
 
-    def counting(seq):
-        calls.append(seq)
-        return honest(seq)
+    def counting(self, i):
+        calls.append(i)
+        return honest(self, i)
 
-    monkeypatch.setattr(sympower, "_odd_inversions", counting)
+    monkeypatch.setattr(SurfaceModel, "partner", counting)
 
-    def signs(g, N, n):
+    def reads(g, N, n):
         calls.clear()
         handle_duality(SymSpace(SurfaceModel(g + N, (N, g)), n + N))
-        return len(calls)
+        return sorted(calls)
 
-    for g in range(5):
-        for n in range(6):
-            rows = sum(comb(g, k) * 2 ** k
-                       * (1 + sum(comb(g - k, s) for s
-                                  in range(min((n - k) // 2, g - k) + 1)))
-                       for k in range(min(g, n) + 1))
-            assert signs(g, 0, n) == signs(g, 2, n) == rows
+    for g in range(6):
+        core = list(range(4, 4 + 2 * g))
+        for n in range(7):
+            assert reads(g, 0, n) == [i - 4 for i in core]
+            assert reads(g, 2, n) == core
 
 
 def test_every_cache_is_bounded():
