@@ -1,16 +1,20 @@
 """Exact linear algebra on small matrices.
 
-Matrices are immutable tuples of row tuples, and the module is two kernels.
-One is fraction-free (Bareiss) elimination, ``_bareiss``: it serves every
-determinant, rank, inverse and column basis, and the g + 1 determinants of
-``signed_pencil``, the library's one determinant pencil in Bareiss form,
-and the Jordan pass that solves for its palindromic coefficients
-(``_solve_palindromic``).  The other is Berkowitz's division-free recursion
-``_berkowitz``, written once for any commutative ring: ``verify``'s rhs
-runs it over the integers (``det_one_minus_t``) and over truncated series
-(``series.series_det``), apart from ``signed_pencil`` and
-``torsion.newton_pencil``, so that ``verify`` at N = 0 checks the kernel
-that ``zeta`` prints.  The rational and unimodular routes on the same
+Matrices are immutable tuples of row tuples.  The module is two kernels and
+the two forms, on the first, of the one pencil every command reads,
+p(s) = sum_I s^|I| det A[D u I, C u I].  Fraction-free (Bareiss)
+elimination, ``_bareiss``, serves every determinant, rank, inverse and
+column basis, and both pencils: ``signed_pencil`` takes g + 1 determinants
+and solves for the palindromic coefficients by a Jordan pass, and its
+docstring derives the pencil's layout, sign and palindromy, once.
+``newton_pencil``, the form production reads, takes the Schur complement
+of A[D, C] from one Jordan pass and Newton's identities on the traces of
+its powers, and falls back on ``signed_pencil`` when A[D, C] is singular.
+Berkowitz's division-free recursion ``_berkowitz`` is written once for any
+commutative ring: ``verify``'s rhs runs it over the integers
+(``det_one_minus_t``) and over truncated series (``series.series_det``),
+apart from both pencils, so that ``verify`` at N = 0 checks the kernel
+that ``zeta`` prints.  The rational and unimodular routes on the Bareiss
 kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
 ``independent_columns``), ``perm_parity`` and ``submatrix`` are reference
 routes in ``swtorsion.reference``.  Nothing here ever touches a float.
@@ -59,8 +63,8 @@ def _bareiss(m: list, jordan: bool = False) -> Tuple[list, int, int]:
     then a minor of the input.  Entries left of c are not touched.
     Returns the pivot columns, the sign of the row swaps and the last
     pivot.  A square matrix of full rank has determinant sign * last
-    pivot, and the Jordan pass on [a | I] leaves last pivot * a^-1 on the
-    right.
+    pivot, and for a square a of full rank the Jordan pass on [a | b]
+    leaves last pivot * a^-1 b on the right.
     """
     rows = len(m)
     cols = len(m[0]) if m else 0
@@ -213,6 +217,84 @@ def _solve_palindromic(values: Sequence[int]) -> list:
             raise ExactDivisionError("palindromic polynomial is not integral")
         half.append(q)
     return half
+
+
+def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:
+    """``signed_pencil(mat, N)[:top + 1]`` from power sums.
+
+    With Q, C, D, X and p as in ``signed_pencil`` and E_X the 0/1 diagonal
+    on X, taking s out of the X rows of the pencil matrix gives
+    p(s) = s^2g det(Q + E_X / s).  When delta = det A[D, C] != 0, the Schur
+    complement of A[D, C] in Q + u E_X is u 1 + T / delta, with the
+    2g x 2g integer matrix T = delta A[X, X] - A[X, C] Y and
+    Y = adj(A[D, C]) A[D, X], so det(Q + u E_X) = delta det(u 1 + T / delta)
+    and p(s) = delta det(1 + s T / delta): p_0 = delta and
+    p_k = e_k(T) / delta^(k-1), with e_k the coefficients of det(1 + sT).
+    The Jordan pass of ``_bareiss`` on Q's D rows [A[D, C] | A[D, X]] has
+    last pivot sign delta and leaves sign delta A[D, C]^-1 A[D, X], which
+    is sign Y, on the right.  Newton's identities
+    k e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} tr T^i give e_k from the
+    traces, and tr T^i is the sum over a, b of
+    T^ceil(i/2)[a][b] T^floor(i/2)[b][a], so only T^1 .. T^ceil(w/2)
+    are formed.  p is palindromic, so only k <= w = min(top, g) are
+    computed and the rest is mirrored.
+
+    Both divisions are exact: e_k is a coefficient of det(1 + sT) for an
+    integer matrix T, so k divides the Newton sum, and e_k = delta^(k-1) p_k
+    with p_k a sum of integer minors of A.  A remainder raises
+    ExactDivisionError.  When delta = 0, the pass finds fewer than N pivots
+    in the columns of A[D, C] (it may still find N, some in X columns),
+    there is no Schur complement, and ``signed_pencil`` gives the answer.
+    At N = 0, D and C are empty: delta = 1, T = A and p(s) = det(1 + sA),
+    which ``tqft.zeta_series`` reads.  A call with delta != 0 forms at most
+    ceil(w/2) products, one for T (none at N = 0) and T^2 .. T^ceil(w/2),
+    against g + 1 Bareiss determinants of size 2g + N in ``signed_pencil``.
+    """
+    if top < 0:
+        raise ValueError("top must be nonnegative")
+    g2 = len(mat) - 2 * N
+    size = min(top + 1, g2 + 1)
+    w = min(size - 1, g2 // 2)
+    X = range(2 * N, len(mat))
+    if N == 0:
+        delta, T = 1, mat
+    else:
+        m = [list(row[:N] + row[2 * N:]) for row in mat[N:2 * N]]
+        pivots, sign, last = _bareiss(m, jordan=True)
+        if pivots != list(range(N)):
+            return signed_pencil(mat, N)[:size]
+        delta = sign * last
+        if w:
+            Y = [[sign * x for x in row[N:]] for row in m]
+            XCY = mat_mul(tuple(mat[r][:N] for r in X), Y)
+            T = tuple(tuple(delta * a - b for a, b in zip(mat[r][2 * N:], row))
+                      for r, row in zip(X, XCY))
+    p = [delta]
+    if w:
+        powers = [T]
+        while len(powers) < (w + 1) // 2:
+            powers.append(mat_mul(powers[-1], T))
+        flat = [[x for row in power for x in row] for power in powers]
+        flat_t = [[x for col in zip(*power) for x in col]
+                  for power in powers[:w // 2]]
+        traces = [sum(T[i][i] for i in range(g2))] + [
+            sum(map(operator.mul, flat[(i + 1) // 2 - 1], flat_t[i // 2 - 1]))
+            for i in range(2, w + 1)]
+        alternating = [-x if i & 1 else x for i, x in enumerate(traces)]
+        e = [1]
+        scale = 1
+        for k in range(1, w + 1):
+            q, r = divmod(sum(map(operator.mul, alternating, reversed(e))), k)
+            if r:
+                raise ExactDivisionError("Newton's identities are not integral")
+            e.append(q)
+            q, r = divmod(q, scale)
+            if r:
+                raise ExactDivisionError("pencil coefficient is not integral")
+            p.append(q)
+            scale *= delta
+    p += [p[g2 - k] for k in range(w + 1, size)]
+    return tuple(-c if (k + N) & 1 else c for k, c in enumerate(p))
 
 
 def rank_int(a: tuple) -> int:

@@ -228,7 +228,7 @@ def char_series(A: MappingClass, order: int) -> TruncSeries:
     det(1 + sA) is reciprocal of degree 2G and G + 1 Bareiss determinants
     give it.  ``verify``'s rhs reads the same polynomial from one
     Berkowitz pass (``linalg.det_one_minus_t``), and the trace, torsion
-    and zeta commands through ``torsion.newton_pencil``.
+    and zeta commands through ``linalg.newton_pencil``.
     Checks ``tqft.zeta_series`` by the Bareiss route; ``_minor_sums`` at
     N = 0 is its principal-minor brute force.  Its last reader is the
     benchmark's tracer (``perfbench/tracing.py``); the tests read

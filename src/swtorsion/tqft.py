@@ -10,12 +10,13 @@ come out of the zeta function of the monodromy times the Morse-complex
 torsion, and verifying that identity is the library's purpose.
 
 ``trace_kappa_series`` reads the trace from one integer determinant
-pencil, whose low coefficients ``torsion.newton_pencil`` takes from the
-traces of powers of a 2g x 2g Schur complement.  The diagonal of kappa_n
-is one restricted minor of the monodromy per subset of the core classes,
-and their signed sums by subset size are the coefficients of the Bareiss
-pencil ``linalg.signed_pencil`` (g + 1 determinants), which
-``verify_main_identity`` reads as its second trace column.
+pencil, derived in ``linalg``, whose low coefficients
+``linalg.newton_pencil`` takes from the traces of powers of a 2g x 2g
+Schur complement.  The diagonal of kappa_n is one restricted minor of the
+monodromy per subset of the core classes, and their signed sums by subset
+size are the coefficients of the Bareiss pencil ``linalg.signed_pencil``
+(g + 1 determinants), which ``verify_main_identity`` reads as its second
+trace column.
 ``zeta_series`` reads det(1 - tA) from the same kernel at N = 0 and
 nothing else.  The rhs of ``verify`` reads det(1 - tA) from one Berkowitz
 pass ``linalg.det_one_minus_t`` and the Morse determinant from the same
@@ -33,10 +34,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Tuple
 
-from .linalg import det_one_minus_t, rank_int, signed_pencil
+from .linalg import det_one_minus_t, newton_pencil, rank_int, signed_pencil
 from .series import TruncSeries
 from .surface import MappingClass, SurfaceModel
-from .torsion import morse_torsion, newton_pencil
+from .torsion import morse_torsion
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def trace_kappa_series(P: Presentation, nmax: int) -> Tuple[int, ...]:
     x_I y^q of Sym^n of the core surface; q takes n - |I| + 1 values, so
     sum_n Tr kappa_n t^n = (-1)^N p(-t) / (1 - t)^2 with p as in
     ``linalg.signed_pencil``.  Only p_0 .. p_nmax enter, and
-    ``torsion.newton_pencil`` reads them from the traces of at most
+    ``linalg.newton_pencil`` reads them from the traces of at most
     T^ceil(nmax/2) for a 2g x 2g Schur complement T.  At N = 0 this is
     the zeta function.
     """

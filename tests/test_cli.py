@@ -419,14 +419,14 @@ def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, command,
         run_as, flags = "verify", ["--nmax", "40"]
     path = tmp_path / "p.json"
     write_presentation(P, str(path))
-    honest = torsion.mat_mul
+    honest = linalg.mat_mul
 
     def perturbed(a, b):
         rows = [list(r) for r in honest(a, b)]
         rows[1][1] -= shift
         return tuple(map(tuple, rows))
 
-    monkeypatch.setattr(torsion, "mat_mul", perturbed)
+    monkeypatch.setattr(linalg, "mat_mul", perturbed)
     code, out, err = run_cli([run_as, str(path)] + flags, capsys)
     assert code == 1
     if run_as != command:
@@ -438,6 +438,34 @@ def test_zeta_kernel_failure_exits_one(tmp_path, capsys, monkeypatch, command,
     else:
         assert out == ""
         assert err == "error: pencil coefficient is not integral\n"
+
+
+@pytest.mark.parametrize("fixture", [(0, 1, 52, 1), (1, 1, 52, 1),
+                                     (2, 1, 2, 1), (2, 1, 52, 1)])
+def test_a_wrong_morse_coefficient_shows_by_the_row_bound(tmp_path, capsys,
+                                                         monkeypatch, fixture):
+    # ROADMAP item 15: at N = 1 the rhs row n is coefficient n + 1 of
+    # det(1 - tA) det M, and det(1 - tA) has constant term 1, so one more
+    # t^k in the Morse entry, 1 <= k < 2G, first shows at row k - 1, inside
+    # verify's rows 0..n* with n* = max(2g, 2N(G - 1)) = 2g
+    g = fixture[0]
+    nstar = 2 * g
+    path = tmp_path / "p.json"
+    write_presentation(generate_fixture(*fixture), str(path))
+    honest = torsion.morse_differential_matrix
+    for k in range(1, 2 * g + 2):
+        def perturbed(P, kmax):
+            coeffs = list(honest(P, kmax).entries[0][0].coeffs)
+            coeffs[k] += 1
+            return torsion.MorseMatrix(((TruncSeries(kmax, coeffs),),))
+
+        monkeypatch.setattr(torsion, "morse_differential_matrix", perturbed)
+        code, out, err = run_cli(["verify", str(path), "--nmax", str(nstar)],
+                                 capsys)
+        assert (code, err) == (1, "")
+        matches = [line.split("\t")[3] for line in out.splitlines()[1:]]
+        assert len(matches) == nstar + 1
+        assert matches.index("MISMATCH") == k - 1
 
 
 @pytest.mark.parametrize("command", KERNEL_COMMANDS)
@@ -453,7 +481,7 @@ def test_an_assertion_inside_a_command_propagates(tmp_path, monkeypatch,
     def forbidden(a, b):
         raise AssertionError("a command ran a forbidden route")
 
-    monkeypatch.setattr(torsion, "mat_mul", forbidden)
+    monkeypatch.setattr(linalg, "mat_mul", forbidden)
     with pytest.raises(AssertionError, match="forbidden route"):
         main([command, str(path)] + KERNEL_COMMANDS[command])
 
@@ -655,7 +683,7 @@ def test_torsion_without_handles_forms_no_pencil(tmp_path, capsys,
         raise AssertionError("torsion formed a pencil at N = 0")
 
     monkeypatch.setattr(torsion, "newton_pencil", forbidden)
-    monkeypatch.setattr(torsion, "signed_pencil", forbidden)
+    monkeypatch.setattr(linalg, "signed_pencil", forbidden)
     for g, words, kmax in ((0, 0, 0), (1, 4, 2), (4, 40, 8), (30, 240, 8)):
         P = generate_fixture(g, 0, words, 1)
         assert torsion.torsion_representative(P, kmax) == \
@@ -673,7 +701,7 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
                                                       monkeypatch):
     # det A[D, C] = -3762 here, so every pencil of sw, torsion and intersect
     # comes from the Schur complement: no signed_pencil, and at most
-    # ceil(w/2) + 1 products per newton_pencil call, w = min(top, g)
+    # ceil(w/2) products per newton_pencil call, w = min(top, g)
     P = generate_fixture(3, 2, 52, 1)
     assert det_int(submatrix(P.monodromy.mat, (2, 3), (0, 1))) == -3762
     path = tmp_path / "q.json"
@@ -682,17 +710,18 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
     def forbidden(*args):
         raise AssertionError("a command ran the Bareiss pencil")
 
-    for module in (linalg, reference, torsion):
+    assert not {"_bareiss", "mat_mul", "signed_pencil"} & set(vars(torsion))
+    for module in (linalg, reference):
         monkeypatch.setattr(module, "signed_pencil", forbidden)
     products = []
-    honest_mul = torsion.mat_mul
+    honest_mul = linalg.mat_mul
 
     def counting_mul(a, b):
         products.append(1)
         return honest_mul(a, b)
 
     calls = []
-    honest = torsion.newton_pencil
+    honest = linalg.newton_pencil
 
     def counted(mat, N, top):
         before = len(products)
@@ -700,7 +729,7 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
         calls.append((min(top, len(mat) // 2 - N), len(products) - before))
         return out
 
-    monkeypatch.setattr(torsion, "mat_mul", counting_mul)
+    monkeypatch.setattr(linalg, "mat_mul", counting_mul)
     monkeypatch.setattr(torsion, "newton_pencil", counted)
     monkeypatch.setattr(tqft, "newton_pencil", counted)
     for argv, kernel_calls in ((["sw", "--nmax", "4"], 1),
@@ -711,7 +740,7 @@ def test_commands_read_the_schur_pencil_without_bareiss(tmp_path, capsys,
         code, _, err = run_cli([argv[0], str(path)] + argv[1:], capsys)
         assert (code, err) == (0, "")
         assert len(calls) == kernel_calls
-        assert all(count <= (w + 1) // 2 + 1 for w, count in calls)
+        assert all(count <= (w + 1) // 2 for w, count in calls)
         assert sum(count for _, count in calls) == len(products)
 
 

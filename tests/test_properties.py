@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from swtorsion.cli import load_presentation, write_presentation
 from swtorsion.intersection import intersection_number
 from swtorsion.linalg import (ExactDivisionError, det_int, det_one_minus_t,
-                              identity_matrix, mat_mul, rank_int, transpose)
+                              identity_matrix, mat_mul, newton_pencil,
+                              rank_int, signed_pencil, transpose)
 from swtorsion.reference import (ProductClass, _minor_sums, det_rational,
                                  diagonal_class, dual_basis, duality_pairings,
                                  enumerate_basis, graded_trace, graph_class,
@@ -23,9 +24,8 @@ from swtorsion.reference import (ProductClass, _minor_sums, det_rational,
 from swtorsion.series import TruncSeries, series_det
 from swtorsion.surface import SurfaceModel, is_symplectic, random_symplectic
 from swtorsion.sympower import SymSpace, disjoint_inverse_entry, handle_duality
-from swtorsion import linalg, torsion
-from swtorsion.torsion import (morse_torsion, newton_pencil, signed_pencil,
-                               torsion_representative)
+from swtorsion import linalg
+from swtorsion.torsion import morse_torsion, torsion_representative
 from swtorsion.tqft import (Presentation, _trace_series, compute_b1,
                             rhs_series, trace_kappa_series,
                             verify_main_identity, zeta_series)
@@ -226,6 +226,32 @@ def test_trace_pencil_is_palindromic_and_the_traces_symmetric(P):
         assert at_one == 0
 
 
+# `gen --g 1 --handles 2 --words 52 --seed 1`, where deg det P = N(2G - 1)
+DEGREE_ATTAINED = make_presentation(1, 2, 52, 1)
+
+
+@PROPERTY
+@given(presentations())
+@example(DEGREE_ATTAINED)
+def test_verify_at_the_row_bound_and_the_degree_of_det_p(P):
+    # ROADMAP item 15 (verify_main_identity docstring): det M = det P / Delta^N
+    # with Delta = det(1 - tA) and deg det P <= N(2G - 1), so agreement on
+    # rows 0..n*, n* = max(2g, 2N(G - 1)), settles the identity for every n.
+    # det P is read to twice its degree bound, and the bound is attained
+    g, N = P.genus, P.handles
+    G = g + N
+    bound = N * (2 * G - 1)
+    assert verify_main_identity(P, max(2 * g, 2 * N * (G - 1))).passed
+    order = 2 * bound + 1
+    delta = TruncSeries(order, det_one_minus_t(P.monodromy.mat, order))
+    det_p = morse_torsion(P, order)
+    for _ in range(N):
+        det_p = det_p * delta
+    assert not any(det_p.coeffs[bound + 1:])
+    if P is DEGREE_ATTAINED:
+        assert det_p[bound] != 0
+
+
 # (g, N, words, seed) where a core row of A vanishes on the columns C u X,
 # so m1 of signed_pencil has fewer than 2g nonzero rows
 ZERO_CORE_ROW = ((1, 1, 10, 174), (1, 2, 9, 266), (2, 1, 8, 32), (1, 3, 10, 44))
@@ -280,14 +306,21 @@ def test_newton_pencil_equals_the_bareiss_pencil(case):
         assert newton_pencil(mat, N, top) == full[:top + 1]
 
 
-@pytest.mark.parametrize("g, N, words, seed", [(2, 2, 0, 1), (2, 1, 2, 1)])
+@pytest.mark.parametrize("g, N, words, seed, rank", [
+    (2, 2, 0, 1, 0), (2, 1, 2, 1, 0), (1, 1, 3, 4, 1), (1, 1, 4, 28, 1)],
+    ids=["2-2-0-1", "2-1-2-1", "1-1-3-4", "1-1-4-28"])
 def test_newton_pencil_falls_back_on_a_singular_handle_block(
-        monkeypatch, g, N, words, seed):
+        monkeypatch, g, N, words, seed, rank):
     # the identity and `gen --g 2 --handles 1 --words 2 --seed 1` have
     # det A[D, C] = 0, so there is no Schur complement and every call
-    # returns the truncated Bareiss pencil
+    # returns the truncated Bareiss pencil.  There [A_DC | A_DX] has rank
+    # 0; in `gen --g 1 --handles 1 --words 3 --seed 4` and `--words 4
+    # --seed 28` A_DC = 0 but the Jordan pass finds its N-th pivot in an X
+    # column, so only the pivot columns, not their count, show the fallback
     mat = make_presentation(g, N, words, seed).monodromy.mat
     assert det_int(submatrix(mat, range(N, 2 * N), range(N))) == 0
+    assert rank_int(tuple(row[:N] + row[2 * N:]
+                          for row in mat[N:2 * N])) == rank
     full = signed_pencil(mat, N)
     calls = []
 
@@ -295,7 +328,7 @@ def test_newton_pencil_falls_back_on_a_singular_handle_block(
         calls.append(args)
         return signed_pencil(*args)
 
-    monkeypatch.setattr(torsion, "signed_pencil", counted)
+    monkeypatch.setattr(linalg, "signed_pencil", counted)
     assert newton_pencil(mat, N, len(mat) - 2 * N) == full
     for top in range(2 * g + 2):
         assert newton_pencil(mat, N, top) == full[:top + 1]
