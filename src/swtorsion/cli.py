@@ -19,7 +19,8 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from typing import List, Optional
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 from .intersection import intersection_number
 from .linalg import ExactDivisionError
@@ -53,11 +54,10 @@ def shape_problems(genus, handles, rows) -> List[str]:
             not isinstance(r, (list, tuple)) or len(r) != size for r in rows):
         problems.append(f"dimension: monodromy must be a {size}x{size} matrix")
         return problems
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                problems.append("integrality: matrix entries must be integers")
-                return problems
+    # one pass at C level: the exact type int excludes bool, and JSON
+    # values have no other subclass of int
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        problems.append("integrality: matrix entries must be integers")
     return problems
 
 
@@ -126,13 +126,16 @@ def generate_fixture(g: int, handles: int, words: int, seed: int,
     return Presentation(g, handles, A, name)
 
 
-def _emit(rows: List[dict], header: List[str], fmt: str, out) -> None:
+def _emit(rows: List[dict], header: List[str], fmt: str, out,
+          preamble: str = "") -> None:
+    """Write the rows as JSON, or as a TSV table after ``preamble`` in one
+    write."""
     if fmt == "json":
         out.write(json.dumps(rows, indent=2) + "\n")
     else:
-        out.write("\t".join(header) + "\n")
-        for row in rows:
-            out.write("\t".join(str(row[h]) for h in header) + "\n")
+        lines = ["\t".join(header)]
+        lines += ["\t".join([str(row[h]) for h in header]) for row in rows]
+        out.write(preamble + "\n".join(lines) + "\n")
 
 
 @contextmanager
@@ -162,7 +165,10 @@ _TABLE_COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> Tuple[argparse.ArgumentParser,
+                             Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser, and the map from each command's name to its
+    subparser that the subparsers action keeps."""
     parser = argparse.ArgumentParser(
         prog="swtorsion",
         description="Torsion, zeta, and averaged Seiberg-Witten trace "
@@ -188,17 +194,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--name")
-    return parser
+    return parser, sub.choices
 
 
 # Built once at import, not per call: the parser depends on no input, and
 # building it costs more than parsing with it.  A plain constant, so clearing
 # the library's caches does not rebuild it.
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
+
+
+def _parse(argv: List[str]) -> argparse.Namespace:
+    """Parse argv with its command's subparser, when its first token names
+    a command, and with ``_PARSER`` otherwise."""
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run one ``swtorsion`` call; returns its exit code.
+
+    A call whose first token names a command is parsed by that command's
+    subparser alone, which is all ``_PARSER`` would hand it to.  Its own
+    errors and ``-h`` are those ``_PARSER`` prints, since they come from
+    the same subparser.  ``_PARSER`` parses everything else, the whole
+    argv again: ``--help``, no command, an unknown command, and a call
+    whose subparser leaves tokens over, which ``_PARSER`` rejects as
+    unrecognized arguments.
+    """
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return _dispatch(args, sys.stdout)
     except InputError as e:
@@ -257,8 +285,8 @@ def _run(args, P: Presentation, out) -> int:
                    "note": table.note}
             out.write(json.dumps(doc, indent=2) + "\n")
         else:
-            out.write(f"# b1={table.b1}\tmode={table.mode}\n")
-            _emit(rows, ["n", "m", "value"], "tsv", out)
+            _emit(rows, ["n", "m", "value"], "tsv", out,
+                  f"# b1={table.b1}\tmode={table.mode}\n")
         return 0
 
     if args.command == "verify":

@@ -248,6 +248,11 @@ def compute_b1(P: Presentation) -> int:
     (A - 1)[d][d] = -2 makes this return 1.  A strict xfail pins that case;
     ``b1`` and ``sw`` print this value until ROADMAP item 9 step 2, which
     changes stdout, reads rank B instead.
+
+    The ``b1`` command always runs this.  ``sw_table`` skips it when its
+    pencil already shows p~(1) != 0, that is when nmax >= g and B is
+    nonsingular, where this returns 1; it runs this when nmax < g or
+    p~(1) = 0.
     """
     G = P.genus + P.handles
     N = P.handles
@@ -285,12 +290,30 @@ class SWTable:
 
 
 def sw_table(P: Presentation, nmax: int) -> SWTable:
-    """Tabulate Tr kappa_n with its spin-c degree label for n = 0..nmax."""
+    """Tabulate Tr kappa_n with its spin-c degree label for n = 0..nmax.
+
+    The traces are ``trace_kappa_series``: the numerator p~ from one
+    ``newton_pencil`` call, over (1 - t)^2.  When nmax >= g that call
+    holds p~_0 .. p~_g, and p~ is palindromic of degree 2g, so
+    p~(1) = 2 (p~_0 + .. + p~_{g-1}) + p~_g = det B for the Mayer-Vietoris
+    block B = (1 - A)[D u X, C u X] (``compute_b1`` docstring).  If that is
+    nonzero, B is a nonsingular square block of the 2G - N rows whose rank
+    ``compute_b1`` takes, up to sign, so those rows have full rank and
+    ``compute_b1`` returns 1; b1 = 1 is then read off the pencil and no
+    rank is taken.  It stays exact when ``compute_b1`` reads rank B
+    instead (ROADMAP item 9 step 2).  Otherwise, when nmax < g or
+    p~(1) = 0, ``compute_b1`` runs.
+    """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    b1 = compute_b1(P)
-    gS = P.genus + P.handles
-    values = trace_kappa_series(P, nmax)
+    g = P.genus
+    numerator = newton_pencil(P.monodromy.mat, P.handles, nmax)
+    if nmax >= g and 2 * sum(numerator[:g]) + numerator[g]:
+        b1 = 1
+    else:
+        b1 = compute_b1(P)
+    gS = g + P.handles
+    values = _over_square(numerator, nmax)
     rows = []
     for n, value in enumerate(values):
         if b1 == 1:

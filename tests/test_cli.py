@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import swtorsion
-from swtorsion import linalg, reference, series, surface, torsion, tqft
+from swtorsion import cli, linalg, reference, series, surface, torsion, tqft
 from swtorsion.cli import (_TABLE_COMMANDS, SYMPLECTIC_PROBLEM,
                            generate_fixture, load_presentation, main,
                            write_presentation)
@@ -899,19 +899,85 @@ def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
 
 
 def test_usage_error_leaves_the_parser_reusable(tmp_path, capsys):
+    # an error of the sw subparser itself, and one that _PARSER raises
+    # after the subparser left a token over; the next call parses as the
+    # first did, through the subparser
     path = tmp_path / "p.json"
     write_presentation(generate_fixture(2, 1, 12, 5), str(path))
     good = ["sw", str(path), "--nmax", "3"]
     first = run_cli(good, capsys)
     assert first[0] == 0 and first[1]
-    with pytest.raises(SystemExit) as exc:
-        main(["sw", str(path)])
-    assert exc.value.code == 2
+    for bad, usage, error in (
+            (["sw", str(path)], "usage: swtorsion sw", "--nmax"),
+            (good + ["extra"], "usage: swtorsion ",
+             "swtorsion: error: unrecognized arguments: extra")):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(usage)
+        assert error in captured.err
+        assert run_cli(good, capsys) == first
+
+
+def outcome(argv, capsys) -> tuple:
+    """(exit code, stdout, stderr) of main(argv), usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("usage: swtorsion sw")
-    assert "--nmax" in captured.err
-    assert run_cli(good, capsys) == first
+    return code, captured.out, captured.err
+
+
+def parser_cases(path: str, out: str) -> list:
+    cases = [["validate", path], ["b1", path],
+             ["gen", "--g", "1", "--handles", "1", "--words", "3", "--seed",
+              "2", "--out", out]]
+    for command, (flag, _) in _TABLE_COMMANDS.items():
+        cases += [[command, path, f"--{flag}", "2"],
+                  [command, path, f"--{flag}", "2", "--format", "json"]]
+    cases += [[command, "-h"] for command in ("validate", "b1", "gen",
+                                              *_TABLE_COMMANDS)]
+    return cases + [
+        ["--help"], ["-h", "sw"], [], ["nosuch"], ["nosuch", path],
+        ["sw", path], ["sw", path, "--nmax", "x"], ["sw", "--nmax", "2"],
+        ["sw", path, "--nmax", "2", "--format", "xml"], ["gen", "--g", "1"],
+        ["sw", path, "--nm", "2"], ["sw", path, "--nmax", "2", "--form",
+                                    "json"],
+        ["sw", path, "--n", "2"], ["validate", "--", path],
+        ["sw", path, "--", "--nmax", "2"], ["sw", "--", path, "--nmax", "2"],
+        ["sw", path, "--nmax", "2", "--"], ["sw", path, "--nmax", "2",
+                                           "extra"],
+        ["validate", path, "extra"], ["b1", path, "--nmax", "2"],
+        ["sw", path, "--nmax", "2", "--nmax", "3"],
+        ["sw", path, "--nmax", "2", "-h"], ["sw", "--help", path]]
+
+
+def test_every_call_parses_as_the_top_level_parser_parses_it(
+        tmp_path, capsys, monkeypatch):
+    # main hands a call that names a command to that command's subparser
+    # alone; the reference forces every call through _PARSER.parse_args,
+    # on this interpreter, and both must print the same bytes to stdout
+    # and stderr and exit with the same code
+    monkeypatch.setenv("COLUMNS", "80")
+    path = str(tmp_path / "p.json")
+    write_presentation(generate_fixture(2, 1, 12, 5), path)
+    cases = parser_cases(path, str(tmp_path / "out.json"))
+    honest = cli._PARSER.parse_args
+    reached = []
+    monkeypatch.setattr(cli._PARSER, "parse_args",
+                        lambda argv: reached.append(argv) or honest(argv))
+    fast = [outcome(argv, capsys) for argv in cases]
+    monkeypatch.setattr(cli, "_parse", honest)
+    assert [outcome(argv, capsys) for argv in cases] == fast
+    valid = 3 + 2 * len(_TABLE_COMMANDS)
+    assert [code for code, _, _ in fast[:valid]] == [0] * valid
+    assert {code for code, _, _ in fast} == {0, 2}
+    # the valid calls never reached _PARSER; the unknown and extra ones did
+    assert not any(argv in reached for argv in cases[:valid])
+    assert ["nosuch"] in reached and ["validate", path, "extra"] in reached
 
 
 def test_help_in_process_prints_what_it_prints_alone(capsys, monkeypatch):

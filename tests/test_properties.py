@@ -27,7 +27,7 @@ from swtorsion.sympower import SymSpace, disjoint_inverse_entry, handle_duality
 from swtorsion import linalg
 from swtorsion.torsion import morse_torsion, torsion_representative
 from swtorsion.tqft import (Presentation, _trace_series, compute_b1,
-                            rhs_series, trace_kappa_series,
+                            rhs_series, sw_table, trace_kappa_series,
                             verify_main_identity, zeta_series)
 from conftest import (block_b1, interpolate, make_presentation,
                       mayer_vietoris_block, rational_exp, stabilize)
@@ -484,6 +484,23 @@ def test_b1_equals_the_rank_formula(P):
     rows = [[int(i == j) - Ainv[i][j] for j in range(2 * G)]
             for i in range(N, 2 * G)]
     assert compute_b1(P) == 1 + (2 * G - N) - fraction_rank(rows)
+
+
+@PROPERTY
+@given(presentations(max_genus=4))
+@example(Presentation.from_matrix(0, 1, [[-1, 3], [0, -1]]))
+@example(Presentation.from_matrix(2, 1, identity_matrix(6)))
+def test_sw_table_is_compute_b1_and_the_trace_series(P):
+    # sw reads b1 = 1 off its pencil when it can (sw_table docstring); the
+    # table stays what compute_b1 and trace_kappa_series give at every
+    # nmax, below the core genus, through the pencil and past it
+    b1 = compute_b1(P)
+    mode = "b1=1" if b1 == 1 else "b1>1"
+    for nmax in range(2 * P.genus + 3):
+        table = sw_table(P, nmax)
+        assert (table.b1, table.mode) == (b1, mode)
+        assert tuple(r.value for r in table.rows) == trace_kappa_series(
+            P, nmax)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

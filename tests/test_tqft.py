@@ -423,6 +423,32 @@ def test_compute_b1_never_inverts_the_monodromy(without_reference):
         4, 1, 1, 1, 2, 1, 1, 1]
 
 
+def test_sw_reads_b1_off_its_pencil(monkeypatch):
+    # compute_b1 runs exactly when nmax < g or p~(1) = 0: on the identity
+    # monodromy, on c -> -c, d -> 3c - d (ROADMAP item 9), where both give
+    # p~(1) = 0, and below the core genus; elsewhere the pencil sw reads
+    # shows det B = p~(1) != 0, so b1 = 1
+    called = []
+    honest = tqft.compute_b1
+    monkeypatch.setattr(tqft, "compute_b1",
+                        lambda P: called.append(P) or honest(P))
+    cases = [Presentation.from_matrix(2, 0, identity_matrix(4)),
+             Presentation.from_matrix(0, 1, [[-1, 3], [0, -1]]),
+             generate_fixture(2, 1, 24, 1), generate_fixture(3, 0, 24, 1),
+             generate_fixture(1, 2, 24, 1), generate_fixture(2, 1, 2, 1)]
+    skipped = []
+    for P in cases:
+        at_one = sum(signed_pencil(P.monodromy.mat, P.handles))
+        for nmax in range(2 * P.genus + 3):
+            del called[:]
+            assert sw_table(P, nmax).b1 == honest(P)
+            if not called:
+                skipped.append((P.genus, P.handles, nmax))
+            assert called == ([] if nmax >= P.genus and at_one else [P])
+    assert skipped == [(2, 1, n) for n in range(2, 7)] + [
+        (3, 0, n) for n in range(3, 9)] + [(1, 2, n) for n in range(1, 5)]
+
+
 def test_sw_table_degree_maps():
     # b1 > 1 at slice genus 2: n = 0 pairs with |m| = 2, n = 1 with 0
     P = Presentation.from_matrix(2, 0, identity_matrix(4))
