@@ -40,16 +40,23 @@ def fixture_id(fixture) -> str:
     return "g{}-N{}-w{}-s{}".format(*fixture)
 
 
-def commands(g: int) -> list:
+def commands(g: int, N: int) -> list:
     """The calls made on each fixture file f.json: `sw` at nmax 1, below
-    g once g >= 2, and at 2g + 2, past the whole pencil."""
+    g once g >= 2, and at 2g + 2, past the whole pencil; `torsion` at
+    kmax N, order 0 after the t^N shift; and `zeta` at 2G + 2 and
+    `torsion` at 2G + N + 2, whose rows pass every pencil's degree, so
+    that ``linalg.newton_pencil`` runs its full w = g."""
+    G = g + N
     calls = [["validate", "f.json"], ["b1", "f.json"]]
     for command, flag, value in (("sw", "--nmax", 1),
                                  ("sw", "--nmax", 2 * g + 2),
                                  ("zeta", "--kmax", 8),
                                  ("torsion", "--kmax", 8),
                                  ("verify", "--nmax", 4),
-                                 ("intersect", "--n", 2)):
+                                 ("intersect", "--n", 2),
+                                 ("torsion", "--kmax", N),
+                                 ("zeta", "--kmax", 2 * G + 2),
+                                 ("torsion", "--kmax", 2 * G + N + 2)):
         args = [command, "f.json", flag, str(value)]
         calls += [args, args + ["--format", "json"]]
     return calls
@@ -80,7 +87,7 @@ def corpus_entry(fixture, workdir: pathlib.Path) -> dict:
                str(words), "--seed", str(seed), "--out", "f.json"]
         entry = {" ".join(gen): digest(*call(gen),
                                        pathlib.Path("f.json").read_bytes())}
-        for argv in commands(g):
+        for argv in commands(g, N):
             entry[" ".join(argv)] = digest(*call(argv))
     finally:
         os.chdir(here)
