@@ -14,10 +14,16 @@ Berkowitz's division-free recursion ``_berkowitz`` is written once for any
 commutative ring: ``verify``'s rhs runs it over the integers
 (``det_one_minus_t``) and over truncated series (``series.series_det``),
 apart from both pencils, so that ``verify`` at N = 0 checks the kernel
-that ``zeta`` prints.  The rational and unimodular routes on the Bareiss
-kernel (``det_rational``, ``invert_rational``, ``invert_unimodular``,
-``independent_columns``), ``perm_parity`` and ``submatrix`` are reference
-routes in ``swtorsion.reference``.  Nothing here ever touches a float.
+that ``zeta`` prints.  Outside the Bareiss kernel, every division that
+must leave no remainder (Newton's k e_k and e_k / delta^(k-1) in
+``newton_pencil``, the last pivot in ``_solve_palindromic``) goes through
+one guard, ``_exact_quotient``, which raises ``ExactDivisionError`` on a
+remainder; ``_bareiss``'s own division is exact by Bareiss's theorem and
+sits unguarded in its inner loop.  The rational and unimodular routes on
+the Bareiss kernel (``det_rational``, ``invert_rational``,
+``invert_unimodular``, ``independent_columns``), ``perm_parity`` and
+``submatrix`` are reference routes in ``swtorsion.reference``.  Nothing
+here ever touches a float.
 """
 from __future__ import annotations
 
@@ -27,6 +33,15 @@ from typing import Sequence, Tuple
 
 class ExactDivisionError(ArithmeticError):
     """A division that must be exact left a remainder."""
+
+
+def _exact_quotient(a: int, b: int, what: str) -> int:
+    """a // b for a division that must be exact; a remainder raises
+    ExactDivisionError(what)."""
+    q, r = divmod(a, b)
+    if r:
+        raise ExactDivisionError(what)
+    return q
 
 
 def as_matrix(rows) -> tuple:
@@ -210,13 +225,9 @@ def _solve_palindromic(values: Sequence[int]) -> list:
          + [s ** w, values[s] - lead * (1 + s ** (2 * w))]
          for s in range(1, w + 1)]
     last = _bareiss(m, jordan=True)[2]
-    half = [lead]
-    for row in m:
-        q, r = divmod(row[-1], last)
-        if r:
-            raise ExactDivisionError("palindromic polynomial is not integral")
-        half.append(q)
-    return half
+    return [lead] + [_exact_quotient(row[-1], last,
+                                     "palindromic polynomial is not integral")
+                     for row in m]
 
 
 def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:
@@ -284,14 +295,11 @@ def newton_pencil(mat: tuple, N: int, top: int) -> Tuple[int, ...]:
         e = [1]
         scale = 1
         for k in range(1, w + 1):
-            q, r = divmod(sum(map(operator.mul, alternating, reversed(e))), k)
-            if r:
-                raise ExactDivisionError("Newton's identities are not integral")
-            e.append(q)
-            q, r = divmod(q, scale)
-            if r:
-                raise ExactDivisionError("pencil coefficient is not integral")
-            p.append(q)
+            e.append(_exact_quotient(
+                sum(map(operator.mul, alternating, reversed(e))), k,
+                "Newton's identities are not integral"))
+            p.append(_exact_quotient(e[-1], scale,
+                                     "pencil coefficient is not integral"))
             scale *= delta
     p += [p[g2 - k] for k in range(w + 1, size)]
     return tuple(-c if (k + N) & 1 else c for k, c in enumerate(p))

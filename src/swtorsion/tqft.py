@@ -52,9 +52,8 @@ class Presentation:
     def __post_init__(self):
         if self.genus < 0 or self.handles < 0:
             raise ValueError("genus and handle count must be nonnegative")
-        expected = SurfaceModel(self.genus + self.handles,
-                                (self.handles, self.genus))
-        if self.monodromy.surface != expected:
+        # SurfaceModel enforces G = N + g, so the split fixes the surface
+        if self.monodromy.surface.split != (self.handles, self.genus):
             raise ValueError("monodromy must act on the split surface "
                              f"of genus {self.genus + self.handles}")
 

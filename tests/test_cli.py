@@ -1012,3 +1012,18 @@ def test_demo_prints_its_expected_output(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     expected = DEMOS / "expected" / f"{demo.stem}.txt"
     assert proc.stdout == expected.read_bytes()
+
+
+def test_the_readme_library_example_runs():
+    # the fenced python block under "## Library example", whose own
+    # `assert report.passed` pins the documented API; it prints n, m and
+    # Tr kappa_n of S^2 x S^1 (the label m is ROADMAP item 1's)
+    readme = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code, {})
+    rows = [line.split() for line in out.getvalue().splitlines()]
+    assert [(n, value) for n, _, value in rows] == [
+        ("0", "-1"), ("1", "-2"), ("2", "-3"), ("3", "-4")]

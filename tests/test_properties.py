@@ -380,6 +380,51 @@ def test_palindromic_solve_rejects_integral_values_of_a_rational_half(
         linalg._solve_palindromic([int(v * scale) for v in values])
 
 
+NONZERO = BIG.filter(bool)
+
+
+@PROPERTY
+@given(BIG, NONZERO, NONZERO, st.text())
+def test_exact_quotient_divides_or_raises_the_callers_text(q, b, a, what):
+    # q b / b is q; a / b is a // b when b divides a, and otherwise raises
+    # ExactDivisionError carrying the caller's text
+    assert linalg._exact_quotient(q * b, b, what) == q
+    if a % b:
+        with pytest.raises(ExactDivisionError) as raised:
+            linalg._exact_quotient(a, b, what)
+        assert raised.value.args == (what,)
+    else:
+        assert linalg._exact_quotient(a, b, what) == a // b
+
+
+def test_every_exact_division_goes_through_the_one_guard(monkeypatch):
+    # newton_pencil with det A[D, C] != 0 divides twice per coefficient
+    # p_1 .. p_w (Newton's k and delta^(k-1)), and _solve_palindromic once
+    # per coefficient p_1 .. p_w, each through _exact_quotient
+    calls = []
+    honest = linalg._exact_quotient
+
+    def counted(a, b, what):
+        calls.append(what)
+        return honest(a, b, what)
+
+    monkeypatch.setattr(linalg, "_exact_quotient", counted)
+    for g, N in ((2, 2), (3, 0), (3, 1)):
+        mat = make_presentation(g, N, 52, 1).monodromy.mat
+        assert det_int(tuple(row[:N] for row in mat[N:2 * N])) != 0
+        for top in range(2 * g + 2):
+            calls.clear()
+            newton_pencil(mat, N, top)
+            w = min(top, g)
+            assert calls == ["Newton's identities are not integral",
+                             "pencil coefficient is not integral"] * w
+    for half in ([7], [1, -2], [3, 0, 5, -1]):
+        calls.clear()
+        assert linalg._solve_palindromic(palindromic_values(half)) == half
+        assert calls == ["palindromic polynomial is not integral"] * (
+            len(half) - 1)
+
+
 @PROPERTY
 @given(st.sampled_from(range(7)), st.integers(0, 40), st.integers(0, 2 ** 32),
        st.integers(0, 40))
